@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fdref, hyperbolic, jko, skt
+from .diagnostics import CheckResult, RunRecord, check_energy_monotone
 from .energies import CouplingMatrix
 from .errors import ConfigInvalid
 from .measures import DensityVector, Grid1D, normalize
@@ -137,17 +138,7 @@ def _write_density_csv(path: Path, u: DensityVector):
     _write_csv(path, ["x"] + [f"u_{i + 1}" for i in range(u.n_species)], cols)
 
 
-def _write_report(out: Path, scenario: str, params: dict, record) -> bool:
-    report = {
-        "scenario": scenario,
-        "params": params,
-        "checks": [c.to_dict() for c in record.checks],
-    }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return record.all_passed()
-
-
-def _run_parabolic(cfg: dict, out: Path) -> bool:
+def _run_parabolic(cfg: dict, out: Path) -> RunRecord:
     grid = _grid_from(cfg)
     a = _coupling_from(cfg)
     u0 = _initial_from(cfg, grid, a.n_species)
@@ -177,10 +168,10 @@ def _run_parabolic(cfg: dict, out: Path) -> bool:
         ["t", "w2_increment", "optimality_residual"],
         [record.times[1:], record.w2_increments, record.residuals],
     )
-    return _write_report(out, cfg["scenario"], _echo_params(cfg), record)
+    return record
 
 
-def _run_hyperbolic(cfg: dict, out: Path, scheme: str) -> bool:
+def _run_hyperbolic(cfg: dict, out: Path, scheme: str) -> RunRecord:
     grid = _grid_from(cfg)
     n_species = int(cfg.get("n_species", 2))
     u0 = _initial_from(cfg, grid, n_species)
@@ -203,12 +194,10 @@ def _run_hyperbolic(cfg: dict, out: Path, scheme: str) -> bool:
         ["t", "w2_u", "w2_p"],
         [rec.times[1:], rec.w2_increments, rec.meta["pressure_increments"]],
     )
-    return _write_report(out, cfg["scenario"], _echo_params(cfg), rec)
+    return rec
 
 
-def _run_fourth_order(cfg: dict, out: Path) -> bool:
-    from .diagnostics import RunRecord, check_energy_monotone
-
+def _run_fourth_order(cfg: dict, out: Path) -> RunRecord:
     grid = _grid_from(cfg)
     a = _coupling_from(cfg)
     u0 = _initial_from(cfg, grid, a.n_species)
@@ -217,12 +206,11 @@ def _run_fourth_order(cfg: dict, out: Path) -> bool:
     record = RunRecord(times=np.arange(n_steps + 1, dtype=float), energy=energies)
     check_energy_monotone(record)
     drift = abs(grid.h * float(u_final.values.sum()) - a.n_species)
-    from .diagnostics import CheckResult
-
-    record.add_check(CheckResult("mass_conserved", drift <= 1e-12 * a.n_species, 1e-12 - drift, 1e-12))
+    tol = 1e-12 * a.n_species
+    record.add_check(CheckResult("mass_conserved", drift <= tol, tol - drift, tol))
     _write_density_csv(out / "final_density.csv", u_final)
     _write_csv(out / "series.csv", ["step", "energy"], [record.times, energies])
-    return _write_report(out, cfg["scenario"], _echo_params(cfg), record)
+    return record
 
 
 def _skt_config(cfg: dict) -> skt.SKTConfig:
@@ -251,7 +239,7 @@ def _skt_config(cfg: dict) -> skt.SKTConfig:
         raise ConfigInvalid("skt", str(exc)) from exc
 
 
-def _run_skt_joint(cfg: dict, out: Path) -> bool:
+def _run_skt_joint(cfg: dict, out: Path) -> RunRecord:
     config = _skt_config(cfg)
     run = skt.run_skt_scenario(config, strict=False)
     for t, p in run.snapshots:
@@ -270,12 +258,10 @@ def _run_skt_joint(cfg: dict, out: Path) -> bool:
         ["t", "H_rel"],
         [run.record.times, run.record.tv["relative_entropy"]],
     )
-    return _write_report(out, cfg["scenario"], _echo_params(cfg), run.record)
+    return run.record
 
 
-def _run_skt_decoupled(cfg: dict, out: Path) -> bool:
-    from .diagnostics import CheckResult, RunRecord
-
+def _run_skt_decoupled(cfg: dict, out: Path) -> RunRecord:
     config = _skt_config(cfg)
     variant = cfg.get("variant", "quadratic")
     report = skt.compare_correlated_vs_decoupled(config, variant=variant)
@@ -284,12 +270,10 @@ def _run_skt_decoupled(cfg: dict, out: Path) -> bool:
     record.add_check(
         CheckResult("gap_zero_at_start", report.l1_gaps[0] <= 1e-6, 1e-6 - report.l1_gaps[0], 1e-6)
     )
-    return _write_report(out, cfg["scenario"], _echo_params(cfg), record)
+    return record
 
 
-def _run_benchmark_closure(cfg: dict, out: Path) -> bool:
-    from .diagnostics import CheckResult
-
+def _run_benchmark_closure(cfg: dict, out: Path) -> RunRecord:
     grid = _grid_from(cfg)
     a = _coupling_from(cfg)
     u0 = _initial_from(cfg, grid, a.n_species)
@@ -306,7 +290,7 @@ def _run_benchmark_closure(cfg: dict, out: Path) -> bool:
         ["t", "energy", "entropy"],
         [record.times, record.energy, record.entropy],
     )
-    return _write_report(out, cfg["scenario"], _echo_params(cfg), record)
+    return record
 
 
 _RUNNERS = {
@@ -357,13 +341,16 @@ def run(config_path: str, overrides=(), out_dir: str | None = None) -> int:
             raise ConfigInvalid("scenario", f"unknown scenario {scenario!r}")
         out = Path(out_dir or cfg.get("out_dir", "out"))
         out.mkdir(parents=True, exist_ok=True)
-        passed = _RUNNERS[scenario](cfg, out)
+        record = _RUNNERS[scenario](cfg, out)
+        report = record.to_json(scenario=scenario, params=_echo_params(cfg))
+        (out / "report.json").write_text(report + "\n")
     except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # solver errors surface with context
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    passed = record.all_passed()
     summary = "all checks passed" if passed else "CHECK FAILURE (see report.json)"
     print(f"{scenario}: {summary}; outputs in {out}")
     return 0 if passed else 2

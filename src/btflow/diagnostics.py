@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnknownField
+from .errors import DimensionMismatch, EstimateFailed, UnknownField
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,15 @@ class RunRecord:
         return result
 
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """True when at least one check ran and every check passed."""
+        return bool(self.checks) and all(c.passed for c in self.checks)
+
+    def finish(self, strict: bool) -> "RunRecord":
+        """Return the record; with ``strict`` raise EstimateFailed unless all_passed()."""
+        if strict and not self.all_passed():
+            failed = [c.name for c in self.checks if not c.passed] or "no check ran"
+            raise EstimateFailed(f"estimate checks failed: {failed}")
+        return self
 
     def to_report(self, **extra) -> dict:
         report = {

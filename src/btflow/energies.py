@@ -18,35 +18,6 @@ from .measures import DensityVector
 ENTROPY_FLOOR = 1e-300
 
 
-def _jacobi_min_eigenvalue(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100) -> float:
-    """Smallest eigenvalue of a symmetric matrix by cyclic Jacobi rotations."""
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-    scale = max(1.0, float(np.abs(a).max()))
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) <= 1e-300:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / a[p, q]
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-    return float(np.min(np.diag(a)))
-
-
 @dataclass(frozen=True)
 class CouplingMatrix:
     """Symmetric species interaction matrix with its smallest eigenvalue.
@@ -67,7 +38,7 @@ class CouplingMatrix:
         object.__setattr__(self, "entries", a)
         sym = bool(np.array_equal(a, a.T))
         object.__setattr__(self, "symmetric", sym)
-        lam = _jacobi_min_eigenvalue(a) if sym else float("nan")
+        lam = float(np.linalg.eigvalsh(a).min()) if sym else float("nan")
         object.__setattr__(self, "lambda_min", lam)
 
     @property

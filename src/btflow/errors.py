@@ -51,9 +51,10 @@ class NonpositiveTime(ValueError):
 
 
 class InfiniteInitialEntropy(ValueError):
-    """Raised when the initial state has undefined Boltzmann entropy.
+    """Raised when the initial energy or Boltzmann entropy of a run is not finite.
 
-    Cannot occur for finite cell-averaged data; retained for API symmetry.
+    Densities reject non-finite values, so this signals overflow, e.g. the
+    quadratic energy of a unit-mass density on an extremely fine grid.
     """
 
 

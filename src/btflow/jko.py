@@ -42,12 +42,23 @@ from .energies import (
 from .errors import (
     DegenerateSupport,
     EstimateFailed,
+    InfiniteInitialEntropy,
     InnerDiverged,
     KernelUnderflow,
     NotPositiveDefinite,
 )
 from .measures import DensityVector, Grid1D, _deposit_cdf, to_quantiles
 from .transport1d import kantorovich_potential_1d, w2_product
+
+ARMIJO_C = 1e-4
+ARMIJO_BACKTRACKS = 60
+QUADRATURE_REFINE = 4.0  # inner quadrature cells per smallest level gap
+QUADRATURE_CAP = 32768
+TOL_FIX = 1e-9  # entropic outer fixed-point tolerance (L1)
+MAX_OUTER = 2000
+SINKHORN_INNER_TOL = 1e-12
+SINKHORN_INNER_CAP = 500
+SUPPORT_THRESHOLD_SCALE = 1e-8  # residual support cut at scale / h
 
 
 @dataclass(frozen=True)
@@ -58,7 +69,9 @@ class JKOSchedule:
 
     def __post_init__(self):
         taus = np.atleast_1d(np.asarray(self.taus, dtype=float))
-        if taus.size and taus.min() <= 0.0:
+        if taus.size == 0:
+            raise ValueError("a schedule needs at least one step")
+        if taus.min() <= 0.0:
             raise ValueError("all step sizes must be positive")
         object.__setattr__(self, "taus", taus)
 
@@ -76,7 +89,7 @@ class JKOSchedule:
 
     @property
     def sup_tau(self) -> float:
-        return float(self.taus.max()) if self.taus.size else 0.0
+        return float(self.taus.max())
 
     def times(self) -> np.ndarray:
         return np.concatenate(([0.0], np.cumsum(self.taus)))
@@ -84,19 +97,11 @@ class JKOSchedule:
 
 @dataclass(frozen=True)
 class JKOOptions:
+    """Settings of the Lagrangian descent."""
+
     tol_obj_rel: float = 1e-10  # stop when the objective decrease falls below this * |obj|
     max_iterations: int = 5000
-    armijo_c: float = 1e-4
-    armijo_backtracks: int = 60
     include_dirichlet: bool = False  # augment the energy with the gradient term
-    quadrature_refine: float = 4.0  # inner quadrature cells per smallest level gap
-    quadrature_cap: int = 32768
-    tol_fix: float = 1e-9  # entropic outer fixed-point tolerance (L1)
-    max_outer: int = 2000
-    sinkhorn_inner_tol: float = 1e-12
-    sinkhorn_inner_cap: int = 500
-    support_threshold_scale: float = 1e-8  # residual support cut at scale / h
-    record_residuals: bool = True
 
 
 DEFAULT_OPTIONS = JKOOptions()
@@ -117,8 +122,6 @@ class ResidualReport:
     """Per-species optimality residuals of one step (see optimality_residual)."""
 
     values: np.ndarray  # normalized std of phi_i/tau + p_i on the support
-    constants: np.ndarray  # per-species sample mean playing the role of C
-    off_support_violation: np.ndarray  # worst (C - value) off support, 0 if none
 
     @property
     def worst(self) -> float:
@@ -293,7 +296,7 @@ class _LagrangianResult:
     energy: float
 
 
-def _quadrature_grid(positions: np.ndarray, grid: Grid1D, opts: JKOOptions) -> Grid1D:
+def _quadrature_grid(positions: np.ndarray, grid: Grid1D) -> Grid1D:
     """Refined grid for the inner energy quadrature.
 
     The deposited energy seen on the solution grid is piecewise flat in the
@@ -303,8 +306,8 @@ def _quadrature_grid(positions: np.ndarray, grid: Grid1D, opts: JKOOptions) -> G
     """
     gaps = np.diff(positions, axis=1)
     min_gap = float(gaps[gaps > 0.0].min()) if np.any(gaps > 0.0) else grid.h
-    target = max(grid.n_cells, int(np.ceil(opts.quadrature_refine * grid.length / min_gap)))
-    n_fine = min(target, opts.quadrature_cap)
+    target = max(grid.n_cells, int(np.ceil(QUADRATURE_REFINE * grid.length / min_gap)))
+    n_fine = min(target, QUADRATURE_CAP)
     if n_fine <= grid.n_cells:
         return grid
     return Grid1D(n_fine, grid.x_min, grid.x_max)
@@ -332,12 +335,10 @@ def _lagrangian_minimize(
     tau: float,
     grid: Grid1D,
     opts: JKOOptions,
-    fine: Grid1D | None = None,
+    fine: Grid1D,
 ) -> _LagrangianResult:
     n_levels = x_prev.shape[1]
     prox_weight = 1.0 / (tau * n_levels)
-    if fine is None:
-        fine = _quadrature_grid(x_prev, grid, opts)
 
     def energy(x):
         return _solver_energy(x, a, grid, fine, opts)
@@ -364,13 +365,13 @@ def _lagrangian_minimize(
     for iterations in range(1, opts.max_iterations + 1):
         grad = prox_weight * (x - x_prev) + energy_gradient(x)
         accepted = False
-        for _ in range(opts.armijo_backtracks):
+        for _ in range(ARMIJO_BACKTRACKS):
             trial = _project_monotone(x - step * grad, grid.x_min, grid.x_max)
             move_sq = float(np.sum((trial - x) ** 2, axis=1).sum())
             if move_sq == 0.0:
                 break
             trial_obj = objective(trial)
-            if trial_obj <= obj - opts.armijo_c * move_sq / step:
+            if trial_obj <= obj - ARMIJO_C * move_sq / step:
                 accepted = True
                 break
             step *= 0.5
@@ -410,7 +411,7 @@ def jko_step_lagrangian(
     grid = u_prev.grid
     L = grid.n_cells if n_levels is None else int(n_levels)
     x_prev = _quantile_state(u_prev, L)
-    fine = _quadrature_grid(x_prev, grid, opts)
+    fine = _quadrature_grid(x_prev, grid)
     result = _lagrangian_minimize(x_prev, a, tau, grid, opts, fine=fine)
     vals = _deposit_all(result.positions, grid)
     u_next = DensityVector(grid, vals)
@@ -421,17 +422,12 @@ def jko_step_lagrangian(
     if e_after > e_before + 1e-12 * max(1.0, abs(e_before)):
         raise EstimateFailed("energy increased across a Lagrangian JKO step")
     increment = float(np.sqrt(np.sum((result.positions - x_prev) ** 2) / L))
-    res = (
-        optimality_residual(u_prev, u_next, a, tau, opts).worst
-        if opts.record_residuals
-        else float("nan")
-    )
     report = JKOStepReport(
         w2_increment=increment,
         energy_before=e_before,
         energy_after=e_after,
         inner_iterations=result.iterations,
-        optimality_residual=res,
+        optimality_residual=optimality_residual(u_prev, u_next, a, tau).worst,
         converged=result.converged,
     )
     return u_next, report
@@ -476,7 +472,6 @@ def jko_step_entropic(
     a: CouplingMatrix,
     tau: float,
     eps: float,
-    opts: JKOOptions = DEFAULT_OPTIONS,
 ) -> tuple[DensityVector, JKOStepReport]:
     """One entropic-proximal step on the Eulerian grid.
 
@@ -502,7 +497,7 @@ def jko_step_entropic(
     e_before = energy_quadratic(u_prev, a)
 
     outer_used = None
-    for outer in range(1, opts.max_outer + 1):
+    for outer in range(1, MAX_OUTER + 1):
         prev = dens.copy()
         for i in range(n_species):
             frozen = a.entries[i] @ dens - a.entries[i, i] * dens[i]
@@ -510,22 +505,22 @@ def jko_step_entropic(
             beta = (2.0 * tau / eps) * frozen
             b = np.ones(grid.n_cells)
             nu = mu[i].copy()
-            for _ in range(opts.sinkhorn_inner_cap):
+            for _ in range(SINKHORN_INNER_CAP):
                 a_vec = mu[i] / (kernel @ b)
                 xi = kernel @ a_vec
-                nu_new = _prox_newton(xi, alpha, beta, opts.sinkhorn_inner_tol)
+                nu_new = _prox_newton(xi, alpha, beta, SINKHORN_INNER_TOL)
                 b = nu_new / xi
                 delta = float(np.abs(nu_new - nu).sum())
                 nu = nu_new
-                if delta < opts.sinkhorn_inner_tol:
+                if delta < SINKHORN_INNER_TOL:
                     break
             a_vec = mu[i] / (kernel @ b)
             dens[i] = b * (kernel @ a_vec) / h  # exact-mass second marginal
-        if float(np.abs(dens - prev).sum()) * h < opts.tol_fix:
+        if float(np.abs(dens - prev).sum()) * h < TOL_FIX:
             outer_used = outer
             break
     if outer_used is None:
-        raise InnerDiverged(f"entropic outer loop exceeded {opts.max_outer} sweeps")
+        raise InnerDiverged(f"entropic outer loop exceeded {MAX_OUTER} sweeps")
 
     masses = h * dens.sum(axis=1)
     drift = float(np.abs(masses - 1.0).max())
@@ -539,11 +534,7 @@ def jko_step_entropic(
         energy_before=e_before,
         energy_after=e_after,
         inner_iterations=outer_used,
-        optimality_residual=(
-            optimality_residual(u_prev, u_next, a, tau, opts).worst
-            if opts.record_residuals
-            else float("nan")
-        ),
+        optimality_residual=optimality_residual(u_prev, u_next, a, tau).worst,
         converged=True,
     )
     return u_next, report
@@ -554,22 +545,17 @@ def optimality_residual(
     u_next: DensityVector,
     a: CouplingMatrix,
     tau: float,
-    opts: JKOOptions = DEFAULT_OPTIONS,
 ) -> ResidualReport:
     """How far phi_i/tau + p_i(u_next) is from a constant on each support.
 
     phi_i is the potential transporting u_next back to u_prev.  On the
     support of u_next the first-order conditions make the field constant; the
-    residual is its standard deviation normalized by the mean magnitude.  Off
-    the support the field must not dip below the constant; the worst dip is
-    reported, not asserted.
+    residual is its standard deviation normalized by the mean magnitude.
     """
     grid = u_prev.grid
     p = pressure(u_next, a)
-    threshold = opts.support_threshold_scale / grid.h
+    threshold = SUPPORT_THRESHOLD_SCALE / grid.h
     values = np.empty(u_next.n_species)
-    constants = np.empty(u_next.n_species)
-    dips = np.zeros(u_next.n_species)
     for i in range(u_next.n_species):
         support = u_next.values[i] > threshold
         if not np.any(support):
@@ -577,16 +563,11 @@ def optimality_residual(
         phi = kantorovich_potential_1d(u_next.species(i), u_prev.species(i))
         field_vals = phi.values / tau + p[i]
         on = field_vals[support]
-        c = float(on.mean())
-        constants[i] = c
         # the anchor can place the constant near zero, so the pressure scale
         # backs up the mean magnitude as normalization
         scale = max(float(np.abs(on).mean()), float(np.abs(p[i][support]).mean()), 1e-30)
         values[i] = float(on.std()) / scale
-        off = field_vals[~support]
-        if off.size:
-            dips[i] = max(0.0, c - float(off.min())) / scale
-    return ResidualReport(values, constants, dips)
+    return ResidualReport(values)
 
 
 def run_jko(
@@ -618,28 +599,13 @@ def run_jko(
     e0 = energy_quadratic(u0, a)
     h0 = entropy_boltzmann(u0)
     if not (np.isfinite(e0) and np.isfinite(h0)):
-        from .errors import InfiniteInitialEntropy
-
         raise InfiniteInitialEntropy("initial energy or entropy is not finite")
 
     L = grid.n_cells if n_levels is None else int(n_levels)
     m = schedule.n_steps
-    if m == 0:
-        record = RunRecord(
-            times=np.zeros(1),
-            energy=np.array([e0]),
-            entropy=np.array([h0]),
-            w2_increments=np.zeros(0),
-            grad_norm_sq=np.array([gradient_norm_sq(u0)]),
-            residuals=np.zeros(0),
-            meta={"h": grid.h, "L": L, "lambda_min": a.lambda_min, "solver": solver},
-        )
-        return [u0], record
-
-    fine = None
     if solver == "lagrangian":
         x = _quantile_state(u0, L)
-        fine = _quadrature_grid(x, grid, opts)
+        fine = _quadrature_grid(x, grid)
         state = DensityVector(grid, _deposit_all(x, grid))
         e_state = _solver_energy(x, a, grid, fine, opts)
     elif solver == "entropic":
@@ -653,7 +619,7 @@ def run_jko(
     entropies = [entropy_boltzmann(state)]
     grads = [gradient_norm_sq(state)]
     increments = np.empty(m)
-    residuals = np.full(m, np.nan)
+    residuals = np.empty(m)
 
     for k in range(m):
         tau = float(schedule.taus[k])
@@ -664,11 +630,10 @@ def run_jko(
             state = DensityVector(grid, _deposit_all(x, grid))
             e_state = result.energy
         else:
-            state, report = jko_step_entropic(trajectory[-1], a, tau, eps, opts)
+            state, report = jko_step_entropic(trajectory[-1], a, tau, eps)
             increments[k] = report.w2_increment
             e_state = report.energy_after
-        if opts.record_residuals:
-            residuals[k] = optimality_residual(trajectory[-1], state, a, tau, opts).worst
+        residuals[k] = optimality_residual(trajectory[-1], state, a, tau).worst
         trajectory.append(state)
         energies.append(e_state)
         entropies.append(entropy_boltzmann(state))
@@ -701,7 +666,4 @@ def run_jko(
         pairwise_w2=lambda i, j: w2_product(trajectory[i], trajectory[j]),
     )
     check_entropy_dissipation(record)
-    if strict and not record.all_passed():
-        failed = [c.name for c in record.checks if not c.passed]
-        raise EstimateFailed(f"estimate checks failed: {failed}")
-    return trajectory, record
+    return trajectory, record.finish(strict)

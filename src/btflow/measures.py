@@ -106,7 +106,7 @@ class Density:
         if vals.min() < 0.0:
             object.__setattr__(self, "values", np.maximum(vals, 0.0))
         m = mass(self)
-        if abs(m - 1.0) > self.mass_tol:
+        if not abs(m - 1.0) <= self.mass_tol:  # also rejects NaN
             raise ValueError(f"density mass {m!r} deviates from 1 beyond {self.mass_tol}")
 
 
@@ -165,10 +165,6 @@ class QuantileMap:
     def n_levels(self) -> int:
         return self.positions.size
 
-    def levels(self) -> np.ndarray:
-        L = self.n_levels
-        return (np.arange(L) + 0.5) / L
-
 
 @dataclass(frozen=True)
 class JointDensity:
@@ -189,7 +185,7 @@ class JointDensity:
         if vals.min() < 0.0:
             object.__setattr__(self, "values", np.maximum(vals, 0.0))
         m = self.grid.h1 * self.grid.h2 * float(vals.sum())
-        if abs(m - 1.0) > MASS_TOL_2D:
+        if not abs(m - 1.0) <= MASS_TOL_2D:  # also rejects NaN
             raise ValueError(f"joint mass {m!r} deviates from 1 beyond {MASS_TOL_2D}")
 
 

@@ -20,6 +20,7 @@ from .errors import CFLViolation, DimensionMismatch, EstimateFailed, NegativityD
 from .measures import Density, Grid2D, JointDensity
 
 ENTROPY_FLOOR = 1e-300
+CONTACT_BAND_MASS = 1e-4  # band mass that marks the first diagonal contact
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,6 @@ class SKTConfig:
     dt_cap: float = 5e-3
     cfl_safety: float = 0.5
     snapshot_times: tuple = (1.0,)
-    contact_band_mass: float = 1e-4
 
     def grid(self) -> Grid2D:
         return Grid2D(self.n1, self.n2, self.x_min, self.x_max, self.x_min, self.x_max)
@@ -228,7 +228,7 @@ def run_skt_scenario(config: SKTConfig = SKTConfig(), strict: bool = True) -> SK
         masses.append(cell_area * float(p.values.sum()))
         if contact_time is None:
             band_mass = cell_area * float(p.values[band].sum())
-            if band_mass > config.contact_band_mass:
+            if band_mass > CONTACT_BAND_MASS:
                 contact_time = t
         if pending and t >= pending[0] - 1e-12:
             snapshots.append((t, p))
@@ -274,10 +274,7 @@ def run_skt_scenario(config: SKTConfig = SKTConfig(), strict: bool = True) -> SK
         )
     drift = float(np.abs(masses - 1.0).max())
     record.add_check(CheckResult("mass_conserved", drift <= 1e-10, 1e-10 - drift, 1e-10))
-    if strict and not record.all_passed():
-        failed = [c.name for c in record.checks if not c.passed]
-        raise EstimateFailed(f"scenario checks failed: {failed}")
-    return SKTRun(snapshots, marginal_snapshots, record, contact_time)
+    return SKTRun(snapshots, marginal_snapshots, record.finish(strict), contact_time)
 
 
 def nonlocal_coefficient(mob: MobilityField, other: Density, power: int) -> np.ndarray:

@@ -4,10 +4,10 @@ In 1D the monotone (quantile) coupling is optimal for the quadratic cost, so
 W2 distances, optimal maps and Kantorovich potentials are computed exactly
 from cumulative distributions -- no regularization, no linear programming.
 
-`w2_exact` treats each cell's mass as sitting at the cell center and
-integrates the squared difference of the two step quantile functions over
-the merged mass breakpoints; this reproduces the transport LP built on the
-cell-center cost matrix to machine precision.  Passing an explicit level
+`monotone_plan` treats each cell's mass as sitting at the cell center and
+couples the two step quantile functions over the merged mass breakpoints;
+`w2_exact` is the cost of that plan, which reproduces the transport LP built
+on the cell-center cost matrix to machine precision.  Passing an explicit level
 count instead evaluates the midpoint-level quadrature of the piecewise-linear
 quantile functions (the metric used by the Lagrangian JKO solver).
 """
@@ -42,12 +42,17 @@ class PotentialField:
         return float(d2.min()) if d2.size else 0.0
 
 
-def _atom_breakdown(u: Density, v: Density):
-    """Merged cumulative breakpoints and the atom positions active on each segment."""
-    a = u.values * u.grid.h
-    b = v.values * v.grid.h
-    xa = u.grid.centers()
-    xb = v.grid.centers()
+def monotone_plan(p_prev: Density, p_next: Density):
+    """Monotone optimal coupling between two cell-center histograms.
+
+    Returns (src_idx, dst_idx, seg_mass): the plan moves seg_mass[k] from the
+    center of cell src_idx[k] to the center of cell dst_idx[k].  The plan cost
+    equals w2_exact(p_prev, p_next)**2 exactly.
+    """
+    if p_prev.grid != p_next.grid:
+        raise DimensionMismatch("densities live on different grids")
+    a = p_prev.values * p_prev.grid.h
+    b = p_next.values * p_next.grid.h
     ca = np.cumsum(a)
     cb = np.cumsum(b)
     total = min(ca[-1], cb[-1])
@@ -56,10 +61,10 @@ def _atom_breakdown(u: Density, v: Density):
     s = s[(s > 0.0) & (s <= total)]
     lengths = np.diff(np.concatenate(([0.0], s)))
     mid = np.concatenate(([0.0], s))[:-1] + 0.5 * lengths
-    ia = np.searchsorted(ca, mid, side="left")
-    ib = np.searchsorted(cb, mid, side="left")
+    ia = np.clip(np.searchsorted(ca, mid, side="left"), 0, a.size - 1)
+    ib = np.clip(np.searchsorted(cb, mid, side="left"), 0, b.size - 1)
     keep = lengths > 0.0
-    return lengths[keep], xa[np.clip(ia[keep], 0, xa.size - 1)], xb[np.clip(ib[keep], 0, xb.size - 1)]
+    return ia[keep], ib[keep], lengths[keep]
 
 
 def w2_exact(u: Density, v: Density, n_levels: int | None = None) -> float:
@@ -75,8 +80,9 @@ def w2_exact(u: Density, v: Density, n_levels: int | None = None) -> float:
         qu = to_quantiles(u, n_levels).positions
         qv = to_quantiles(v, n_levels).positions
         return float(np.sqrt(np.mean((qu - qv) ** 2)))
-    lengths, xu, xv = _atom_breakdown(u, v)
-    return float(np.sqrt(np.sum(lengths * (xu - xv) ** 2)))
+    src, dst, seg = monotone_plan(u, v)
+    x = u.grid.centers()
+    return float(np.sqrt(np.sum(seg * (x[src] - x[dst]) ** 2)))
 
 
 def w2_product(u: DensityVector, v: DensityVector, n_levels: int | None = None) -> float:
@@ -141,28 +147,3 @@ def kantorovich_potential_1d(u: Density, v: Density) -> PotentialField:
     support = np.nonzero(u.values > 0.0)[0]
     phi -= phi[support[0]]
     return PotentialField(grid, phi, grad)
-
-
-def monotone_plan(p_prev: Density, p_next: Density):
-    """Monotone optimal coupling between two cell-center histograms.
-
-    Returns (src_idx, dst_idx, seg_mass): the plan moves seg_mass[k] from the
-    center of cell src_idx[k] to the center of cell dst_idx[k].  The plan cost
-    equals w2_exact(p_prev, p_next)**2 exactly.
-    """
-    if p_prev.grid != p_next.grid:
-        raise DimensionMismatch("densities live on different grids")
-    a = p_prev.values * p_prev.grid.h
-    b = p_next.values * p_next.grid.h
-    ca = np.cumsum(a)
-    cb = np.cumsum(b)
-    total = min(ca[-1], cb[-1])
-    ca[-1] = cb[-1] = total
-    s = np.union1d(ca, cb)
-    s = s[(s > 0.0) & (s <= total)]
-    lengths = np.diff(np.concatenate(([0.0], s)))
-    mid = np.concatenate(([0.0], s))[:-1] + 0.5 * lengths
-    ia = np.clip(np.searchsorted(ca, mid, side="left"), 0, a.size - 1)
-    ib = np.clip(np.searchsorted(cb, mid, side="left"), 0, b.size - 1)
-    keep = lengths > 0.0
-    return ia[keep], ib[keep], lengths[keep]

@@ -42,6 +42,9 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["scenario"] == "parabolic_jko"
         assert all(c["pass"] for c in report["checks"])
+        meta = report["meta"]
+        assert meta["solver"] == "lagrangian"
+        assert meta["h"] == 4.0 / 64 and meta["L"] == 64 and meta["lambda_min"] == 1.0
         assert (out / "final_density.csv").exists()
         assert (out / "series.csv").exists()
         header = (out / "final_density.csv").read_text().splitlines()[0]
@@ -55,9 +58,10 @@ class TestRun:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_negative_tau_exit_code_and_message(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, schedule={"tau": -1e-3, "steps": 5})
-        assert run(str(cfg)) == 1
-        assert "schedule" in capsys.readouterr().err
+        for schedule in ({"tau": -1e-3, "steps": 5}, {"tau": 1e-3, "steps": 0}):
+            cfg = write_config(tmp_path, schedule=schedule)
+            assert run(str(cfg)) == 1
+            assert "schedule" in capsys.readouterr().err
 
     def test_unknown_scenario(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scenario="quantum_leap")

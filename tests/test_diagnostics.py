@@ -13,7 +13,7 @@ from btflow.diagnostics import (
     check_metric_speed,
     check_tv_monotone,
 )
-from btflow.errors import UnknownField
+from btflow.errors import EstimateFailed, UnknownField
 
 
 def simple_record(**overrides):
@@ -148,7 +148,14 @@ class TestRecord:
 
     def test_all_passed(self):
         rec = simple_record()
+        assert not rec.all_passed()  # no check ran
+        with pytest.raises(EstimateFailed):
+            rec.finish(strict=True)
         rec.add_check(CheckResult("a", True, 1.0, 0.0))
         assert rec.all_passed()
+        assert rec.finish(strict=True) is rec
         rec.add_check(CheckResult("b", False, -1.0, 0.0))
         assert not rec.all_passed()
+        with pytest.raises(EstimateFailed):
+            rec.finish(strict=True)
+        assert rec.finish(strict=False) is rec

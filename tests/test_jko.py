@@ -189,11 +189,11 @@ class TestOptimalityResidual:
 
 class TestRunJKO:
     def test_zero_steps_returns_initial(self, unit_matrix):
+        # A zero-step run would return the initial state with a record that
+        # ran no checks; the schedule refuses it before run_jko is reached.
         _, u0 = barenblatt_state(64)
-        traj, record = run_jko(u0, unit_matrix, JKOSchedule(np.zeros(0)))
-        assert len(traj) == 1
-        assert traj[0] is u0
-        assert record.times.shape == (1,)
+        with pytest.raises(ValueError, match="at least one step"):
+            run_jko(u0, unit_matrix, JKOSchedule(np.zeros(0)))
 
     def test_estimates_hold_on_barenblatt_run(self, unit_matrix):
         _, u0 = barenblatt_state(128)

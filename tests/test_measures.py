@@ -235,11 +235,15 @@ class TestTypes:
 
     def test_density_mass_validation(self):
         g = Grid1D(8, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            Density(g, 2.0 * np.ones(8))
+        for vals in (2.0 * np.ones(8), [1, 1, 1, np.nan, 1, 1, 1, 1]):
+            with pytest.raises(ValueError):
+                Density(g, vals)
 
     def test_joint_density_validation(self):
         g = Grid2D(4, 4, 0.0, 1.0, 0.0, 1.0)
         JointDensity(g, np.ones((4, 4)))
-        with pytest.raises(ValueError):
-            JointDensity(g, 3.0 * np.ones((4, 4)))
+        nan_cell = np.ones((4, 4))
+        nan_cell[1, 2] = np.nan
+        for vals in (3.0 * np.ones((4, 4)), nan_cell):
+            with pytest.raises(ValueError):
+                JointDensity(g, vals)
