@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -171,17 +172,23 @@ def _run_parabolic(cfg: dict, out: Path) -> RunRecord:
     return record
 
 
+def _positive_time(cfg: dict, key: str, default: float | None) -> float | None:
+    """cfg[key], or ``default`` when absent, as a finite positive time."""
+    value = cfg.get(key, default)
+    if value is None and default is None:
+        return None
+    if type(value) not in (int, float) or not (math.isfinite(value) and value > 0):
+        raise ConfigInvalid(key, f"expected a finite positive time, got {value!r}")
+    return float(value)
+
+
 def _run_hyperbolic(cfg: dict, out: Path, scheme: str) -> RunRecord:
     grid = _grid_from(cfg)
     n_species = int(cfg.get("n_species", 2))
+    t_final = _positive_time(cfg, "t_final", 0.1)
+    dt = _positive_time(cfg, "dt", None)
     u0 = _initial_from(cfg, grid, n_species)
-    run = hyperbolic.run_hyperbolic(
-        u0,
-        scheme=scheme,
-        t_final=float(cfg.get("t_final", 0.1)),
-        dt=cfg.get("dt"),
-        strict=False,
-    )
+    run = hyperbolic.run_hyperbolic(u0, scheme=scheme, t_final=t_final, dt=dt, strict=False)
     _write_density_csv(out / "final_density.csv", run.trajectory[-1])
     rec = run.record
     _write_csv(

@@ -46,8 +46,12 @@ class NegativityDetected(RuntimeError):
     """Raised when an explicit step produces negative cells despite the CFL bound."""
 
 
+class InvalidDensity(ValueError):
+    """Raised when density values break a sign, unit-mass or pressure/fraction invariant."""
+
+
 class NonpositiveTime(ValueError):
-    """Raised when a self-similar profile is requested at t <= 0."""
+    """Raised when a time or time step that must be finite and positive is not."""
 
 
 class InfiniteInitialEntropy(ValueError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllZero, DimensionMismatch, NonMonotoneMap, OutOfDomain
+from .errors import AllZero, DimensionMismatch, InvalidDensity, NonMonotoneMap, OutOfDomain
 
 MASS_TOL_1D = 1e-12
 MASS_TOL_2D = 1e-10
@@ -85,6 +85,21 @@ class Grid2D:
         return c1, c2
 
 
+def _checked_unit_mass(vals: np.ndarray, h: float, mass_tol: float, what: str = "density"):
+    """Check every row of vals for cells >= -1e-13 and unit mass within mass_tol.
+
+    Returns vals with the cells in [-1e-13, 0) set to zero.
+    """
+    low = vals.min()
+    if not low >= -1e-13:  # also rejects NaN
+        raise InvalidDensity(f"{what} values must be nonnegative, found {low!r}")
+    vals = np.maximum(vals, 0.0) if low < 0.0 else vals
+    drift = float(np.abs(h * vals.sum(axis=-1) - 1.0).max())
+    if not drift <= mass_tol:
+        raise InvalidDensity(f"{what} mass deviates from 1 by {drift!r}, beyond {mass_tol}")
+    return vals
+
+
 @dataclass(frozen=True)
 class Density:
     """Single-species nonnegative cell-averaged density of unit mass."""
@@ -96,18 +111,11 @@ class Density:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
         if vals.shape != (self.grid.n_cells,):
             raise DimensionMismatch(
                 f"expected {self.grid.n_cells} cell values, got shape {vals.shape}"
             )
-        if np.any(vals < -1e-13):
-            raise ValueError("density values must be nonnegative")
-        if vals.min() < 0.0:
-            object.__setattr__(self, "values", np.maximum(vals, 0.0))
-        m = mass(self)
-        if not abs(m - 1.0) <= self.mass_tol:  # also rejects NaN
-            raise ValueError(f"density mass {m!r} deviates from 1 beyond {self.mass_tol}")
+        object.__setattr__(self, "values", _checked_unit_mass(vals, self.grid.h, self.mass_tol))
 
 
 @dataclass(frozen=True)
@@ -120,13 +128,12 @@ class DensityVector:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[1] != self.grid.n_cells:
+        if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] != self.grid.n_cells:
             raise DimensionMismatch(
                 f"expected (N, {self.grid.n_cells}) array, got shape {vals.shape}"
             )
-        object.__setattr__(self, "values", vals)
-        for i in range(vals.shape[0]):
-            Density(self.grid, vals[i], mass_tol=self.mass_tol)
+        object.__setattr__(self, "values", vals)  # rows stay unclamped
+        _checked_unit_mass(vals, self.grid.h, self.mass_tol)
 
     @property
     def n_species(self) -> int:
@@ -175,18 +182,13 @@ class JointDensity:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
         if vals.shape != (self.grid.n1, self.grid.n2):
             raise DimensionMismatch(
                 f"expected ({self.grid.n1}, {self.grid.n2}) array, got {vals.shape}"
             )
-        if np.any(vals < -1e-13):
-            raise ValueError("joint density values must be nonnegative")
-        if vals.min() < 0.0:
-            object.__setattr__(self, "values", np.maximum(vals, 0.0))
-        m = self.grid.h1 * self.grid.h2 * float(vals.sum())
-        if not abs(m - 1.0) <= MASS_TOL_2D:  # also rejects NaN
-            raise ValueError(f"joint mass {m!r} deviates from 1 beyond {MASS_TOL_2D}")
+        cell_area = self.grid.h1 * self.grid.h2
+        flat = _checked_unit_mass(vals.ravel(), cell_area, MASS_TOL_2D, "joint density")
+        object.__setattr__(self, "values", flat.reshape(vals.shape))
 
 
 def mass(density: Density) -> float:

@@ -42,6 +42,35 @@ class PotentialField:
         return float(d2.min()) if d2.size else 0.0
 
 
+def _plan(a: np.ndarray, b: np.ndarray):
+    """Monotone coupling of the cell-mass arrays a and b (see monotone_plan).
+
+    The distinct positive cumulative masses of either side bound the segments.
+    """
+    ca = np.cumsum(a)
+    cb = np.cumsum(b)
+    total = min(ca[-1], cb[-1])
+    ca[-1] = cb[-1] = total
+    s = np.concatenate((ca, cb))
+    s.sort()
+    keep = (s > 0.0) & (s <= total)
+    keep[1:] &= s[1:] != s[:-1]
+    s = s[keep]
+    prev = np.concatenate(([0.0], s[:-1]))
+    lengths = s - prev
+    mid = prev + 0.5 * lengths
+    ia = np.minimum(np.searchsorted(ca, mid, side="left"), a.size - 1)
+    ib = np.minimum(np.searchsorted(cb, mid, side="left"), b.size - 1)
+    return ia, ib, lengths
+
+
+def _plan_w2(plan, x: np.ndarray) -> float:
+    """Square root of the cost of a plan between the cell centers x."""
+    src, dst, seg = plan
+    d = x[src] - x[dst]
+    return float(np.sqrt(np.sum(seg * (d * d))))
+
+
 def monotone_plan(p_prev: Density, p_next: Density):
     """Monotone optimal coupling between two cell-center histograms.
 
@@ -51,20 +80,8 @@ def monotone_plan(p_prev: Density, p_next: Density):
     """
     if p_prev.grid != p_next.grid:
         raise DimensionMismatch("densities live on different grids")
-    a = p_prev.values * p_prev.grid.h
-    b = p_next.values * p_next.grid.h
-    ca = np.cumsum(a)
-    cb = np.cumsum(b)
-    total = min(ca[-1], cb[-1])
-    ca[-1] = cb[-1] = total
-    s = np.union1d(ca, cb)
-    s = s[(s > 0.0) & (s <= total)]
-    lengths = np.diff(np.concatenate(([0.0], s)))
-    mid = np.concatenate(([0.0], s))[:-1] + 0.5 * lengths
-    ia = np.clip(np.searchsorted(ca, mid, side="left"), 0, a.size - 1)
-    ib = np.clip(np.searchsorted(cb, mid, side="left"), 0, b.size - 1)
-    keep = lengths > 0.0
-    return ia[keep], ib[keep], lengths[keep]
+    h = p_prev.grid.h
+    return _plan(p_prev.values * h, p_next.values * h)
 
 
 def w2_exact(u: Density, v: Density, n_levels: int | None = None) -> float:
@@ -80,9 +97,15 @@ def w2_exact(u: Density, v: Density, n_levels: int | None = None) -> float:
         qu = to_quantiles(u, n_levels).positions
         qv = to_quantiles(v, n_levels).positions
         return float(np.sqrt(np.mean((qu - qv) ** 2)))
-    src, dst, seg = monotone_plan(u, v)
-    x = u.grid.centers()
-    return float(np.sqrt(np.sum(seg * (x[src] - x[dst]) ** 2)))
+    h = u.grid.h
+    return _plan_w2(_plan(u.values * h, v.values * h), u.grid.centers())
+
+
+def _w2_product(u: np.ndarray, v: np.ndarray, h: float, x: np.ndarray) -> float:
+    """Exact w2_product of (N, n_cells) arrays; cells below zero count as empty."""
+    a = np.maximum(u, 0.0) * h
+    b = np.maximum(v, 0.0) * h
+    return float(np.sqrt(sum(_plan_w2(_plan(a[i], b[i]), x) ** 2 for i in range(len(a)))))
 
 
 def w2_product(u: DensityVector, v: DensityVector, n_levels: int | None = None) -> float:
@@ -91,6 +114,8 @@ def w2_product(u: DensityVector, v: DensityVector, n_levels: int | None = None) 
         raise DimensionMismatch("species counts differ")
     if u.grid != v.grid:
         raise DimensionMismatch("grids differ")
+    if n_levels is None:
+        return _w2_product(u.values, v.values, u.grid.h, u.grid.centers())
     total = 0.0
     for i in range(u.n_species):
         total += w2_exact(u.species(i), v.species(i), n_levels) ** 2

@@ -138,6 +138,20 @@ class TestRun:
         report = json.loads((tmp_path / "hyp_out" / "report.json").read_text())
         names = {c["name"] for c in report["checks"]}
         assert "tv_monotone[p]" in names
+        meta = report["meta"]
+        assert meta["steps"] >= 1 and 0.0 < meta["dt_min"] <= meta["dt_max"]
+
+    def test_hyperbolic_degenerate_times_exit_code(self, tmp_path, capsys):
+        base = {
+            "scenario": "hyperbolic_transport",
+            "grid": {"n_cells": 32, "x_min": 0.0, "x_max": 1.0},
+            "initial": [{"preset": "segregated"}, {"preset": "segregated"}],
+            "t_final": 0.005,
+        }
+        for key, value in (("t_final", 0.0), ("t_final", -1.0), ("dt", 0), ("dt", -1e-4), ("dt", "fast")):
+            cfg = write_config(tmp_path, **(base | {key: value}))
+            assert run(str(cfg)) == 1
+            assert f"config key '{key}'" in capsys.readouterr().err
 
     def test_fourth_order_smoke(self, tmp_path):
         cfg_path = tmp_path / "b4.json"

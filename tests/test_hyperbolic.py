@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from btflow.errors import CFLViolation
+from btflow.errors import CFLViolation, InvalidDensity, NonpositiveTime
 from btflow.fdref import barenblatt, barenblatt_peak_time, l1_error, run_bt_fd
 from btflow.hyperbolic import (
+    CFL_SAFETY,
+    SUPPORT_EPS,
     PressureFraction,
+    _extend_constant_off_support,
     pressure_transport_step,
     recover_species,
     run_hyperbolic,
@@ -117,6 +120,12 @@ class TestStepSplitting:
             assert pf.fractions.min() >= 0.0 and pf.fractions.max() <= 1.0
             tv_p, tv_r = tv(pf.pressure.values), tv(pf.fractions[0])
 
+    def test_pressure_mass_checked_every_step(self):
+        g = Grid1D(32, 0.0, 1.0)
+        p = Density(g, np.full(32, 1.0 + 1e-9), mass_tol=1e-8)
+        with pytest.raises(InvalidDensity):
+            step_splitting(PressureFraction(p, np.full((1, 32), 0.5)), 1e-4)
+
     def test_cfl_violation(self):
         pair = segregated_pair(64)
         pf = split_state(pair)
@@ -228,3 +237,68 @@ class TestRunHyperbolic:
         pair = segregated_pair(32)
         with pytest.raises(ValueError):
             run_hyperbolic(pair, "spectral")
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            {"t_final": 0.0},
+            {"t_final": -0.01},
+            {"t_final": np.inf},
+            {"t_final": np.nan},
+            {"dt": 0.0},
+            {"dt": -1e-4},
+            {"dt": np.nan},
+            {"dt": np.inf},
+        ],
+    )
+    def test_degenerate_times_rejected(self, times):
+        # a small step budget keeps a run that does start from spinning
+        pair = segregated_pair(32)
+        name = next(iter(times))
+        with pytest.raises(NonpositiveTime, match=name):
+            run_hyperbolic(pair, "pressure_transport", **({"t_final": 0.01} | times), max_steps=10)
+
+
+def step_by_hand(u0, scheme, t_final):
+    """run_hyperbolic spelled out with the public step functions."""
+    pf = split_state(u0)
+    pf = PressureFraction(
+        pf.pressure, _extend_constant_off_support(pf.fractions, pf.pressure.values > SUPPORT_EPS)
+    )
+    u = recover_species(pf) if scheme == "splitting" else u0
+    t, times, dts, w2_u, w2_p = 0.0, [0.0], [], [], []
+    tv_p, tv_r = [tv(pf.pressure.values)], [tv(pf.fractions[0])]
+    while t < t_final:
+        dt = min(CFL_SAFETY * splitting_stable_dt(pf), t_final - t)
+        pf_new = step_splitting(pf, dt)
+        if scheme == "splitting":
+            u_new = recover_species(pf_new)
+        else:
+            u_new = pressure_transport_step(u, pf.pressure, pf_new.pressure)
+        w2_u.append(w2_product(u, u_new))
+        w2_p.append(w2_exact(pf.pressure, pf_new.pressure))
+        t += dt
+        times.append(t)
+        dts.append(dt)
+        tv_p.append(tv(pf_new.pressure.values))
+        tv_r.append(tv(pf_new.fractions[0]))
+        pf, u = pf_new, u_new
+    return u, pf.pressure, times, dts, w2_u, w2_p, tv_p, tv_r
+
+
+@pytest.mark.parametrize("scheme", ["splitting", "pressure_transport"])
+def test_run_matches_public_steps_bit_for_bit(scheme):
+    pair = segregated_pair(64)
+    run = run_hyperbolic(pair, scheme, t_final=0.007)
+    u, p, times, dts, w2_u, w2_p, tv_p, tv_r = step_by_hand(pair, scheme, 0.007)
+    rec = run.record
+    assert 150 <= len(dts) <= 250
+    assert np.array_equal(rec.times, times)
+    assert np.array_equal(rec.w2_increments, w2_u)
+    assert np.array_equal(rec.meta["pressure_increments"], w2_p)
+    assert np.array_equal(rec.tv["p"], tv_p)
+    assert np.array_equal(rec.tv["r_1"], tv_r)
+    assert np.array_equal(run.trajectory[-1].values, u.values)
+    assert np.array_equal(run.pressures[-1].values, p.values)
+    assert rec.meta["steps"] == len(dts)
+    assert (rec.meta["dt_min"], rec.meta["dt_max"]) == (min(dts), max(dts))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from btflow.errors import AllZero, DimensionMismatch, NonMonotoneMap, OutOfDomain
+from btflow.errors import AllZero, DimensionMismatch, InvalidDensity, NonMonotoneMap, OutOfDomain
 from btflow.measures import (
     Density,
     DensityVector,
@@ -238,6 +238,24 @@ class TestTypes:
         for vals in (2.0 * np.ones(8), [1, 1, 1, np.nan, 1, 1, 1, 1]):
             with pytest.raises(ValueError):
                 Density(g, vals)
+
+    def test_density_vector_validation(self):
+        g = Grid1D(8, 0.0, 1.0)
+        good = np.ones(8)
+        tiny = good.copy()
+        tiny[0], tiny[1] = -1e-14, 2.0
+        u = DensityVector(g, np.stack([good, tiny]))
+        assert u.values[1, 0] == -1e-14  # rows are stored as given
+        assert u.species(1).values[0] == 0.0  # a Density clamps
+        negative = good.copy()
+        negative[0], negative[1] = -1e-6, 2.0
+        nan_cell = good.copy()
+        nan_cell[3] = np.nan
+        for bad in (2.0 * good, negative, nan_cell):
+            with pytest.raises(InvalidDensity):
+                DensityVector(g, np.stack([good, bad]))
+        with pytest.raises(DimensionMismatch):
+            DensityVector(g, np.ones((0, 8)))
 
     def test_joint_density_validation(self):
         g = Grid2D(4, 4, 0.0, 1.0, 0.0, 1.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from btflow.errors import DegenerateSupport, DimensionMismatch
@@ -257,3 +259,44 @@ class TestMonotonePlan:
         np.add.at(right, dst, seg)
         np.testing.assert_allclose(left, u.values * g.h, atol=1e-13)
         np.testing.assert_allclose(right, v.values * g.h, atol=1e-13)
+
+
+@st.composite
+def histogram_pairs(draw, max_cells=64):
+    """Unit-mass histograms with zero runs; sometimes with disjoint supports."""
+    n = draw(st.integers(2, max_cells))
+    cell = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    a = np.array(draw(st.lists(cell, min_size=n, max_size=n)))
+    b = np.array(draw(st.lists(cell, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        b[a > 0.0] = 0.0
+    assume(a.any() and b.any())
+    g = Grid1D(n, 0.0, 1.0)
+    return normalize(a, g), normalize(b, g)
+
+
+class TestMonotonePlanProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(histogram_pairs())
+    def test_marginals_order_and_cost(self, pair):
+        u, v = pair
+        g = u.grid
+        src, dst, seg = monotone_plan(u, v)
+        assert np.all(seg > 0.0)
+        assert np.all(np.diff(src) >= 0) and np.all(np.diff(dst) >= 0)
+        left = np.bincount(src, seg, minlength=g.n_cells)
+        right = np.bincount(dst, seg, minlength=g.n_cells)
+        np.testing.assert_allclose(left, u.values * g.h, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(right, v.values * g.h, rtol=0.0, atol=1e-15)
+        x = g.centers()
+        cost = float(np.sum(seg * (x[src] - x[dst]) ** 2))
+        assert cost == pytest.approx(w2_exact(u, v) ** 2, rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(histogram_pairs(max_cells=8))
+    def test_cost_matches_lp(self, pair):
+        u, v = pair
+        src, dst, seg = monotone_plan(u, v)
+        x = u.grid.centers()
+        cost = float(np.sum(seg * (x[src] - x[dst]) ** 2))
+        assert cost == pytest.approx(lp_w2_squared(u, v), abs=1e-8)
