@@ -117,6 +117,15 @@ class TestRun:
         last = float(entropy_rows[-1].split(",")[1])
         assert first <= 1e-6
         assert last > 10 * max(first, 0.0)
+        meta = json.loads((out / "report.json").read_text())["meta"]
+        assert meta["steps"] == len(entropy_rows) - 2 and 0.0 < meta["dt_min"] <= meta["dt_max"]
+
+    def test_skt_degenerate_config_exit_code(self, tmp_path, capsys):
+        base = {"scenario": "skt_joint", "n1": 32, "n2": 32, "t_final": 0.2}
+        for extra in ({"t_final": 0}, {"snapshots": [0.1, 0.3]}):
+            cfg = write_config(tmp_path, **(base | extra))
+            assert run(str(cfg)) == 1
+            assert "config key 'skt'" in capsys.readouterr().err
 
     def test_hyperbolic_split_smoke(self, tmp_path):
         cfg_path = tmp_path / "hyp.json"

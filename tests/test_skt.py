@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from btflow.errors import CFLViolation
+from btflow.errors import CFLViolation, EstimateFailed, NonpositiveTime
 from btflow.fdref import OracleProfile, l1_error
 from btflow.measures import Grid2D, JointDensity, normalize
 from btflow.skt import (
+    CONTACT_BAND_MASS,
     MarginalPair,
     SKTConfig,
     build_mobility,
@@ -182,6 +187,9 @@ class TestScenario:
         assert run.contact_time is not None
         assert len(run.snapshots) == 1
         assert len(run.marginal_snapshots) == 1
+        meta = run.record.meta
+        assert meta["steps"] == len(run.record.times) - 1
+        assert 0.0 < meta["dt_min"] <= meta["dt_max"] <= cfg.dt_cap
 
     def test_entropy_monotone_after_contact(self):
         cfg = SKTConfig(n1=64, n2=64, t_final=0.4, dt_cap=1e-2)
@@ -190,6 +198,153 @@ class TestScenario:
         ent = run.record.tv["relative_entropy"]
         after = ent[t >= run.contact_time]
         assert np.diff(after).min() >= -1e-9
+
+    def test_entropy_growth_check_not_vacuous(self):
+        # the product start has H0 of order 1e-16, so "ten times H0" alone
+        # would pass for any entropy build-up, however small
+        cfg = SKTConfig(n1=48, n2=48, t_final=1e-3)
+        run = run_skt_scenario(cfg, strict=False)
+        growth = next(c for c in run.record.checks if c.name == "entropy_grows_tenfold")
+        assert 0.0 < run.record.tv["relative_entropy"][-1] < 1e-5
+        assert not growth.passed and growth.tolerance == 1e-6
+        with pytest.raises(EstimateFailed):
+            run_skt_scenario(cfg)
+
+    def test_run_matches_public_steps_bit_for_bit(self):
+        cfg = SKTConfig(n1=48, n2=48, t_final=0.2, dt_cap=1e-2, snapshot_times=(0.05, 0.2))
+        run = run_skt_scenario(cfg, strict=False)
+        g = cfg.grid()
+        mob = build_mobility(g, cfg.sigma, cfg.c_floor)
+        p = product_gaussian(g, cfg.center, cfg.variance)
+        c1, c2 = g.centers()
+        band = np.abs(c1[:, None] - c2[None, :]) < 2.0 * cfg.sigma
+        area = g.h1 * g.h2
+        times, entropies, masses, snapshots = [0.0], [relative_entropy(p)], [area * p.values.sum()], []
+        contact, pending, t = None, list(cfg.snapshot_times), 0.0
+        while t < cfg.t_final:
+            dt = min(cfg.cfl_safety * joint_stable_dt(p, mob), cfg.dt_cap, cfg.t_final - t)
+            if pending and t + dt > pending[0] - 1e-12:
+                dt = max(pending[0] - t, 1e-12)
+            p = step_joint_fd(p, mob, dt)
+            t += dt
+            times.append(t)
+            entropies.append(relative_entropy(p))
+            masses.append(area * p.values.sum())
+            if contact is None and area * p.values[band].sum() > CONTACT_BAND_MASS:
+                contact = t
+            if pending and t >= pending[0] - 1e-12:
+                snapshots.append((t, p))
+                pending.pop(0)
+        np.testing.assert_array_equal(run.record.times, times)
+        np.testing.assert_array_equal(run.record.tv["relative_entropy"], entropies)
+        assert run.contact_time == contact
+        assert run.record.meta["mass_series_max_drift"] == np.abs(np.asarray(masses) - 1.0).max()
+        assert len(run.snapshots) == len(run.marginal_snapshots) == len(snapshots) == 2
+        for (ts, snap), (tm, pair), (t_ref, p_ref) in zip(
+            run.snapshots, run.marginal_snapshots, snapshots
+        ):
+            assert ts == tm == t_ref
+            np.testing.assert_array_equal(snap.values, p_ref.values)
+            ref = marginals(p_ref)
+            np.testing.assert_array_equal(pair.u1.values, ref.u1.values)
+            np.testing.assert_array_equal(pair.u2.values, ref.u2.values)
+
+
+class TestSKTConfig:
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({"t_final": 0.0}, NonpositiveTime),
+            ({"t_final": -1.0}, NonpositiveTime),
+            ({"t_final": math.inf}, NonpositiveTime),
+            ({"t_final": math.nan}, NonpositiveTime),
+            ({"t_final": "1"}, NonpositiveTime),
+            ({"dt_cap": 0.0}, NonpositiveTime),
+            ({"dt_cap": math.nan}, NonpositiveTime),
+            ({"cfl_safety": 0.0}, ValueError),
+            ({"cfl_safety": 1.5}, ValueError),
+            ({"cfl_safety": math.nan}, ValueError),
+            ({"snapshot_times": (-0.1,)}, ValueError),
+            ({"t_final": 0.5, "snapshot_times": (0.25, 1.0)}, ValueError),
+        ],
+    )
+    def test_invalid_config_rejected(self, kwargs, error):
+        # configs are built, never run: a zero step would never advance time
+        with pytest.raises(error):
+            SKTConfig(**kwargs)
+
+    def test_snapshot_defaults_to_t_final(self):
+        assert SKTConfig().snapshot_times == (1.0,)
+        assert SKTConfig(t_final=0.3).snapshot_times == (0.3,)
+        assert SKTConfig(t_final=0.3, snapshot_times=()).snapshot_times == ()
+
+
+@st.composite
+def joint_states(draw, square=False):
+    """Unit-mass joint densities on 4-24 cells per axis, with zero cells."""
+    n1 = draw(st.integers(4, 24))
+    n2 = n1 if square else draw(st.integers(4, 24))
+    cell = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    vals = np.array(draw(st.lists(cell, min_size=n1 * n2, max_size=n1 * n2))).reshape(n1, n2)
+    assume(vals.any())
+    g = Grid2D(n1, n2, -1.0, 1.0, -1.0, 1.0)
+    return g, vals / (g.h1 * g.h2 * vals.sum())
+
+
+@st.composite
+def mobilities(draw, g):
+    """Constant or diagonal-bump mobility, the bump at least two cells wide.
+
+    The explicit bound assumes M varies little between neighbouring cells.
+    """
+    if draw(st.booleans()):
+        return constant_mobility(g, draw(st.floats(0.1, 4.0)))
+    h = max(g.h1, g.h2)
+    return build_mobility(g, draw(st.floats(2.0 * h, 1.0)), draw(st.floats(0.01, 1.0)))
+
+
+def swap_reflect(v):
+    return v[::-1, ::-1].T
+
+
+class TestStepperProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_step_conserves_mass_and_sign(self, data):
+        g, vals = data.draw(joint_states())
+        mob = data.draw(mobilities(g))
+        p = JointDensity(g, vals)
+        out = step_joint_fd(p, mob, 0.5 * joint_stable_dt(p, mob))
+        assert abs(g.h1 * g.h2 * out.values.sum() - 1.0) <= 1e-12
+        assert out.values.min() >= 0.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_step_keeps_swap_reflection_symmetry(self, data):
+        g, vals = data.draw(joint_states(square=True))
+        mob = data.draw(mobilities(g))
+        p = JointDensity(g, 0.5 * (vals + swap_reflect(vals)))
+        out = step_joint_fd(p, mob, 0.5 * joint_stable_dt(p, mob)).values
+        assert np.abs(out - swap_reflect(out)).max() <= 1e-12 * max(1.0, float(p.values.max()))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(joint_states())
+    def test_relative_entropy_matches_masked_formula(self, state):
+        g, vals = state
+        h = relative_entropy(JointDensity(g, vals))
+        u1 = vals.sum(axis=1) * g.h2
+        u2 = vals.sum(axis=0) * g.h1
+        pos = vals > 0.0
+        direct = g.h1 * g.h2 * np.sum(vals[pos] * np.log(vals[pos] / np.outer(u1, u2)[pos]))
+        assert h >= -1e-12
+        assert h == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(joint_states())
+    def test_relative_entropy_zero_on_products(self, state):
+        g, vals = state
+        prod = np.outer(vals.sum(axis=1), vals.sum(axis=0))
+        assert abs(relative_entropy(JointDensity(g, prod / (g.h1 * g.h2 * prod.sum())))) <= 1e-12
 
 
 class TestDecoupled:
@@ -270,3 +425,27 @@ class TestComparison:
         )
         report = compare_correlated_vs_decoupled(cfg, n_compare=3)
         assert report.l1_gaps[-1] <= 1e-3
+
+    def test_gaps_match_public_steps_bit_for_bit(self):
+        cfg = SKTConfig(n1=32, n2=32, t_final=0.2, dt_cap=1e-2)
+        report = compare_correlated_vs_decoupled(cfg, n_compare=4)
+        g = cfg.grid()
+        mob = build_mobility(g, cfg.sigma, cfg.c_floor)
+        p = product_gaussian(g, cfg.center, cfg.variance)
+        pair = marginals(p)
+        gaps, t = [], 0.0
+        for target in report.times:
+            while t < target:
+                dt = min(
+                    cfg.cfl_safety * joint_stable_dt(p, mob),
+                    cfg.cfl_safety * decoupled_stable_dt(pair, mob, "quadratic"),
+                    cfg.dt_cap,
+                    target - t,
+                )
+                p = step_joint_fd(p, mob, dt)
+                pair = step_decoupled_fd(pair, mob, dt, "quadratic")
+                t += dt
+            mj = marginals(p)
+            gap = g.h1 * np.abs(mj.u1.values - pair.u1.values).sum()
+            gaps.append(gap + g.h2 * np.abs(mj.u2.values - pair.u2.values).sum())
+        np.testing.assert_array_equal(report.l1_gaps, gaps)
