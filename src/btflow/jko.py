@@ -5,15 +5,22 @@ independent inner solvers:
 
 * ``jko_step_lagrangian`` works on per-species quantile maps, where the W2
   term is a diagonal quadratic and the energy gradient is assembled through
-  the exact adjoint of the deposition operator.  Projected gradient descent
-  with a pool-adjacent-violators projection keeps the maps monotone, and the
-  monotone line search makes the per-step energy inequality exact, so the
-  telescoped step-size bound holds along a run by construction.
+  the exact adjoint of the deposition operator, for all species and slabs in
+  one vector pass.  Projected gradient descent with a pool-adjacent-violators
+  projection keeps the maps monotone, and the monotone line search makes the
+  per-step energy inequality exact, so the telescoped step-size bound holds
+  along a run by construction.  Grid edges and the split of the coupling
+  matrix are computed once per run.
 
 * ``jko_step_entropic`` solves the epsilon-regularized problem on the
   Eulerian grid by Sinkhorn-type scaling against the Gibbs kernel, with a
   pointwise relative-entropy prox of the frozen-coefficient energy density
   (safeguarded Newton) for the second marginal and Gauss-Seidel over species.
+  Within a step the scaling is warm-started: each species keeps its scaling
+  vector from one outer sweep to the next, and each Newton solve starts from
+  the log of the previous scaling iterate's marginal.  A step reports
+  ``converged=False`` when a scaling loop of its final sweep hit
+  SINKHORN_INNER_CAP.
 
 The two solvers share no machinery, which is what makes their agreement a
 meaningful cross-check.
@@ -155,22 +162,16 @@ def pool_adjacent_violators(y: np.ndarray) -> np.ndarray:
 
 def _project_monotone(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Exact projection onto {monotone} intersected with the box [lo, hi]."""
-    out = np.empty_like(x)
-    for i in range(x.shape[0]):
-        row = x[i]
-        if np.any(np.diff(row) < 0.0):
-            row = pool_adjacent_violators(row)
-        out[i] = np.clip(row, lo, hi)
-    return out
+    out = np.array(x)
+    for i in np.flatnonzero((x[:, 1:] < x[:, :-1]).any(axis=1)):
+        out[i] = pool_adjacent_violators(x[i])
+    return np.clip(out, lo, hi, out=out)
 
 
-def _deposit_all(positions: np.ndarray, grid: Grid1D) -> np.ndarray:
+def _deposit_all(positions: np.ndarray, edges: np.ndarray, h: float) -> np.ndarray:
     """Densities (N, n) deposited from per-species quantile positions (N, L)."""
-    edges = grid.edges()
-    vals = np.empty((positions.shape[0], grid.n_cells))
-    for i in range(positions.shape[0]):
-        vals[i] = np.diff(_deposit_cdf(positions[i], edges)) / grid.h
-    return vals
+    cdf = np.stack([_deposit_cdf(row, edges) for row in positions])
+    return (cdf[:, 1:] - cdf[:, :-1]) / h
 
 
 def _laplacian_mirror_rows(values: np.ndarray, h: float) -> np.ndarray:
@@ -178,112 +179,100 @@ def _laplacian_mirror_rows(values: np.ndarray, h: float) -> np.ndarray:
     return (padded[:, 2:] - 2.0 * padded[:, 1:-1] + padded[:, :-2]) / (h * h)
 
 
-def _pressure_symmetric(values: np.ndarray, a: CouplingMatrix) -> np.ndarray:
+def _pressure_symmetric(values: np.ndarray, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Pressures computed so species relabeling commutes bitwise.
 
     Splitting the diagonal from the off-diagonal contribution fixes the
     floating-point summation order per species, which a fused matmul would
     not (its accumulation order depends on the row).
     """
-    diag = np.diag(a.entries)
-    off = a.entries - np.diag(diag)
     return diag[:, None] * values + off @ values
 
 
-def _mass_sensitivity(values: np.ndarray, a: CouplingMatrix, grid: Grid1D, dirichlet: bool) -> np.ndarray:
-    """dE per unit of species-i mass placed in cell c, shape (N, n)."""
-    p = _pressure_symmetric(values, a)
-    if dirichlet:
-        p = p - _laplacian_mirror_rows(values, grid.h)
-    return p
-
-
-def _energy_value(values: np.ndarray, a: CouplingMatrix, grid: Grid1D, dirichlet: bool) -> float:
-    # per-species partial sums first, so relabeling only permutes the final
-    # short sum (commutative for the operand counts that matter here)
-    per_species = np.sum(values * _pressure_symmetric(values, a), axis=1)
-    e = 0.5 * grid.h * float(per_species.sum())
-    if dirichlet:
-        d = np.diff(values, axis=1) / grid.h
-        e += 0.5 * grid.h * float(np.sum(d * d, axis=1).sum())
-    return e
-
-
 def _energy_position_gradient(
-    positions: np.ndarray, sensitivity: np.ndarray, grid: Grid1D
+    positions: np.ndarray, sensitivity: np.ndarray, grid: Grid1D, inner_edges: np.ndarray
 ) -> np.ndarray:
     """Adjoint of the slab deposition: dE/dX for each species.
 
     For a slab of mass q spread over (a, b), dE/da = q (A b - B) / (b - a)^2
     and dE/db = q (B - A a) / (b - a)^2, where A and B are the sums of the
     sensitivity jumps (and position-weighted jumps) at the grid edges strictly
-    inside the slab.  The two half-mass extension slabs attached at the ends
-    of the quantile map enter through the chain rule of their ghost knots.
-    Degenerate slabs sit inside one cell and contribute a locally flat
-    energy, hence zero gradient.
+    inside the slab (``inner_edges``, the grid's edges without the two ends).
+    The two half-mass extension slabs attached at the ends of the quantile
+    map enter through the chain rule of their ghost knots.  Degenerate slabs
+    sit inside one cell and contribute a locally flat energy, hence zero
+    gradient.
+
+    The slabs of all species go through one vector pass, with each species'
+    four candidate ghost slabs appended to its row: (2X0-X1, 1.5X0-0.5X1)
+    and (1.5X0-0.5X1, X0) at the front, their mirror images at the end.  An
+    end next to the wall uses only the ghost slab that touches its end
+    position, with the ghost knot clipped to the wall.
     """
     n_species, n_levels = positions.shape
-    q = 1.0 / n_levels
-    inner_edges = grid.edges()[1:-1]
     grad = np.zeros_like(positions)
+    if n_levels == 1:
+        return grad
+    q = 1.0 / n_levels
     tiny = 1e-13 * max(1.0, grid.length)
+    x_min, x_max = grid.x_min, grid.x_max
 
-    def slab_endpoint_grads(s0, s1, a, b):
-        width = b - a
-        ok = width > tiny
-        lo = np.searchsorted(inner_edges, a, side="right")
-        hi = np.searchsorted(inner_edges, b, side="left")
-        jump_sum = s0[hi] - s0[lo]
-        jump_mom = s1[hi] - s1[lo]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ga = np.where(ok, (jump_sum * b - jump_mom) / width**2, 0.0)
-            gb = np.where(ok, (jump_mom - jump_sum * a) / width**2, 0.0)
-        return ga, gb
+    jumps = sensitivity[:, 1:] - sensitivity[:, :-1]
+    s0 = np.zeros(sensitivity.shape)
+    s1 = np.zeros(sensitivity.shape)
+    np.cumsum(jumps, axis=1, out=s0[:, 1:])
+    np.cumsum(jumps * inner_edges, axis=1, out=s1[:, 1:])
 
-    for i in range(n_species):
-        jumps = np.diff(sensitivity[i])
-        s0 = np.concatenate(([0.0], np.cumsum(jumps)))
-        s1 = np.concatenate(([0.0], np.cumsum(jumps * inner_edges)))
-        x = positions[i]
-        ga, gb = slab_endpoint_grads(s0, s1, x[:-1], x[1:])
-        grad[i, :-1] += q * ga
-        grad[i, 1:] += q * gb
-        if n_levels > 1:
-            gap0 = x[1] - x[0]
-            if x[0] - gap0 > grid.x_min:
-                # interior front, quadratic tail: ghosts 2X0-X1 and
-                # 1.5X0-0.5X1 carrying mass q/8 and 3q/8
-                g1, g2 = x[0] - gap0, x[0] - 0.5 * gap0
-                ga1, gb1 = slab_endpoint_grads(s0, s1, np.array([g1]), np.array([g2]))
-                ga2, gb2 = slab_endpoint_grads(s0, s1, np.array([g2]), np.array([x[0]]))
-                grad[i, 0] += (q / 8.0) * (2.0 * ga1[0] + 1.5 * gb1[0])
-                grad[i, 1] += (q / 8.0) * (-ga1[0] - 0.5 * gb1[0])
-                grad[i, 0] += (3.0 * q / 8.0) * (1.5 * ga2[0] + gb2[0])
-                grad[i, 1] += (3.0 * q / 8.0) * (-0.5 * ga2[0])
-            else:
-                # wall-adjacent, constant-density extension at half gap
-                g2 = x[0] - 0.5 * gap0
-                c = 0.0 if g2 <= grid.x_min else 1.0  # clipped knots stop moving
-                g2 = max(g2, grid.x_min)
-                ga, gb = slab_endpoint_grads(s0, s1, np.array([g2]), np.array([x[0]]))
-                grad[i, 0] += 0.5 * q * (1.5 * c * ga[0] + gb[0])
-                grad[i, 1] += 0.5 * q * (-0.5 * c * ga[0])
-            gap1 = x[-1] - x[-2]
-            if x[-1] + gap1 < grid.x_max:
-                g2, g1 = x[-1] + 0.5 * gap1, x[-1] + gap1
-                ga3, gb3 = slab_endpoint_grads(s0, s1, np.array([x[-1]]), np.array([g2]))
-                ga4, gb4 = slab_endpoint_grads(s0, s1, np.array([g2]), np.array([g1]))
-                grad[i, -1] += (3.0 * q / 8.0) * (ga3[0] + 1.5 * gb3[0])
-                grad[i, -2] += (3.0 * q / 8.0) * (-0.5 * gb3[0])
-                grad[i, -1] += (q / 8.0) * (1.5 * ga4[0] + 2.0 * gb4[0])
-                grad[i, -2] += (q / 8.0) * (-0.5 * ga4[0] - gb4[0])
-            else:
-                g2 = x[-1] + 0.5 * gap1
-                c = 0.0 if g2 >= grid.x_max else 1.0
-                g2 = min(g2, grid.x_max)
-                ga, gb = slab_endpoint_grads(s0, s1, np.array([x[-1]]), np.array([g2]))
-                grad[i, -1] += 0.5 * q * (ga[0] + 1.5 * c * gb[0])
-                grad[i, -2] += 0.5 * q * (-0.5 * c * gb[0])
+    x0, xl = positions[:, 0], positions[:, -1]
+    gap0 = positions[:, 1] - x0
+    gap1 = xl - positions[:, -2]
+    f1, f2 = x0 - gap0, x0 - 0.5 * gap0  # front ghost knots
+    e2, e1 = xl + 0.5 * gap1, xl + gap1  # end ghost knots
+    f2_wall = np.where(x_min > f2, x_min, f2)  # max(f2, x_min)
+    e2_wall = np.where(x_max < e2, x_max, e2)  # min(e2, x_max)
+    a = np.column_stack((positions[:, :-1], f1, f2_wall, xl, e2))
+    b = np.column_stack((positions[:, 1:], f2, x0, e2_wall, e1))
+
+    width = b - a
+    lo = np.searchsorted(inner_edges, a, side="right")
+    hi = np.searchsorted(inner_edges, b, side="left")
+    rows = np.arange(n_species)[:, None]
+    jump_sum = s0[rows, hi] - s0[rows, lo]
+    jump_mom = s1[rows, hi] - s1[rows, lo]
+    ok = width > tiny
+    width_sq = width**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ga = np.where(ok, (jump_sum * b - jump_mom) / width_sq, 0.0)
+        gb = np.where(ok, (jump_mom - jump_sum * a) / width_sq, 0.0)
+
+    m = n_levels - 1
+    grad[:, :-1] += q * ga[:, :m]
+    grad[:, 1:] += q * gb[:, :m]
+    ends = zip(ga[:, m:].tolist(), gb[:, m:].tolist(), f1.tolist(), f2.tolist(), e2.tolist(), e1.tolist())
+    for i, (ghost_a, ghost_b, f1_i, f2_i, e2_i, e1_i) in enumerate(ends):
+        ga1, ga2, ga3, ga4 = ghost_a
+        gb1, gb2, gb3, gb4 = ghost_b
+        if f1_i > x_min:
+            # interior front, quadratic tail: ghosts 2X0-X1 and
+            # 1.5X0-0.5X1 carrying mass q/8 and 3q/8
+            grad[i, 0] += (q / 8.0) * (2.0 * ga1 + 1.5 * gb1)
+            grad[i, 1] += (q / 8.0) * (-ga1 - 0.5 * gb1)
+            grad[i, 0] += (3.0 * q / 8.0) * (1.5 * ga2 + gb2)
+            grad[i, 1] += (3.0 * q / 8.0) * (-0.5 * ga2)
+        else:
+            # wall-adjacent, constant-density extension at half gap
+            c = 0.0 if f2_i <= x_min else 1.0  # clipped knots stop moving
+            grad[i, 0] += 0.5 * q * (1.5 * c * ga2 + gb2)
+            grad[i, 1] += 0.5 * q * (-0.5 * c * ga2)
+        if e1_i < x_max:
+            grad[i, -1] += (3.0 * q / 8.0) * (ga3 + 1.5 * gb3)
+            grad[i, -2] += (3.0 * q / 8.0) * (-0.5 * gb3)
+            grad[i, -1] += (q / 8.0) * (1.5 * ga4 + 2.0 * gb4)
+            grad[i, -2] += (q / 8.0) * (-0.5 * ga4 - gb4)
+        else:
+            c = 0.0 if e2_i >= x_max else 1.0
+            grad[i, -1] += 0.5 * q * (ga3 + 1.5 * c * gb3)
+            grad[i, -2] += 0.5 * q * (-0.5 * c * gb3)
     return grad
 
 
@@ -304,7 +293,7 @@ def _quadrature_grid(positions: np.ndarray, grid: Grid1D) -> Grid1D:
     would stall there.  Refining the quadrature cells below the smallest gap
     removes that staircase; outputs are still deposited on the caller's grid.
     """
-    gaps = np.diff(positions, axis=1)
+    gaps = positions[:, 1:] - positions[:, :-1]
     min_gap = float(gaps[gaps > 0.0].min()) if np.any(gaps > 0.0) else grid.h
     target = max(grid.n_cells, int(np.ceil(QUADRATURE_REFINE * grid.length / min_gap)))
     n_fine = min(target, QUADRATURE_CAP)
@@ -313,48 +302,63 @@ def _quadrature_grid(positions: np.ndarray, grid: Grid1D) -> Grid1D:
     return Grid1D(n_fine, grid.x_min, grid.x_max)
 
 
-def _solver_energy(
-    x: np.ndarray, a: CouplingMatrix, grid: Grid1D, fine: Grid1D, opts: JKOOptions
-) -> float:
-    """Energy under the solver's quadrature: quadratic part on the fine grid.
+class _Quadrature:
+    """The solver's energy and its position gradient, set up once per run.
 
-    The optional gradient (Dirichlet) part stays on the solution grid, where
-    deposition smooths the otherwise discontinuous slab density.
+    Holds what stays fixed along a Lagrangian run: the edges of the solution
+    grid and of the refined quadrature grid, and the diagonal/off-diagonal
+    split of the coupling matrix.  The quadratic energy lives on the fine
+    grid; the optional gradient (Dirichlet) part stays on the solution grid,
+    where deposition smooths the otherwise discontinuous slab density.
     """
-    e = _energy_value(_deposit_all(x, fine), a, fine, False)
-    if opts.include_dirichlet:
-        vals = _deposit_all(x, grid)
-        d = np.diff(vals, axis=1) / grid.h
-        e += 0.5 * grid.h * float(np.sum(d * d))
-    return e
+
+    def __init__(self, a: CouplingMatrix, grid: Grid1D, fine: Grid1D, dirichlet: bool):
+        self.grid, self.fine, self.dirichlet = grid, fine, dirichlet
+        self.edges = grid.edges()
+        self.fine_edges = fine.edges()
+        self.diag = np.diag(a.entries)
+        self.off = a.entries - np.diag(self.diag)
+
+    def deposit(self, x: np.ndarray) -> np.ndarray:
+        """Densities of the quantile positions x on the solution grid."""
+        return _deposit_all(x, self.edges, self.grid.h)
+
+    def energy(self, x: np.ndarray) -> float:
+        fine = _deposit_all(x, self.fine_edges, self.fine.h)
+        # per-species partial sums first, so relabeling only permutes the
+        # final short sum (commutative for the operand counts that matter)
+        per_species = np.sum(fine * _pressure_symmetric(fine, self.diag, self.off), axis=1)
+        e = 0.5 * self.fine.h * float(per_species.sum())
+        if self.dirichlet:
+            h = self.grid.h
+            vals = self.deposit(x)
+            d = (vals[:, 1:] - vals[:, :-1]) / h
+            e += 0.5 * h * float(np.sum(d * d))
+        return e
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        fine = _deposit_all(x, self.fine_edges, self.fine.h)
+        sens = _pressure_symmetric(fine, self.diag, self.off)
+        g = _energy_position_gradient(x, sens, self.fine, self.fine_edges[1:-1])
+        if self.dirichlet:
+            sens_dir = -_laplacian_mirror_rows(self.deposit(x), self.grid.h)
+            g = g + _energy_position_gradient(x, sens_dir, self.grid, self.edges[1:-1])
+        return g
 
 
 def _lagrangian_minimize(
     x_prev: np.ndarray,
-    a: CouplingMatrix,
     tau: float,
-    grid: Grid1D,
+    quad: _Quadrature,
     opts: JKOOptions,
-    fine: Grid1D,
 ) -> _LagrangianResult:
     n_levels = x_prev.shape[1]
     prox_weight = 1.0 / (tau * n_levels)
-
-    def energy(x):
-        return _solver_energy(x, a, grid, fine, opts)
+    lo, hi = quad.grid.x_min, quad.grid.x_max
 
     def objective(x):
         prox = float(np.sum((x - x_prev) ** 2, axis=1).sum())
-        return 0.5 * prox_weight * prox + energy(x)
-
-    def energy_gradient(x):
-        sens = _mass_sensitivity(_deposit_all(x, fine), a, fine, False)
-        g = _energy_position_gradient(x, sens, fine)
-        if opts.include_dirichlet:
-            vals = _deposit_all(x, grid)
-            sens_dir = -_laplacian_mirror_rows(vals, grid.h)
-            g = g + _energy_position_gradient(x, sens_dir, grid)
-        return g
+        return 0.5 * prox_weight * prox + quad.energy(x)
 
     x = x_prev.copy()
     obj = objective(x)
@@ -363,10 +367,10 @@ def _lagrangian_minimize(
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
-        grad = prox_weight * (x - x_prev) + energy_gradient(x)
+        grad = prox_weight * (x - x_prev) + quad.gradient(x)
         accepted = False
         for _ in range(ARMIJO_BACKTRACKS):
-            trial = _project_monotone(x - step * grad, grid.x_min, grid.x_max)
+            trial = _project_monotone(x - step * grad, lo, hi)
             move_sq = float(np.sum((trial - x) ** 2, axis=1).sum())
             if move_sq == 0.0:
                 break
@@ -390,7 +394,7 @@ def _lagrangian_minimize(
         if decrease < opts.tol_obj_rel * max(abs(obj), 1e-30):
             converged = True
             break
-    return _LagrangianResult(x, iterations, converged, obj, energy(x))
+    return _LagrangianResult(x, iterations, converged, obj, quad.energy(x))
 
 
 def _quantile_state(u: DensityVector, n_levels: int) -> np.ndarray:
@@ -411,13 +415,12 @@ def jko_step_lagrangian(
     grid = u_prev.grid
     L = grid.n_cells if n_levels is None else int(n_levels)
     x_prev = _quantile_state(u_prev, L)
-    fine = _quadrature_grid(x_prev, grid)
-    result = _lagrangian_minimize(x_prev, a, tau, grid, opts, fine=fine)
-    vals = _deposit_all(result.positions, grid)
-    u_next = DensityVector(grid, vals)
+    quad = _Quadrature(a, grid, _quadrature_grid(x_prev, grid), opts.include_dirichlet)
+    result = _lagrangian_minimize(x_prev, tau, quad, opts)
+    u_next = DensityVector(grid, quad.deposit(result.positions))
 
     # energies under the solver's own quadrature: monotone by construction
-    e_before = _solver_energy(x_prev, a, grid, fine, opts)
+    e_before = quad.energy(x_prev)
     e_after = result.energy
     if e_after > e_before + 1e-12 * max(1.0, abs(e_before)):
         raise EstimateFailed("energy increased across a Lagrangian JKO step")
@@ -433,29 +436,35 @@ def jko_step_lagrangian(
     return u_next, report
 
 
-def _prox_newton(xi: np.ndarray, alpha: float, beta: np.ndarray, tol: float) -> np.ndarray:
+def _prox_newton(
+    xi: np.ndarray, alpha: float, beta: np.ndarray, tol: float, y0: np.ndarray
+) -> np.ndarray:
     """Solve log(nu/xi) + alpha*nu + beta = 0 per cell (alpha >= 0).
 
-    Solved as y + alpha*e^y = c in y = log(nu) with c = log(xi) - beta.
-    Newton from y = c decreases monotonically onto the root of this convex
-    increasing function; a bisection pass guards the (never observed in
-    practice) stragglers.
+    Solved as y + alpha*e^y = c in y = log(nu) with c = log(xi) - beta, by
+    Newton warm-started at y0 (the log of the previous scaling iterate).  The
+    function is convex and increasing, so Newton from above the root
+    decreases monotonically onto it, and from below it overshoots once and
+    then decreases monotonically.  A bisection pass guards the (never
+    observed in practice) stragglers.
     """
     c = np.log(np.maximum(xi, 1e-300)) - beta
     if alpha == 0.0:
         return np.exp(np.minimum(c, 700.0))
-    y = np.minimum(c, 700.0)
+    y = np.minimum(y0, 700.0)
+    ey, f, dy = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     for _ in range(100):
-        ey = np.exp(np.minimum(y, 700.0))
-        f = y + alpha * ey - c
-        fp = 1.0 + alpha * ey
-        dy = f / fp
-        y = y - dy
-        if np.max(np.abs(f)) < tol:
+        np.exp(np.minimum(y, 700.0, out=ey), out=ey)
+        ey *= alpha
+        np.add(y, ey, out=f)
+        f -= c
+        ey += 1.0
+        y -= np.divide(f, ey, out=dy)
+        if abs(f).max() < tol:
             break
-    ey = np.exp(np.minimum(y, 700.0))
-    bad = np.abs(y + alpha * ey - c) >= max(tol, 1e-12)
-    for k in np.nonzero(bad)[0]:
+    np.exp(np.minimum(y, 700.0, out=ey), out=ey)
+    bad = np.flatnonzero(abs(y + alpha * ey - c) >= max(tol, 1e-12))
+    for k in bad:
         lo, hi = min(c[k] - alpha * np.exp(min(c[k], 700.0)), y[k]) - 1.0, max(c[k], y[k]) + 1.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -478,7 +487,11 @@ def jko_step_entropic(
     Species are visited in fixed order (Gauss-Seidel); for each species the
     scaling iteration alternates the source-marginal update with the
     relative-entropy prox of the frozen-coefficient energy density
-    tau * (a_ii u_i^2 / 2 + u_i sum_{j != i} a_ij u_j).
+    tau * (a_ii u_i^2 / 2 + u_i sum_{j != i} a_ij u_j).  Each species keeps
+    its scaling vector and its last second marginal from one sweep to the
+    next, so a sweep resumes the scaling iteration where the previous one
+    stopped.  The step reports ``converged=False`` when a scaling iteration
+    of the final sweep ran out of iterations before its tolerance.
     """
     _require_positive_definite(a)
     if eps <= 0.0:
@@ -495,25 +508,31 @@ def jko_step_entropic(
     dens = u_prev.values.copy()
     n_species = u_prev.n_species
     e_before = energy_quadratic(u_prev, a)
+    scaling = np.ones_like(mu)
+    marginal = mu.copy()
 
     outer_used = None
     for outer in range(1, MAX_OUTER + 1):
         prev = dens.copy()
+        capped = False
         for i in range(n_species):
             frozen = a.entries[i] @ dens - a.entries[i, i] * dens[i]
             alpha = 2.0 * tau * a.entries[i, i] / (eps * h)
             beta = (2.0 * tau / eps) * frozen
-            b = np.ones(grid.n_cells)
-            nu = mu[i].copy()
+            b, nu = scaling[i], marginal[i]
             for _ in range(SINKHORN_INNER_CAP):
                 a_vec = mu[i] / (kernel @ b)
                 xi = kernel @ a_vec
-                nu_new = _prox_newton(xi, alpha, beta, SINKHORN_INNER_TOL)
+                y0 = np.log(np.maximum(nu, 1e-300))
+                nu_new = _prox_newton(xi, alpha, beta, SINKHORN_INNER_TOL, y0)
                 b = nu_new / xi
                 delta = float(np.abs(nu_new - nu).sum())
                 nu = nu_new
                 if delta < SINKHORN_INNER_TOL:
                     break
+            else:
+                capped = True
+            scaling[i], marginal[i] = b, nu
             a_vec = mu[i] / (kernel @ b)
             dens[i] = b * (kernel @ a_vec) / h  # exact-mass second marginal
         if float(np.abs(dens - prev).sum()) * h < TOL_FIX:
@@ -535,7 +554,7 @@ def jko_step_entropic(
         energy_after=e_after,
         inner_iterations=outer_used,
         optimality_residual=optimality_residual(u_prev, u_next, a, tau).worst,
-        converged=True,
+        converged=not capped,
     )
     return u_next, report
 
@@ -593,6 +612,11 @@ def run_jko(
     whole run and the trajectory starts at the quantile re-representation of
     ``u0`` (L1-distance O(h + 1/L) from it), which makes the energy and
     telescoped estimates exact by construction.
+
+    ``meta`` records the inner solver's largest per-step iteration count
+    (descent iterations, or entropic outer sweeps) as
+    ``inner_iterations_max`` and whether every step converged as
+    ``inner_converged``.
     """
     _require_positive_definite(a)
     grid = u0.grid
@@ -605,9 +629,9 @@ def run_jko(
     m = schedule.n_steps
     if solver == "lagrangian":
         x = _quantile_state(u0, L)
-        fine = _quadrature_grid(x, grid)
-        state = DensityVector(grid, _deposit_all(x, grid))
-        e_state = _solver_energy(x, a, grid, fine, opts)
+        quad = _Quadrature(a, grid, _quadrature_grid(x, grid), opts.include_dirichlet)
+        state = DensityVector(grid, quad.deposit(x))
+        e_state = quad.energy(x)
     elif solver == "entropic":
         state = u0
         e_state = energy_quadratic(state, a)
@@ -620,19 +644,24 @@ def run_jko(
     grads = [gradient_norm_sq(state)]
     increments = np.empty(m)
     residuals = np.empty(m)
+    inner_max, inner_converged = 0, True
 
     for k in range(m):
         tau = float(schedule.taus[k])
         if solver == "lagrangian":
-            result = _lagrangian_minimize(x, a, tau, grid, opts, fine=fine)
+            result = _lagrangian_minimize(x, tau, quad, opts)
             increments[k] = float(np.sqrt(np.sum((result.positions - x) ** 2) / L))
             x = result.positions
-            state = DensityVector(grid, _deposit_all(x, grid))
+            state = DensityVector(grid, quad.deposit(x))
             e_state = result.energy
+            iterations, converged = result.iterations, result.converged
         else:
             state, report = jko_step_entropic(trajectory[-1], a, tau, eps)
             increments[k] = report.w2_increment
             e_state = report.energy_after
+            iterations, converged = report.inner_iterations, report.converged
+        inner_max = max(inner_max, iterations)
+        inner_converged = inner_converged and converged
         residuals[k] = optimality_residual(trajectory[-1], state, a, tau).worst
         trajectory.append(state)
         energies.append(e_state)
@@ -656,6 +685,8 @@ def run_jko(
             "solver": solver,
             "E0": energies[0],
             "H0": entropies[0],
+            "inner_iterations_max": inner_max,
+            "inner_converged": inner_converged,
         },
     )
 

@@ -15,6 +15,9 @@ checks the new state with one min and one sum (cells >= -1e-13 max(1, max p),
 else NegativityDetected; smaller undershoots clamped; mass within 1e-10 of
 one, else InvalidDensity); the relative entropy checks the marginals as
 arrays.  JointDensity and MarginalPair objects are built only for snapshots.
+The comparison with the decoupled system steps its species on arrays as well,
+with one pair of nonlocal coefficients per step and each species' unit mass
+checked per step.
 """
 
 from __future__ import annotations
@@ -376,18 +379,50 @@ def nonlocal_coefficient(mob: MobilityField, other: Density, power: int) -> np.n
     return g.h2 * (mob.values @ (other.values**power))
 
 
-def decoupled_stable_dt(u: MarginalPair, mob: MobilityField, variant: str) -> float:
-    power = 2 if variant == "quadratic" else 1
-    a1 = nonlocal_coefficient(mob, u.u2, power)
-    a2 = nonlocal_coefficient(MobilityField(mob.grid, mob.values.T, mob.sigma, mob.c_floor), u.u1, power)
-    if variant == "quadratic":
-        coef = max(float((a1 * u.u1.values).max()), float((a2 * u.u2.values).max()))
+def _is_quadratic(variant: str) -> bool:
+    if variant not in ("quadratic", "entropy"):
+        raise ValueError(f"unknown variant {variant!r}")
+    return variant == "quadratic"
+
+
+def _nonlocal_coefficients(
+    m: np.ndarray, m_t: np.ndarray, u1: np.ndarray, u2: np.ndarray, power: int, h2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients h2 M u2^power of species 1 and h2 M^T u1^power of species 2."""
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch("the decoupled species need a square grid (n1 == n2)")
+    return h2 * (m @ (u2**power)), h2 * (m_t @ (u1**power))
+
+
+def _decoupled_dt(
+    a1: np.ndarray, a2: np.ndarray, u1: np.ndarray, u2: np.ndarray, quadratic: bool, h: float
+) -> float:
+    if quadratic:
+        coef = max(float((a1 * u1).max()), float((a2 * u2).max()))
     else:
         coef = max(float(a1.max()), float(a2.max()))
     if coef <= 0.0:
         return np.inf
-    h = min(mob.grid.h1, mob.grid.h2)
     return 0.25 * h * h / coef
+
+
+def _advance(v: np.ndarray, coef: np.ndarray, h: float, dt: float, quadratic: bool) -> np.ndarray:
+    """One explicit flux step of one decoupled species, clamped at zero."""
+    cbar = 0.5 * (coef[1:] + coef[:-1])
+    if quadratic:
+        cbar = cbar * 0.5 * (v[1:] + v[:-1])
+    flux = cbar * (v[1:] - v[:-1]) / h
+    new = v.copy()
+    new[:-1] += (dt / h) * flux
+    new[1:] -= (dt / h) * flux
+    return np.maximum(new, 0.0)
+
+
+def decoupled_stable_dt(u: MarginalPair, mob: MobilityField, variant: str) -> float:
+    quadratic = variant == "quadratic"
+    u1, u2 = u.u1.values, u.u2.values
+    a1, a2 = _nonlocal_coefficients(mob.values, mob.values.T, u1, u2, 2 if quadratic else 1, mob.grid.h2)
+    return _decoupled_dt(a1, a2, u1, u2, quadratic, min(mob.grid.h1, mob.grid.h2))
 
 
 def step_decoupled_fd(
@@ -401,29 +436,16 @@ def step_decoupled_fd(
     The nonlocal coefficient is frozen during the step and recomputed from
     the partner species each call.
     """
-    if variant not in ("quadratic", "entropy"):
-        raise ValueError(f"unknown variant {variant!r}")
-    dt_max = decoupled_stable_dt(u, mob, variant)
+    quadratic = _is_quadratic(variant)
+    g = mob.grid
+    u1, u2 = u.u1.values, u.u2.values
+    a1, a2 = _nonlocal_coefficients(mob.values, mob.values.T, u1, u2, 2 if quadratic else 1, g.h2)
+    dt_max = _decoupled_dt(a1, a2, u1, u2, quadratic, min(g.h1, g.h2))
     if dt > dt_max:
         raise CFLViolation(dt, dt_max)
-    power = 2 if variant == "quadratic" else 1
-    mob_t = MobilityField(mob.grid, mob.values.T, mob.sigma, mob.c_floor)
-
-    def advance(dens: Density, coef: np.ndarray, h: float) -> Density:
-        v = dens.values
-        cbar = 0.5 * (coef[1:] + coef[:-1])
-        if variant == "quadratic":
-            cbar = cbar * 0.5 * (v[1:] + v[:-1])
-        flux = cbar * (v[1:] - v[:-1]) / h
-        new = v.copy()
-        new[:-1] += (dt / h) * flux
-        new[1:] -= (dt / h) * flux
-        return Density(dens.grid, np.maximum(new, 0.0))
-
-    a1 = nonlocal_coefficient(mob, u.u2, power)
-    a2 = nonlocal_coefficient(mob_t, u.u1, power)
     return MarginalPair(
-        advance(u.u1, a1, mob.grid.h1), advance(u.u2, a2, mob.grid.h2)
+        Density(u.u1.grid, _advance(u1, a1, g.h1, dt, quadratic)),
+        Density(u.u2.grid, _advance(u2, a2, g.h2, dt, quadratic)),
     )
 
 
@@ -442,7 +464,10 @@ def compare_correlated_vs_decoupled(
 
     Both runs start from the same product data; the gap is zero at t = 0 and
     its growth is reported, not asserted (no closed-form magnitude exists).
+    The loop steps both systems on arrays, with the kernels that
+    ``step_decoupled_fd`` wraps and one pair of nonlocal coefficients per step.
     """
+    quadratic = _is_quadratic(variant)
     grid = config.grid()
     mob = build_mobility(grid, config.sigma, config.c_floor)
     p = product_gaussian(grid, config.center, config.variance)
@@ -450,25 +475,31 @@ def compare_correlated_vs_decoupled(
     compare_times = np.linspace(0.0, config.t_final, n_compare)
     stencil = _Stencil(mob)
     v = p.values
+    m, m_t = mob.values, mob.values.T
+    power = 2 if quadratic else 1
+    h_min = min(grid.h1, grid.h2)
+    d1, d2 = pair.u1.values, pair.u2.values
 
     gaps = []
     t = 0.0
     for target in compare_times:
         while t < target:
             bound = stencil.stable_dt(v)
+            a1, a2 = _nonlocal_coefficients(m, m_t, d1, d2, power, grid.h2)
             dt = min(
                 config.cfl_safety * bound,
-                config.cfl_safety * decoupled_stable_dt(pair, mob, variant),
+                config.cfl_safety * _decoupled_dt(a1, a2, d1, d2, quadratic, h_min),
                 config.dt_cap,
                 target - t,
             )
             if dt > bound:
                 raise CFLViolation(dt, bound)
             v, _, _ = stencil.step(v, dt)
-            pair = step_decoupled_fd(pair, mob, dt, variant)
+            d1 = _checked_unit_mass(_advance(d1, a1, grid.h1, dt, quadratic), grid.h1, MASS_TOL_1D)
+            d2 = _checked_unit_mass(_advance(d2, a2, grid.h2, dt, quadratic), grid.h2, MASS_TOL_1D)
             t += dt
         u1, u2 = _marginals(v, grid)
-        gap = grid.h1 * float(np.abs(u1 - pair.u1.values).sum())
-        gap += grid.h2 * float(np.abs(u2 - pair.u2.values).sum())
+        gap = grid.h1 * float(np.abs(u1 - d1).sum())
+        gap += grid.h2 * float(np.abs(u2 - d2).sum())
         gaps.append(gap)
     return ComparisonReport(compare_times, np.asarray(gaps))

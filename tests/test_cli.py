@@ -45,6 +45,7 @@ class TestRun:
         meta = report["meta"]
         assert meta["solver"] == "lagrangian"
         assert meta["h"] == 4.0 / 64 and meta["L"] == 64 and meta["lambda_min"] == 1.0
+        assert meta["inner_converged"] is True and meta["inner_iterations_max"] >= 1
         assert (out / "final_density.csv").exists()
         assert (out / "series.csv").exists()
         header = (out / "final_density.csv").read_text().splitlines()[0]

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import btflow.jko as jko_module
 from btflow.energies import CouplingMatrix
 from btflow.errors import EstimateFailed, KernelUnderflow, NotPositiveDefinite
 from btflow.fdref import barenblatt, barenblatt_peak_time, l1_error, l1_error_vector
 from btflow.jko import (
     JKOOptions,
     JKOSchedule,
+    _energy_position_gradient,
+    _prox_newton,
     jko_step_entropic,
     jko_step_lagrangian,
     optimality_residual,
@@ -237,3 +242,178 @@ class TestRunJKO:
             np.testing.assert_allclose(
                 u0.grid.h * state.values.sum(axis=1), 1.0, atol=1e-9
             )
+
+
+def _gradient_per_species(positions, sensitivity, grid):
+    """Reference: the slab-adjoint gradient one species and one slab at a time."""
+    n_species, n_levels = positions.shape
+    q = 1.0 / n_levels
+    inner_edges = grid.edges()[1:-1]
+    grad = np.zeros_like(positions)
+    tiny = 1e-13 * max(1.0, grid.length)
+
+    def slab_endpoint_grads(s0, s1, a, b):
+        width = b - a
+        ok = width > tiny
+        lo = np.searchsorted(inner_edges, a, side="right")
+        hi = np.searchsorted(inner_edges, b, side="left")
+        jump_sum = s0[hi] - s0[lo]
+        jump_mom = s1[hi] - s1[lo]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ga = np.where(ok, (jump_sum * b - jump_mom) / width**2, 0.0)
+            gb = np.where(ok, (jump_mom - jump_sum * a) / width**2, 0.0)
+        return ga, gb
+
+    for i in range(n_species):
+        jumps = np.diff(sensitivity[i])
+        s0 = np.concatenate(([0.0], np.cumsum(jumps)))
+        s1 = np.concatenate(([0.0], np.cumsum(jumps * inner_edges)))
+        x = positions[i]
+        ga, gb = slab_endpoint_grads(s0, s1, x[:-1], x[1:])
+        grad[i, :-1] += q * ga
+        grad[i, 1:] += q * gb
+        gap0 = x[1] - x[0]
+        if x[0] - gap0 > grid.x_min:
+            g1, g2 = x[0] - gap0, x[0] - 0.5 * gap0
+            ga1, gb1 = slab_endpoint_grads(s0, s1, np.array([g1]), np.array([g2]))
+            ga2, gb2 = slab_endpoint_grads(s0, s1, np.array([g2]), np.array([x[0]]))
+            grad[i, 0] += (q / 8.0) * (2.0 * ga1[0] + 1.5 * gb1[0])
+            grad[i, 1] += (q / 8.0) * (-ga1[0] - 0.5 * gb1[0])
+            grad[i, 0] += (3.0 * q / 8.0) * (1.5 * ga2[0] + gb2[0])
+            grad[i, 1] += (3.0 * q / 8.0) * (-0.5 * ga2[0])
+        else:
+            g2 = x[0] - 0.5 * gap0
+            c = 0.0 if g2 <= grid.x_min else 1.0
+            g2 = max(g2, grid.x_min)
+            ga, gb = slab_endpoint_grads(s0, s1, np.array([g2]), np.array([x[0]]))
+            grad[i, 0] += 0.5 * q * (1.5 * c * ga[0] + gb[0])
+            grad[i, 1] += 0.5 * q * (-0.5 * c * ga[0])
+        gap1 = x[-1] - x[-2]
+        if x[-1] + gap1 < grid.x_max:
+            g2, g1 = x[-1] + 0.5 * gap1, x[-1] + gap1
+            ga3, gb3 = slab_endpoint_grads(s0, s1, np.array([x[-1]]), np.array([g2]))
+            ga4, gb4 = slab_endpoint_grads(s0, s1, np.array([g2]), np.array([g1]))
+            grad[i, -1] += (3.0 * q / 8.0) * (ga3[0] + 1.5 * gb3[0])
+            grad[i, -2] += (3.0 * q / 8.0) * (-0.5 * gb3[0])
+            grad[i, -1] += (q / 8.0) * (1.5 * ga4[0] + 2.0 * gb4[0])
+            grad[i, -2] += (q / 8.0) * (-0.5 * ga4[0] - gb4[0])
+        else:
+            g2 = x[-1] + 0.5 * gap1
+            c = 0.0 if g2 >= grid.x_max else 1.0
+            g2 = min(g2, grid.x_max)
+            ga, gb = slab_endpoint_grads(s0, s1, np.array([x[-1]]), np.array([g2]))
+            grad[i, -1] += 0.5 * q * (ga[0] + 1.5 * c * gb[0])
+            grad[i, -2] += 0.5 * q * (-0.5 * c * gb[0])
+    return grad
+
+
+END_KINDS = ("interior", "wall", "clipped")
+
+
+@st.composite
+def slab_states(draw):
+    """Quantile positions of 1-3 species, each end interior, wall-adjacent or
+    clipped (its ghost knot beyond the wall), plus a sensitivity field."""
+    n_species = draw(st.integers(1, 3))
+    n_levels = draw(st.integers(2, 64))
+    x_min, x_max = draw(st.sampled_from([(0.0, 1.0), (-2.0, 2.0)]))
+    grid = Grid1D(draw(st.integers(2, 80)), x_min, x_max)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(n_species):
+        x = np.sort(rng.uniform(0.25, 0.75, n_levels))
+        if draw(st.booleans()):  # repeated positions: degenerate slabs
+            x = np.round(x * 16.0) / 16.0
+        x = x_min + grid.length * x
+        front, end = draw(st.sampled_from(END_KINDS)), draw(st.sampled_from(END_KINDS))
+        if front == "clipped":
+            x[0] = x_min
+        elif front == "wall":  # 2X0-X1 below the wall, 1.5X0-0.5X1 above it
+            x[0] = x_min + 0.4 * (x[1] - x_min)
+        if end == "clipped":
+            x[-1] = x_max
+        elif end == "wall":
+            x[-1] = x_max - 0.4 * (x_max - x[-2])
+        rows.append(x)
+    return np.stack(rows), 10.0 * rng.normal(size=(n_species, grid.n_cells)), grid
+
+
+class TestFusedGradient:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(slab_states())
+    def test_matches_per_species_loop_bit_for_bit(self, state):
+        positions, sensitivity, grid = state
+        fused = _energy_position_gradient(positions, sensitivity, grid, grid.edges()[1:-1])
+        assert np.array_equal(fused, _gradient_per_species(positions, sensitivity, grid))
+
+    @pytest.mark.parametrize("front", END_KINDS)
+    @pytest.mark.parametrize("end", END_KINDS)
+    def test_each_end_branch(self, front, end):
+        grid = Grid1D(16, 0.0, 1.0)
+        x = np.array([0.3, 0.3, 0.4, 0.45, 0.6, 0.6])
+        x[0] = {"interior": 0.2, "wall": 0.4 * x[1], "clipped": 0.0}[front]
+        x[-1] = {"interior": 0.8, "wall": 1.0 - 0.4 * (1.0 - x[-2]), "clipped": 1.0}[end]
+        positions = np.stack([x, 0.5 * x + 0.25])
+        sens = np.random.default_rng(3).normal(size=(2, 16))
+        fused = _energy_position_gradient(positions, sens, grid, grid.edges()[1:-1])
+        assert np.array_equal(fused, _gradient_per_species(positions, sens, grid))
+
+
+class TestProxNewton:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 40),
+        st.one_of(st.just(0.0), st.floats(1e-6, 1e4)),
+        st.sampled_from(["below", "above", "floor"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_warm_start_solves_and_matches_cold_start(self, n, alpha, start, seed):
+        rng = np.random.default_rng(seed)
+        xi = np.exp(rng.uniform(-30.0, 5.0, n))
+        beta = rng.uniform(-20.0, 20.0, n)
+        c = np.log(xi) - beta
+        cold = _prox_newton(xi, alpha, beta, 1e-12, c)
+        root = np.log(cold)
+        y0 = {
+            "below": root - rng.uniform(0.0, 30.0, n),
+            "above": root + rng.uniform(0.0, 30.0, n),
+            "floor": np.full(n, np.log(1e-300)),
+        }[start]
+        warm = _prox_newton(xi, alpha, beta, 1e-12, y0)
+        y = np.log(warm)
+        assert np.all(np.abs(y + alpha * np.exp(y) - c) < 1e-12)
+        np.testing.assert_allclose(warm, cold, rtol=1e-12, atol=0.0)
+
+
+class TestEntropicConvergence:
+    def test_inner_cap_reported(self, pd_matrix, monkeypatch):
+        u0 = smooth_pair(32)
+        _, report = jko_step_entropic(u0, pd_matrix, 1e-3, 1e-3)
+        assert report.converged is True
+        monkeypatch.setattr(jko_module, "SINKHORN_INNER_CAP", 2)
+        _, report = jko_step_entropic(u0, pd_matrix, 1e-3, 1e-3)
+        assert report.converged is False
+        _, record = run_jko(
+            u0, pd_matrix, JKOSchedule.uniform(1e-3, 1), solver="entropic", strict=False
+        )
+        assert record.meta["inner_converged"] is False
+
+    def test_run_records_inner_iterations(self, pd_matrix, monkeypatch):
+        u0 = smooth_pair(32)
+        reports = []
+        step = jko_module.jko_step_entropic
+
+        def tapped(*args):
+            u_next, report = step(*args)
+            reports.append(report)
+            return u_next, report
+
+        monkeypatch.setattr(jko_module, "jko_step_entropic", tapped)
+        schedule = JKOSchedule.uniform(1e-3, 2)
+        _, record = run_jko(u0, pd_matrix, schedule, solver="entropic", strict=False)
+        assert record.meta["inner_iterations_max"] == max(r.inner_iterations for r in reports)
+        assert record.meta["inner_converged"] is True
+        _, record = run_jko(u0, pd_matrix, schedule, strict=False)
+        assert type(record.meta["inner_iterations_max"]) is int
+        assert record.meta["inner_iterations_max"] >= 1
+        assert record.meta["inner_converged"] is True
