@@ -250,47 +250,46 @@ def to_quantiles(density: Density, n_levels: int | None = None) -> QuantileMap:
     return QuantileMap(pos, grid.x_min, grid.x_max)
 
 
-def _deposit_cdf(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Cumulative mass of the slab deposition evaluated at grid edges.
+def _deposit_all(positions: np.ndarray, edges: np.ndarray, h: float) -> np.ndarray:
+    """Densities (N, n) of the slab deposition of quantile positions (N, L).
 
     Mass 1/L sits between consecutive positions, spread uniformly, so the
-    cumulative function interpolates (X_l, (l+1/2)/L) linearly.  Each end
+    cumulative mass interpolates (X_l, (l+1/2)/L) linearly.  Each end
     half-level extends over the leading gap: at an interior support edge two
     ghost knots trace the quadratic tail of a density vanishing linearly
     (keeping reconstructed fronts free of spurious cliffs), while an end
     whose tail would leave the domain extends at constant density instead,
-    which reproduces a wall-touching uniform profile exactly.  Total mass is
-    exact either way.  Fully degenerate maps deposit into one cell.
+    which reproduces a wall-touching uniform profile exactly (its outer ghost
+    knot stays, at level 0 or 1, so every row has L + 4 knots).  Total mass
+    is exact either way.  Fully degenerate maps deposit into one cell.  The
+    rows share the knot buffer and the level ramp, so the work per row is
+    four scalar ghost knots and one ``np.interp``, whose levels 0 before the
+    first knot and 1 from the last one on are the deposition's own.
     """
-    L = positions.size
-    mlev = (np.arange(L) + 0.5) / L
-    lo, hi = edges[0], edges[-1]
-    if L > 1:
-        q = 1.0 / L
-        gap0 = positions[1] - positions[0]
-        gap1 = positions[-1] - positions[-2]
-        if positions[0] - gap0 > lo:  # interior front: quadratic tail
-            left_x = [positions[0] - gap0, positions[0] - 0.5 * gap0]
-            left_m = [0.0, q / 8.0]
-        else:  # wall-adjacent: constant-density extension
-            left_x = [max(lo, positions[0] - 0.5 * gap0)]
-            left_m = [0.0]
-        if positions[-1] + gap1 < hi:
-            right_x = [positions[-1] + 0.5 * gap1, positions[-1] + gap1]
-            right_m = [1.0 - q / 8.0, 1.0]
-        else:
-            right_x = [min(hi, positions[-1] + 0.5 * gap1)]
-            right_m = [1.0]
-        knots_x = np.concatenate((left_x, positions, right_x))
-        knots_m = np.concatenate((left_m, mlev, right_m))
-        G = np.interp(edges, knots_x, knots_m)
-        G[edges < knots_x[0]] = 0.0
-        G[edges >= knots_x[-1]] = 1.0
+    n_species, n_levels = positions.shape
+    if n_levels == 1:
+        cdf = np.where(edges >= positions, 1.0, 0.0)
     else:
-        G = np.where(edges >= positions[0], 1.0, 0.0)
-    G[0] = 0.0
-    G[-1] = 1.0
-    return G
+        lo, hi = float(edges[0]), float(edges[-1])
+        q = 1.0 / n_levels
+        knots = np.empty((n_species, n_levels + 4))
+        knots[:, 2:-2] = positions
+        levels = np.empty(n_levels + 4)
+        levels[2:-2] = (np.arange(n_levels) + 0.5) / n_levels
+        levels[0], levels[-1] = 0.0, 1.0
+        cdf = np.empty((n_species, edges.size))
+        for i, (x0, x1, xm, xl) in enumerate(positions[:, [0, 1, -2, -1]].tolist()):
+            gap0, gap1 = x1 - x0, xl - xm
+            front, end = x0 - gap0 > lo, xl + gap1 < hi  # interior ends
+            f2, e2 = max(lo, x0 - 0.5 * gap0), min(hi, xl + 0.5 * gap1)
+            knots[i, :2] = (x0 - gap0, f2)
+            knots[i, -2:] = (e2, xl + gap1)
+            levels[1] = q / 8.0 if front else 0.0
+            levels[-2] = 1.0 - q / 8.0 if end else 1.0
+            cdf[i] = np.interp(edges, knots[i], levels)
+    cdf[:, 0] = 0.0
+    cdf[:, -1] = 1.0
+    return (cdf[:, 1:] - cdf[:, :-1]) / h
 
 
 def to_density(q: QuantileMap, grid: Grid1D) -> Density:
@@ -300,9 +299,7 @@ def to_density(q: QuantileMap, grid: Grid1D) -> Density:
     if pos[0] < grid.x_min - slack or pos[-1] > grid.x_max + slack:
         raise OutOfDomain("quantile positions lie outside the grid interval")
     pos = np.clip(pos, grid.x_min, grid.x_max)
-    G = _deposit_cdf(pos, grid.edges())
-    cell_mass = np.diff(G)
-    return Density(grid, cell_mass / grid.h)
+    return Density(grid, _deposit_all(pos[None, :], grid.edges(), grid.h)[0])
 
 
 def pushforward_1d(density: Density, displacement: np.ndarray) -> Density:

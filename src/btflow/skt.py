@@ -386,12 +386,15 @@ def _is_quadratic(variant: str) -> bool:
 
 
 def _nonlocal_coefficients(
-    m: np.ndarray, m_t: np.ndarray, u1: np.ndarray, u2: np.ndarray, power: int, h2: float
+    m: np.ndarray, m_t: np.ndarray, u1: np.ndarray, u2: np.ndarray, power: int, h1: float, h2: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients h2 M u2^power of species 1 and h2 M^T u1^power of species 2."""
+    """The coefficients h2 M u2^power of species 1 and h1 M^T u1^power of species 2.
+
+    Each sum runs over the other species' axis, so it takes that axis' spacing.
+    """
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch("the decoupled species need a square grid (n1 == n2)")
-    return h2 * (m @ (u2**power)), h2 * (m_t @ (u1**power))
+    return h2 * (m @ (u2**power)), h1 * (m_t @ (u1**power))
 
 
 def _decoupled_dt(
@@ -421,7 +424,9 @@ def _advance(v: np.ndarray, coef: np.ndarray, h: float, dt: float, quadratic: bo
 def decoupled_stable_dt(u: MarginalPair, mob: MobilityField, variant: str) -> float:
     quadratic = variant == "quadratic"
     u1, u2 = u.u1.values, u.u2.values
-    a1, a2 = _nonlocal_coefficients(mob.values, mob.values.T, u1, u2, 2 if quadratic else 1, mob.grid.h2)
+    a1, a2 = _nonlocal_coefficients(
+        mob.values, mob.values.T, u1, u2, 2 if quadratic else 1, mob.grid.h1, mob.grid.h2
+    )
     return _decoupled_dt(a1, a2, u1, u2, quadratic, min(mob.grid.h1, mob.grid.h2))
 
 
@@ -439,7 +444,7 @@ def step_decoupled_fd(
     quadratic = _is_quadratic(variant)
     g = mob.grid
     u1, u2 = u.u1.values, u.u2.values
-    a1, a2 = _nonlocal_coefficients(mob.values, mob.values.T, u1, u2, 2 if quadratic else 1, g.h2)
+    a1, a2 = _nonlocal_coefficients(mob.values, mob.values.T, u1, u2, 2 if quadratic else 1, g.h1, g.h2)
     dt_max = _decoupled_dt(a1, a2, u1, u2, quadratic, min(g.h1, g.h2))
     if dt > dt_max:
         raise CFLViolation(dt, dt_max)
@@ -485,7 +490,7 @@ def compare_correlated_vs_decoupled(
     for target in compare_times:
         while t < target:
             bound = stencil.stable_dt(v)
-            a1, a2 = _nonlocal_coefficients(m, m_t, d1, d2, power, grid.h2)
+            a1, a2 = _nonlocal_coefficients(m, m_t, d1, d2, power, grid.h1, grid.h2)
             dt = min(
                 config.cfl_safety * bound,
                 config.cfl_safety * _decoupled_dt(a1, a2, d1, d2, quadratic, h_min),

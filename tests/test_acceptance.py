@@ -193,10 +193,10 @@ def test_criterion_06_estimate_suite(barenblatt_run, pd_benchmark_run):
                 failures.append(f"{label}:{check.name}")
     ratios = []
     prev = None
-    for n, tol in ((32, 4e-13), (64, 2e-13), (128, 1e-13)):
+    for n in (32, 64, 128):
         u0 = smooth_pair(n)
         out, _ = jko_step_lagrangian(
-            u0, A_PD, 1e-3, JKOOptions(tol_obj_rel=tol, max_iterations=30000)
+            u0, A_PD, 1e-3, JKOOptions(tol_stationarity=1e-6, max_iterations=30000)
         )
         worst = optimality_residual(u0, out, A_PD, 1e-3).worst
         if prev is not None:

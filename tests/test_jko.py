@@ -11,14 +11,19 @@ from btflow.jko import (
     JKOOptions,
     JKOSchedule,
     _energy_position_gradient,
+    _lagrangian_minimize,
     _prox_newton,
+    _Quadrature,
+    _quadrature_grid,
+    _quantile_state,
+    _stationarity,
     jko_step_entropic,
     jko_step_lagrangian,
     optimality_residual,
     pool_adjacent_violators,
     run_jko,
 )
-from btflow.measures import DensityVector, Grid1D, normalize
+from btflow.measures import DensityVector, Grid1D, _deposit_all, normalize
 from btflow.transport1d import w2_exact, w2_product
 from conftest import smooth_pair
 
@@ -172,11 +177,12 @@ class TestOptimalityResidual:
 
     def test_minimizer_residual_refines(self, pd_matrix):
         prev = None
-        for n, tol in ((32, 4e-13), (64, 2e-13)):
+        for n in (32, 64):
             u0 = smooth_pair(n)
-            out, _ = jko_step_lagrangian(
-                u0, pd_matrix, 1e-3, JKOOptions(tol_obj_rel=tol, max_iterations=20000)
+            out, report = jko_step_lagrangian(
+                u0, pd_matrix, 1e-3, JKOOptions(tol_stationarity=1e-6, max_iterations=20000)
             )
+            assert report.converged
             worst = optimality_residual(u0, out, pd_matrix, 1e-3).worst
             if prev is not None:
                 assert prev / worst >= 1.5
@@ -206,7 +212,13 @@ class TestRunJKO:
         assert record.all_passed()
         assert len(traj) == 26
         names = {c.name for c in record.checks}
-        assert names == {"energy_monotone", "telescoped_w2", "hoelder_half", "entropy_dissipation"}
+        assert names == {
+            "energy_monotone",
+            "telescoped_w2",
+            "hoelder_half",
+            "entropy_dissipation",
+            "inner_solver_converged",
+        }
 
     def test_strict_mode_raises_on_violation(self, unit_matrix, monkeypatch):
         _, u0 = barenblatt_state(64)
@@ -417,3 +429,180 @@ class TestEntropicConvergence:
         assert type(record.meta["inner_iterations_max"]) is int
         assert record.meta["inner_iterations_max"] >= 1
         assert record.meta["inner_converged"] is True
+
+
+def _deposit_cdf(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Reference: the cumulative slab deposition of one species at the edges."""
+    L = positions.size
+    mlev = (np.arange(L) + 0.5) / L
+    lo, hi = edges[0], edges[-1]
+    if L > 1:
+        q = 1.0 / L
+        gap0 = positions[1] - positions[0]
+        gap1 = positions[-1] - positions[-2]
+        if positions[0] - gap0 > lo:  # interior front: quadratic tail
+            left_x = [positions[0] - gap0, positions[0] - 0.5 * gap0]
+            left_m = [0.0, q / 8.0]
+        else:  # wall-adjacent: constant-density extension
+            left_x = [max(lo, positions[0] - 0.5 * gap0)]
+            left_m = [0.0]
+        if positions[-1] + gap1 < hi:
+            right_x = [positions[-1] + 0.5 * gap1, positions[-1] + gap1]
+            right_m = [1.0 - q / 8.0, 1.0]
+        else:
+            right_x = [min(hi, positions[-1] + 0.5 * gap1)]
+            right_m = [1.0]
+        knots_x = np.concatenate((left_x, positions, right_x))
+        knots_m = np.concatenate((left_m, mlev, right_m))
+        G = np.interp(edges, knots_x, knots_m)
+        G[edges < knots_x[0]] = 0.0
+        G[edges >= knots_x[-1]] = 1.0
+    else:
+        G = np.where(edges >= positions[0], 1.0, 0.0)
+    G[0] = 0.0
+    G[-1] = 1.0
+    return G
+
+
+@st.composite
+def deposit_states(draw):
+    """Quantile positions of 1-3 species on 1-64 levels, each end interior,
+    wall-adjacent (ghost knot beyond the wall) or touching the wall."""
+    n_species = draw(st.integers(1, 3))
+    n_levels = draw(st.integers(1, 64))
+    x_min, x_max = draw(st.sampled_from([(0.0, 1.0), (-2.0, 2.0)]))
+    grid = Grid1D(draw(st.integers(2, 80)), x_min, x_max)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(n_species):
+        x = np.sort(rng.uniform(0.2, 0.8, n_levels))
+        if draw(st.booleans()):  # repeated positions
+            x = np.round(x * 8.0) / 8.0
+        x = x_min + grid.length * x
+        if n_levels > 1:
+            front, end = draw(st.sampled_from(END_KINDS)), draw(st.sampled_from(END_KINDS))
+            if front == "clipped":
+                x[0] = x_min
+            elif front == "wall":
+                x[0] = x_min + 0.4 * (x[1] - x_min)
+            if end == "clipped":
+                x[-1] = x_max
+            elif end == "wall":
+                x[-1] = x_max - 0.4 * (x_max - x[-2])
+        rows.append(x)
+    return np.stack(rows), grid
+
+
+class TestDepositAll:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(deposit_states())
+    def test_matches_per_species_deposition(self, state):
+        positions, grid = state
+        edges = grid.edges()
+        cdf = np.stack([_deposit_cdf(row, edges) for row in positions])
+        # with h = 1 the deposition returns the mass between consecutive edges
+        batched = _deposit_all(positions, edges, 1.0)
+        assert np.abs(batched - (cdf[:, 1:] - cdf[:, :-1])).max() <= 1e-15
+
+
+@st.composite
+def descent_problems(draw):
+    """A smooth positive pair on 16-64 cells, a step size and a coupling."""
+    n = draw(st.integers(16, 64))
+    grid = Grid1D(n, 0.0, 1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = grid.centers()
+    rows = []
+    for _ in range(2):
+        c = rng.uniform(-0.3, 0.3, 3)
+        rows.append(normalize(1.0 + c[0] * np.cos(np.pi * x) + c[1] * np.cos(2 * np.pi * x)
+                              + c[2] * np.sin(np.pi * x), grid))
+    off = rng.uniform(-0.9, 0.9)
+    a = CouplingMatrix(np.array([[1.0 + rng.uniform(0, 2), off], [off, 1.0 + rng.uniform(0, 2)]]))
+    tau = float(10.0 ** draw(st.floats(-4.0, -2.0)))
+    return DensityVector.from_species(rows), a, tau
+
+
+class TestDescent:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(descent_problems())
+    def test_feasible_monotone_and_honest(self, problem):
+        u0, a, tau = problem
+        grid = u0.grid
+        x_prev = _quantile_state(u0, grid.n_cells)
+        quad = _Quadrature(a, grid, _quadrature_grid(x_prev, grid), False)
+        opts = JKOOptions()
+        result = _lagrangian_minimize(x_prev, tau, quad, opts)
+        x = result.positions
+        assert np.all(np.diff(x, axis=1) >= 0.0)
+        assert x.min() >= grid.x_min and x.max() <= grid.x_max
+        # objective relative to its start, summed like the solver's
+        base = quad.densities(x_prev)
+        state = quad.densities(x)
+        prox = np.sum((x - x_prev) ** 2) / (2.0 * tau * grid.n_cells)
+        assert prox + quad.energy(state, base) <= 0.0
+        if result.converged:
+            g_prev = quad.gradient(x_prev, base)
+            grad = (x - x_prev) / (tau * grid.n_cells) + quad.gradient(x, state)
+            measure = _stationarity(x, grad, result.step, grid.x_min, grid.x_max)
+            scale = np.sqrt(np.sum(g_prev * g_prev, axis=-1).sum())  # summed as the solver does
+            assert measure <= opts.tol_stationarity * scale
+
+    def test_iterates_never_raise_the_objective(self, pd_matrix):
+        # the descent is deterministic, so capping it after k iterations
+        # returns its k-th iterate (without the monotone guard, two of the
+        # first 60 raise the objective on this problem)
+        u0 = smooth_pair(64)
+        x_prev = _quantile_state(u0, 64)
+        quad = _Quadrature(pd_matrix, u0.grid, _quadrature_grid(x_prev, u0.grid), False)
+        base = quad.densities(x_prev)
+        previous = 0.0
+        for k in range(1, 60):
+            x = _lagrangian_minimize(x_prev, 1e-3, quad, JKOOptions(max_iterations=k)).positions
+            value = np.sum((x - x_prev) ** 2) / (2e-3 * 64) + quad.energy(quad.densities(x), base)
+            assert value <= previous
+            previous = value
+
+    def test_iteration_cap_is_not_convergence(self, pd_matrix):
+        u0 = smooth_pair(32)
+        _, report = jko_step_lagrangian(u0, pd_matrix, 1e-3, JKOOptions(max_iterations=1))
+        assert report.converged is False
+        _, record = run_jko(
+            u0, pd_matrix, JKOSchedule.uniform(1e-3, 2), opts=JKOOptions(max_iterations=1),
+            strict=False,
+        )
+        assert record.meta["inner_converged"] is False
+        check = next(c for c in record.checks if c.name == "inner_solver_converged")
+        assert not check.passed and check.margin == -2.0
+
+    def test_stalled_line_search_is_not_convergence(self, pd_matrix, monkeypatch):
+        # every candidate costs more than the model allows, so no step length
+        # passes the upper bound: the descent must report failure, not success
+        energy = _Quadrature.energy
+
+        def no_descent(self, state, base=None):
+            value = energy(self, state, base)
+            return value if base is None or state is base else value + 1.0
+
+        monkeypatch.setattr(_Quadrature, "energy", no_descent)
+        u0 = smooth_pair(32)
+        out, report = jko_step_lagrangian(u0, pd_matrix, 1e-3)
+        assert report.converged is False
+        assert report.inner_iterations == 1
+        _, record = run_jko(u0, pd_matrix, JKOSchedule.uniform(1e-3, 1), strict=False)
+        assert record.meta["inner_converged"] is False
+        with pytest.raises(EstimateFailed, match="inner_solver_converged"):
+            run_jko(u0, pd_matrix, JKOSchedule.uniform(1e-3, 1))
+
+
+class TestInnerConvergedCheck:
+    def test_entropic_cap_fails_the_run(self, pd_matrix, monkeypatch):
+        u0 = smooth_pair(32)
+        schedule = JKOSchedule.uniform(1e-3, 1)
+        _, record = run_jko(u0, pd_matrix, schedule, solver="entropic", strict=False)
+        assert {c.name: c.passed for c in record.checks}["inner_solver_converged"]
+        monkeypatch.setattr(jko_module, "SINKHORN_INNER_CAP", 2)
+        _, record = run_jko(u0, pd_matrix, schedule, solver="entropic", strict=False)
+        assert not {c.name: c.passed for c in record.checks}["inner_solver_converged"]
+        with pytest.raises(EstimateFailed, match="inner_solver_converged"):
+            run_jko(u0, pd_matrix, schedule, solver="entropic", strict=True)

@@ -362,6 +362,25 @@ class TestDecoupled:
         np.testing.assert_array_equal(out.u1.values, out_swapped.u2.values)
         np.testing.assert_array_equal(out.u2.values, out_swapped.u1.values)
 
+    def test_axis_swap_symmetry_on_unequal_extents(self):
+        # species 2's coefficient sums over x1, so it takes h1: transposing a
+        # grid whose axes share a cell count but not an extent, and swapping
+        # the species, must swap the step's outputs exactly
+        g = Grid2D(24, 24, -2.0, 2.0, -3.0, 3.0)
+        g_t = Grid2D(24, 24, -3.0, 3.0, -2.0, 2.0)
+        u1 = normalize(np.exp(-0.5 * (g.axis1().centers() + 0.5) ** 2 / 0.3), g.axis1())
+        u2 = normalize(np.exp(-0.5 * (g.axis2().centers() - 0.5) ** 2 / 0.5), g.axis2())
+        mob, mob_t = build_mobility(g, 0.4, 0.2), build_mobility(g_t, 0.4, 0.2)
+        np.testing.assert_array_equal(mob_t.values, mob.values.T)
+        pair, swapped = MarginalPair(u1, u2), MarginalPair(u2, u1)
+        for variant in ("quadratic", "entropy"):
+            dt = decoupled_stable_dt(pair, mob, variant)
+            assert decoupled_stable_dt(swapped, mob_t, variant) == dt
+            out = step_decoupled_fd(pair, mob, 0.5 * dt, variant)
+            out_t = step_decoupled_fd(swapped, mob_t, 0.5 * dt, variant)
+            np.testing.assert_array_equal(out.u1.values, out_t.u2.values)
+            np.testing.assert_array_equal(out.u2.values, out_t.u1.values)
+
     def test_entropy_variant_heat_equation(self):
         # with M = 1 the entropy variant is the unit heat equation for each
         # species: compare against the exact kernel on a large domain
