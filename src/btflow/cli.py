@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -208,7 +208,9 @@ def _run_fourth_order(cfg: dict, out: Path) -> RunRecord:
     grid = _grid_from(cfg)
     a = _coupling_from(cfg)
     u0 = _initial_from(cfg, grid, a.n_species)
-    n_steps = int(cfg.get("steps", 100))
+    n_steps = _require(cfg, "steps", int, 100)
+    if n_steps < 1:
+        raise ConfigInvalid("steps", f"expected at least 1 step, got {n_steps}")
     u_final, energies = fdref.run_bt4_fd(u0, a, n_steps)
     record = RunRecord(times=np.arange(n_steps + 1, dtype=float), energy=energies)
     check_energy_monotone(record)
@@ -221,25 +223,10 @@ def _run_fourth_order(cfg: dict, out: Path) -> RunRecord:
 
 
 def _skt_config(cfg: dict) -> skt.SKTConfig:
-    kwargs = {}
-    for key in (
-        "n1",
-        "n2",
-        "x_min",
-        "x_max",
-        "variance",
-        "sigma",
-        "c_floor",
-        "t_final",
-        "dt_cap",
-        "cfl_safety",
-    ):
-        if key in cfg:
-            kwargs[key] = cfg[key]
+    kwargs = {f.name: cfg[f.name] for f in dataclasses.fields(skt.SKTConfig) if f.name in cfg}
     if "center" in cfg:
         kwargs["center"] = tuple(cfg["center"])
-    if "snapshots" in cfg:
-        kwargs["snapshot_times"] = tuple(cfg["snapshots"])
+    kwargs["snapshot_times"] = tuple(cfg["snapshots"]) if "snapshots" in cfg else None
     try:
         return skt.SKTConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -370,19 +357,12 @@ def main(argv=None) -> int:
     runp.add_argument("configs", nargs="+", help="JSON config files")
     runp.add_argument("--override", action="append", default=[], help="key=value (dotted keys)")
     runp.add_argument("--out", default=None, help="output directory")
-    runp.add_argument("--jobs", type=int, default=1, help="parallel workers for several configs")
     sub.add_parser("list", help="list scenarios")
     args = parser.parse_args(argv)
 
     if args.command == "list":
         print(list_scenarios())
         return 0
-    if args.jobs > 1 and len(args.configs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(
-                pool.map(run, args.configs, [args.override] * len(args.configs), [args.out] * len(args.configs))
-            )
-        return max(codes)
     codes = [run(path, args.override, args.out) for path in args.configs]
     return max(codes)
 

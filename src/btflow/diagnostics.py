@@ -16,6 +16,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, EstimateFailed, UnknownField
 
+MONOTONE_TOL_REL = 1e-8  # energy and TV series may rise by this times their start
+HOELDER_MAX_PAIRS = 50  # recorded state pairs the Hoelder check recomputes
+METRIC_SPEED_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -97,10 +101,10 @@ def _series_monotone(name: str, series: np.ndarray, tol: float) -> CheckResult:
     return CheckResult(name, worst <= tol, tol - worst, tol)
 
 
-def check_energy_monotone(record: RunRecord, tol_rel: float = 1e-8) -> CheckResult:
-    """E(k+1) <= E(k) + tol with tol = tol_rel * |E(0)|."""
+def check_energy_monotone(record: RunRecord) -> CheckResult:
+    """E(k+1) <= E(k) + tol with tol = MONOTONE_TOL_REL * |E(0)|."""
     e = np.asarray(record.energy, dtype=float)
-    tol = tol_rel * abs(float(e[0]))
+    tol = MONOTONE_TOL_REL * abs(float(e[0]))
     return record.add_check(_series_monotone("energy_monotone", e, tol))
 
 
@@ -116,21 +120,15 @@ def check_telescoped_w2(record: RunRecord, e0: float | None = None) -> CheckResu
     return record.add_check(CheckResult("telescoped_w2", lhs <= e0 + tol, margin, tol))
 
 
-def check_hoelder(
-    record: RunRecord,
-    e0: float | None = None,
-    pairwise_w2=None,
-    max_pairs: int = 50,
-) -> CheckResult:
+def check_hoelder(record: RunRecord, pairwise_w2=None) -> CheckResult:
     """W2(u(s), u(t)) <= sqrt(2 E(u^0)) sqrt(t - s) + tol on sampled pairs.
 
     ``pairwise_w2(i, j)`` must return the true distance between recorded
     states i < j; a triangle-inequality proxy would be an upper bound on the
     left-hand side and could mask violations, so the true distance is
-    recomputed on a deterministic subsample of index pairs.
+    recomputed on a deterministic subsample of HOELDER_MAX_PAIRS index pairs.
     """
-    if e0 is None:
-        e0 = float(record.energy[0])
+    e0 = float(record.energy[0])
     if pairwise_w2 is None:
         raise ValueError("check_hoelder needs a pairwise_w2 callback")
     h = float(record.meta.get("h", 0.0))
@@ -139,10 +137,10 @@ def check_hoelder(
     tol = 1e-6 + 2.0 * (h + inv_l)
 
     m = record.times.size
-    n_anchor = max(2, int(np.sqrt(2 * max_pairs)) + 1)
+    n_anchor = max(2, int(np.sqrt(2 * HOELDER_MAX_PAIRS)) + 1)
     anchors = np.unique(np.linspace(0, m - 1, n_anchor).astype(int))
     pairs = [(i, j) for ai, i in enumerate(anchors) for j in anchors[ai + 1 :]]
-    pairs = pairs[:max_pairs]
+    pairs = pairs[:HOELDER_MAX_PAIRS]
 
     bound_coeff = np.sqrt(2.0 * max(e0, 0.0))
     worst = -np.inf
@@ -165,10 +163,10 @@ def entropy_dissipation_tolerance(record: RunRecord, lambda_min: float, upto: in
     return 1e-6 * h0 + 5.0 * (h + inv_l) * (1.0 + lambda_min * gsum)
 
 
-def check_entropy_dissipation(record: RunRecord, lambda_min: float | None = None) -> CheckResult:
-    """H(u^0) >= H(u^k) + lambda_min sum_{l<=k} tau_{l-1} |grad u^l|^2 - tol for all k."""
-    if lambda_min is None:
-        lambda_min = float(record.meta["lambda_min"])
+def check_entropy_dissipation(record: RunRecord) -> CheckResult:
+    """H(u^0) >= H(u^k) + lambda_min sum_{l<=k} tau_{l-1} |grad u^l|^2 - tol for all k,
+    with lambda_min from ``meta``."""
+    lambda_min = float(record.meta["lambda_min"])
     ent = np.asarray(record.entropy, dtype=float)
     grads = np.asarray(record.grad_norm_sq, dtype=float)
     taus = record.taus
@@ -188,27 +186,24 @@ def check_entropy_dissipation(record: RunRecord, lambda_min: float | None = None
     )
 
 
-def check_tv_monotone(record: RunRecord, field_name: str, tol_rel: float = 1e-8) -> CheckResult:
-    """The named TV series is nonincreasing within tol_rel * TV(0)."""
+def check_tv_monotone(record: RunRecord, field_name: str) -> CheckResult:
+    """The named TV series is nonincreasing within MONOTONE_TOL_REL * TV(0)."""
     if field_name not in record.tv:
         raise UnknownField(field_name)
     series = np.asarray(record.tv[field_name], dtype=float)
-    tol = tol_rel * abs(float(series[0])) if series.size else 0.0
+    tol = MONOTONE_TOL_REL * abs(float(series[0])) if series.size else 0.0
     result = _series_monotone(f"tv_monotone[{field_name}]", series, tol)
     return record.add_check(result)
 
 
 def check_metric_speed(
-    record: RunRecord,
-    pressure_increments: np.ndarray,
-    n_species: int,
-    tol: float = 1e-8,
+    record: RunRecord, pressure_increments: np.ndarray, n_species: int
 ) -> CheckResult:
-    """W2(u^k, u^{k+1}) <= sqrt(N) W2(p_k, p_{k+1}) + tol at every step."""
+    """W2(u^k, u^{k+1}) <= sqrt(N) W2(p_k, p_{k+1}) + METRIC_SPEED_TOL at every step."""
     w2u = np.asarray(record.w2_increments, dtype=float)
     w2p = np.asarray(pressure_increments, dtype=float)
     if w2u.shape != w2p.shape:
         raise DimensionMismatch(f"series lengths differ: {w2u.shape} vs {w2p.shape}")
-    excess = w2u - np.sqrt(n_species) * w2p - tol
+    excess = w2u - np.sqrt(n_species) * w2p - METRIC_SPEED_TOL
     worst = float(excess.max()) if excess.size else -np.inf
-    return record.add_check(CheckResult("metric_speed", worst <= 0.0, -worst, tol))
+    return record.add_check(CheckResult("metric_speed", worst <= 0.0, -worst, METRIC_SPEED_TOL))

@@ -17,6 +17,9 @@ from .energies import CouplingMatrix, pressure
 from .errors import CFLViolation, DimensionMismatch, NonpositiveTime
 from .measures import Density, DensityVector, Grid1D
 
+SAFETY = 0.9  # the references step at this fraction of their stability bound
+MAX_STEPS = 10_000_000
+
 
 def l1_error(a: Density, b: Density) -> float:
     if a.grid != b.grid:
@@ -165,23 +168,17 @@ def step_bt4_fd(u: DensityVector, a: CouplingMatrix, dt: float) -> DensityVector
     return DensityVector(u.grid, new_vals)
 
 
-def run_bt_fd(
-    u0: DensityVector,
-    a: CouplingMatrix,
-    t_final: float,
-    safety: float = 0.9,
-    max_steps: int = 10_000_000,
-) -> DensityVector:
+def run_bt_fd(u0: DensityVector, a: CouplingMatrix, t_final: float) -> DensityVector:
     """Advance the second-order reference to t_final with automatic dt."""
     vals = u0.values.copy()
     grid = u0.grid
     t = 0.0
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if t >= t_final:
             break
         p = a.entries @ vals
         pmax = float(np.max(np.abs(p)))
-        dt = min(safety * 0.5 * grid.h**2 / max(pmax, 1e-30), t_final - t)
+        dt = min(SAFETY * 0.5 * grid.h**2 / max(pmax, 1e-30), t_final - t)
         vals = vals + dt * _bt_flux_divergence(vals, p, grid.h)
         t += dt
     else:
@@ -189,20 +186,17 @@ def run_bt_fd(
     return DensityVector(grid, vals)
 
 
-def run_bt4_fd(
-    u0: DensityVector,
-    a: CouplingMatrix,
-    n_steps: int,
-    safety: float = 0.9,
-) -> tuple[DensityVector, np.ndarray]:
-    """Advance the fourth-order reference n_steps; returns (state, energy series)."""
+def run_bt4_fd(u0: DensityVector, a: CouplingMatrix, n_steps: int) -> tuple[DensityVector, np.ndarray]:
+    """Advance the fourth-order reference n_steps >= 1; returns (state, energy series)."""
     from .energies import energy_dirichlet, energy_quadratic
 
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")
     u = u0
     energies = np.empty(n_steps + 1)
     energies[0] = energy_quadratic(u, a) + energy_dirichlet(u)
     for k in range(n_steps):
-        dt = safety * min(bt4_stable_dt(u), bt_stable_dt(u, a))
+        dt = SAFETY * min(bt4_stable_dt(u), bt_stable_dt(u, a))
         u = step_bt4_fd(u, a, dt)
         energies[k + 1] = energy_quadratic(u, a) + energy_dirichlet(u)
     return u, energies

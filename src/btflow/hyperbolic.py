@@ -81,8 +81,7 @@ def _recover(p: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
     r_last = np.clip(1.0 - r.sum(axis=0), 0.0, 1.0)
     vals = np.vstack([r * total, (r_last * total)[None, :]])
     vals = np.where(total[None, :] > SUPPORT_EPS, vals, 0.0)
-    _checked_unit_mass(vals, h, SPLIT_MASS_TOL, "species")
-    return vals
+    return _checked_unit_mass(vals, h, SPLIT_MASS_TOL, "species")
 
 
 def recover_species(pf: PressureFraction) -> DensityVector:
@@ -194,9 +193,7 @@ def _transport(u: np.ndarray, p: np.ndarray, p_next: np.ndarray, h: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(p_mass[src] > 0.0, u[:, src] / p[src], 0.0)
     u_next = np.stack([np.bincount(dst, w, minlength=p.size) for w in seg * ratios / h])
-    # species keep their unclamped values, as a DensityVector does
-    _checked_unit_mass(u_next, h, TRANSPORT_MASS_TOL, "species")
-    return u_next, plan
+    return _checked_unit_mass(u_next, h, TRANSPORT_MASS_TOL, "species"), plan
 
 
 def pressure_transport_step(

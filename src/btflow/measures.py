@@ -132,8 +132,7 @@ class DensityVector:
             raise DimensionMismatch(
                 f"expected (N, {self.grid.n_cells}) array, got shape {vals.shape}"
             )
-        object.__setattr__(self, "values", vals)  # rows stay unclamped
-        _checked_unit_mass(vals, self.grid.h, self.mass_tol)
+        object.__setattr__(self, "values", _checked_unit_mass(vals, self.grid.h, self.mass_tol))
 
     @property
     def n_species(self) -> int:
@@ -236,18 +235,28 @@ def to_quantiles(density: Density, n_levels: int | None = None) -> QuantileMap:
     if L < 1:
         raise ValueError("n_levels must be positive")
     cum = _cdf_at_edges(density)
-    total = cum[-1]
-    m = (np.arange(L) + 0.5) / L * total
-    idx = np.searchsorted(cum, m, side="left")
+    m = (np.arange(L) + 0.5) / L * cum[-1]
+    return QuantileMap(_inverse_cdf(density, cum, m, "left"), grid.x_min, grid.x_max)
+
+
+def _inverse_cdf(density: Density, cum: np.ndarray, m: np.ndarray, side: str) -> np.ndarray:
+    """Positions where the piecewise-linear CDF ``cum`` (from _cdf_at_edges)
+    reaches the mass levels m <= cum[-1], clipped to the grid and made
+    nondecreasing.
+
+    ``side`` is np.searchsorted's: "left" resolves a plateau of the CDF to
+    its left end, "right" to its right end (the left- and right-continuous
+    inverses).
+    """
+    grid = density.grid
+    idx = np.searchsorted(cum, m, side=side)
     idx = np.clip(idx, 1, grid.n_cells) - 1  # cell index carrying level m
     u = density.values[idx]
     left = grid.x_min + idx * grid.h
     # u > 0 wherever cum strictly increases past m; guard exact plateau hits
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = np.where(u > 0.0, (m - cum[idx]) / u, 0.0)
-    pos = np.clip(left + frac, grid.x_min, grid.x_max)
-    pos = np.maximum.accumulate(pos)
-    return QuantileMap(pos, grid.x_min, grid.x_max)
+    return np.maximum.accumulate(np.clip(left + frac, grid.x_min, grid.x_max))
 
 
 def _deposit_all(positions: np.ndarray, edges: np.ndarray, h: float) -> np.ndarray:

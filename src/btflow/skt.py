@@ -422,7 +422,7 @@ def _advance(v: np.ndarray, coef: np.ndarray, h: float, dt: float, quadratic: bo
 
 
 def decoupled_stable_dt(u: MarginalPair, mob: MobilityField, variant: str) -> float:
-    quadratic = variant == "quadratic"
+    quadratic = _is_quadratic(variant)
     u1, u2 = u.u1.values, u.u2.values
     a1, a2 = _nonlocal_coefficients(
         mob.values, mob.values.T, u1, u2, 2 if quadratic else 1, mob.grid.h1, mob.grid.h2

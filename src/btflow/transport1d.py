@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSupport, DimensionMismatch
-from .measures import Density, DensityVector, Grid1D, to_quantiles
+from .measures import Density, DensityVector, Grid1D, _cdf_at_edges, _inverse_cdf, to_quantiles
 
 
 @dataclass(frozen=True)
@@ -102,39 +102,18 @@ def w2_exact(u: Density, v: Density, n_levels: int | None = None) -> float:
 
 
 def _w2_product(u: np.ndarray, v: np.ndarray, h: float, x: np.ndarray) -> float:
-    """Exact w2_product of (N, n_cells) arrays; cells below zero count as empty."""
-    a = np.maximum(u, 0.0) * h
-    b = np.maximum(v, 0.0) * h
+    """w2_product of the (N, n_cells) value arrays of two DensityVectors."""
+    a, b = u * h, v * h
     return float(np.sqrt(sum(_plan_w2(_plan(a[i], b[i]), x) ** 2 for i in range(len(a)))))
 
 
-def w2_product(u: DensityVector, v: DensityVector, n_levels: int | None = None) -> float:
+def w2_product(u: DensityVector, v: DensityVector) -> float:
     """Product metric: sqrt of the sum of per-species squared W2 distances."""
     if u.n_species != v.n_species:
         raise DimensionMismatch("species counts differ")
     if u.grid != v.grid:
         raise DimensionMismatch("grids differ")
-    if n_levels is None:
-        return _w2_product(u.values, v.values, u.grid.h, u.grid.centers())
-    total = 0.0
-    for i in range(u.n_species):
-        total += w2_exact(u.species(i), v.species(i), n_levels) ** 2
-    return float(np.sqrt(total))
-
-
-def _quantile_right(v: Density, m: np.ndarray) -> np.ndarray:
-    """Right-continuous inverse CDF of v at mass levels m."""
-    grid = v.grid
-    cum = np.concatenate(([0.0], np.cumsum(v.values) * grid.h))
-    total = cum[-1]
-    m = np.minimum(m, total)
-    idx = np.searchsorted(cum, m, side="right")
-    idx = np.clip(idx, 1, grid.n_cells) - 1
-    u = v.values[idx]
-    left = grid.x_min + idx * grid.h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        off = np.where(u > 0.0, (m - cum[idx]) / u, 0.0)
-    return np.clip(left + off, grid.x_min, grid.x_max)
+    return _w2_product(u.values, v.values, u.grid.h, u.grid.centers())
 
 
 def optimal_map_1d(u: Density, v: Density) -> np.ndarray:
@@ -148,11 +127,9 @@ def optimal_map_1d(u: Density, v: Density) -> np.ndarray:
         raise DimensionMismatch("densities live on different grids")
     if not np.any(u.values > 0.0):
         raise DegenerateSupport("source density carries no mass")
-    grid = u.grid
-    cum_u = np.cumsum(u.values) * grid.h
-    m_centers = cum_u - 0.5 * u.values * grid.h  # CDF of u at cell centers
-    T = _quantile_right(v, m_centers)
-    return np.maximum.accumulate(T)
+    m_centers = _cdf_at_edges(u)[1:] - 0.5 * u.values * u.grid.h  # CDF of u at cell centers
+    cum_v = _cdf_at_edges(v)
+    return _inverse_cdf(v, cum_v, np.minimum(m_centers, cum_v[-1]), "right")
 
 
 def kantorovich_potential_1d(u: Density, v: Density) -> PotentialField:

@@ -179,6 +179,20 @@ class TestRun:
         )
         assert run(str(cfg_path)) == 0
 
+    def test_fourth_order_needs_a_step(self, tmp_path, capsys):
+        # zero steps used to run no step and pass with an infinite margin
+        base = {
+            "scenario": "fourth_order",
+            "grid": {"n_cells": 16, "x_min": 0.0, "x_max": 1.0},
+            "coupling": [[1.0]],
+            "initial": {"preset": "cosine"},
+        }
+        for steps in (0, -3, 2.5, "ten"):
+            cfg = write_config(tmp_path, **(base | {"steps": steps}))
+            assert run(str(cfg)) == 1
+            assert "config key 'steps'" in capsys.readouterr().err
+            assert not (tmp_path / "out" / "report.json").exists()
+
     def test_main_run_multiple(self, tmp_path):
         cfg = write_config(tmp_path)
         code = main(["run", str(cfg), str(cfg), "--out", str(tmp_path / "multi")])

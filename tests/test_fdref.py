@@ -194,6 +194,12 @@ class TestStepBt4Fd:
         uf, _ = run_bt4_fd(u0, pd_matrix, 50)
         np.testing.assert_allclose(g.h * uf.values.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_run_needs_a_step(self, unit_matrix):
+        u0 = DensityVector(Grid1D(16, 0.0, 1.0), np.ones((1, 16)))
+        for n_steps in (0, -1):
+            with pytest.raises(ValueError, match="n_steps"):
+                run_bt4_fd(u0, unit_matrix, n_steps)
+
     def test_cfl_violation(self, unit_matrix):
         g = Grid1D(32, 0.0, 1.0)
         u = DensityVector(g, np.ones((1, 32)))

@@ -246,6 +246,37 @@ class TestRunJKO:
         with pytest.raises(ValueError):
             run_jko(u0, pd_matrix, JKOSchedule.uniform(1e-3, 1), solver="magic")
 
+    def test_one_lagrangian_step_is_the_public_step(self, pd_matrix):
+        u0 = smooth_pair(32)
+        u1, report = jko_step_lagrangian(u0, pd_matrix, 1e-3)
+        traj, record = run_jko(u0, pd_matrix, JKOSchedule.uniform(1e-3, 1), strict=False)
+        assert np.array_equal(traj[1].values, u1.values)
+        assert record.w2_increments[0] == report.w2_increment
+        assert record.meta["inner_iterations_max"] == report.inner_iterations
+        assert record.energy.tolist() == [report.energy_before, report.energy_after]
+
+    def test_entropic_residuals_come_from_the_step_reports(self, pd_matrix, monkeypatch):
+        step, residual = jko_module.jko_step_entropic, jko_module.optimality_residual
+        reports, calls = [], []
+
+        def tapped_step(*args):
+            u_next, report = step(*args)
+            reports.append(report)
+            return u_next, report
+
+        def counted_residual(*args):
+            calls.append(1)
+            return residual(*args)
+
+        monkeypatch.setattr(jko_module, "jko_step_entropic", tapped_step)
+        monkeypatch.setattr(jko_module, "optimality_residual", counted_residual)
+        u0 = smooth_pair(32)
+        _, record = run_jko(
+            u0, pd_matrix, JKOSchedule.uniform(1e-3, 3), solver="entropic", strict=False
+        )
+        assert np.array_equal(record.residuals, [r.optimality_residual for r in reports])
+        assert len(calls) == 3  # once per step
+
     def test_mass_and_positivity_along_run(self, pd_matrix):
         u0 = smooth_pair(64)
         traj, _ = run_jko(u0, pd_matrix, JKOSchedule.uniform(1e-3, 10), strict=False)

@@ -429,6 +429,8 @@ class TestDecoupled:
         u = normalize(np.ones(16), gx)
         with pytest.raises(ValueError):
             step_decoupled_fd(MarginalPair(u, u), constant_mobility(g), 1e-6, "cubic")
+        with pytest.raises(ValueError):
+            decoupled_stable_dt(MarginalPair(u, u), constant_mobility(g), "bogus")
 
 
 class TestComparison:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from btflow.errors import DegenerateSupport, DimensionMismatch
-from btflow.measures import Density, DensityVector, Grid1D, normalize
+from btflow.measures import Density, DensityVector, Grid1D, normalize, to_quantiles
 from btflow.transport1d import (
     kantorovich_potential_1d,
     monotone_plan,
@@ -300,3 +300,36 @@ class TestMonotonePlanProperties:
         x = u.grid.centers()
         cost = float(np.sum(seg * (x[src] - x[dst]) ** 2))
         assert cost == pytest.approx(lp_w2_squared(u, v), abs=1e-8)
+
+
+def _inverse_cdf_reference(v, m, side):
+    """Reference: one species' inverse CDF at the levels m, written out whole."""
+    grid = v.grid
+    cum = np.concatenate(([0.0], np.cumsum(v.values) * grid.h))
+    if side == "right":
+        m = np.minimum(m, cum[-1])
+    idx = np.searchsorted(cum, m, side=side)
+    idx = np.clip(idx, 1, grid.n_cells) - 1
+    u = v.values[idx]
+    left = grid.x_min + idx * grid.h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = np.where(u > 0.0, (m - cum[idx]) / u, 0.0)
+    return np.maximum.accumulate(np.clip(left + off, grid.x_min, grid.x_max))
+
+
+class TestInverseCDFOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(histogram_pairs(), st.integers(1, 96), st.booleans())
+    def test_quantiles_and_map_match_the_reference(self, pair, n_levels, shifted):
+        u, v = pair
+        if shifted:
+            g = Grid1D(u.grid.n_cells, -1.5, 2.0)
+            u, v = normalize(u.values, g), normalize(v.values, g)
+        h = u.grid.h
+        for w in (u, v):
+            m = (np.arange(n_levels) + 0.5) / n_levels * (np.cumsum(w.values) * h)[-1]
+            expected = _inverse_cdf_reference(w, m, "left")
+            assert np.array_equal(to_quantiles(w, n_levels).positions, expected)
+        for a, b in ((u, v), (v, u)):
+            m = np.cumsum(a.values) * h - 0.5 * a.values * h
+            assert np.array_equal(optimal_map_1d(a, b), _inverse_cdf_reference(b, m, "right"))
