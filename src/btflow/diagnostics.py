@@ -3,8 +3,8 @@
 Every solver run assembles a RunRecord; each check below turns one estimate
 (energy monotonicity, the telescoped step-size bound, Hoelder-1/2 continuity,
 entropy dissipation, total-variation decay, the metric-speed bound) into a
-CheckResult with an explicit margin, so tolerance regressions show up in CI
-long before an outright failure.
+CheckResult through RunRecord.check, with an explicit margin, so tolerance
+regressions show up in CI long before an outright failure.
 """
 
 from __future__ import annotations
@@ -65,6 +65,15 @@ class RunRecord:
         self.checks.append(result)
         return result
 
+    def check(self, name: str, value: float, limit: float = 0.0, tolerance: float = 0.0) -> CheckResult:
+        """Record ``value <= limit + tolerance``, whose margin is ``limit + tolerance - value``.
+
+        The check passes exactly when its margin is >= 0: a NaN value fails,
+        and -inf (the largest entry of an empty series) passes with margin inf.
+        """
+        margin = float(limit) + float(tolerance) - float(value)
+        return self.add_check(CheckResult(name, margin >= 0.0, margin, float(tolerance)))
+
     def all_passed(self) -> bool:
         """True when at least one check ran and every check passed."""
         return bool(self.checks) and all(c.passed for c in self.checks)
@@ -92,20 +101,11 @@ def _jsonable(v) -> bool:
     return isinstance(v, (str, int, float, bool, type(None)))
 
 
-def _series_monotone(name: str, series: np.ndarray, tol: float) -> CheckResult:
-    series = np.asarray(series, dtype=float)
-    if series.size < 2:
-        return CheckResult(name, True, float("inf"), tol)
-    rises = np.diff(series)
-    worst = float(rises.max())
-    return CheckResult(name, worst <= tol, tol - worst, tol)
-
-
 def check_energy_monotone(record: RunRecord) -> CheckResult:
     """E(k+1) <= E(k) + tol with tol = MONOTONE_TOL_REL * |E(0)|."""
     e = np.asarray(record.energy, dtype=float)
-    tol = MONOTONE_TOL_REL * abs(float(e[0]))
-    return record.add_check(_series_monotone("energy_monotone", e, tol))
+    rise = float(np.diff(e).max()) if e.size > 1 else -np.inf
+    return record.check("energy_monotone", rise, tolerance=MONOTONE_TOL_REL * abs(float(e[0])))
 
 
 def check_telescoped_w2(record: RunRecord, e0: float | None = None) -> CheckResult:
@@ -113,11 +113,14 @@ def check_telescoped_w2(record: RunRecord, e0: float | None = None) -> CheckResu
     if e0 is None:
         e0 = float(record.energy[0])
     w2 = np.asarray(record.w2_increments, dtype=float)
-    taus = record.taus
-    lhs = float(np.sum(w2**2 / (2.0 * taus)))
-    tol = 1e-8 * max(1.0, abs(e0))
-    margin = e0 + tol - lhs
-    return record.add_check(CheckResult("telescoped_w2", lhs <= e0 + tol, margin, tol))
+    lhs = float(np.sum(w2**2 / (2.0 * record.taus)))
+    return record.check("telescoped_w2", lhs, e0, 1e-8 * max(1.0, abs(e0)))
+
+
+def _quantile_error(record: RunRecord) -> float:
+    """h + 1/L, the quantile representation error; no 1/L term when L is None."""
+    levels = record.meta.get("L")
+    return float(record.meta.get("h", 0.0)) + (1.0 / float(levels) if levels else 0.0)
 
 
 def check_hoelder(record: RunRecord, pairwise_w2=None) -> CheckResult:
@@ -131,10 +134,7 @@ def check_hoelder(record: RunRecord, pairwise_w2=None) -> CheckResult:
     e0 = float(record.energy[0])
     if pairwise_w2 is None:
         raise ValueError("check_hoelder needs a pairwise_w2 callback")
-    h = float(record.meta.get("h", 0.0))
-    levels = record.meta.get("L")
-    inv_l = 1.0 / float(levels) if levels else 0.0
-    tol = 1e-6 + 2.0 * (h + inv_l)
+    tol = 1e-6 + 2.0 * _quantile_error(record)
 
     m = record.times.size
     n_anchor = max(2, int(np.sqrt(2 * HOELDER_MAX_PAIRS)) + 1)
@@ -142,48 +142,25 @@ def check_hoelder(record: RunRecord, pairwise_w2=None) -> CheckResult:
     pairs = [(i, j) for ai, i in enumerate(anchors) for j in anchors[ai + 1 :]]
     pairs = pairs[:HOELDER_MAX_PAIRS]
 
-    bound_coeff = np.sqrt(2.0 * max(e0, 0.0))
-    worst = -np.inf
-    for i, j in pairs:
-        lhs = float(pairwise_w2(int(i), int(j)))
-        rhs = bound_coeff * np.sqrt(record.times[j] - record.times[i]) + tol
-        worst = max(worst, lhs - rhs)
-    passed = worst <= 0.0
-    return record.add_check(CheckResult("hoelder_half", passed, -worst, tol))
-
-
-def entropy_dissipation_tolerance(record: RunRecord, lambda_min: float, upto: int) -> float:
-    """1e-6 |H0| plus first-order slack for the discrete gradient quadrature."""
-    h0 = abs(float(record.entropy[0]))
-    h = float(record.meta.get("h", 0.0))
-    levels = record.meta.get("L")
-    inv_l = 1.0 / float(levels) if levels else 0.0
-    taus = record.taus
-    gsum = float(np.sum(taus[:upto] * np.asarray(record.grad_norm_sq)[1 : upto + 1]))
-    return 1e-6 * h0 + 5.0 * (h + inv_l) * (1.0 + lambda_min * gsum)
+    lhs = np.array([pairwise_w2(int(i), int(j)) for i, j in pairs], dtype=float)
+    gaps = np.array([record.times[j] - record.times[i] for i, j in pairs], dtype=float)
+    excess = np.max(lhs - np.sqrt(2.0 * max(e0, 0.0)) * np.sqrt(gaps), initial=-np.inf)
+    return record.check("hoelder_half", excess, tolerance=tol)
 
 
 def check_entropy_dissipation(record: RunRecord) -> CheckResult:
-    """H(u^0) >= H(u^k) + lambda_min sum_{l<=k} tau_{l-1} |grad u^l|^2 - tol for all k,
-    with lambda_min from ``meta``."""
+    """H(u^0) >= H(u^k) + lambda_min D_k - tol_k for all k, D_k = sum_{l<=k} tau_{l-1} |grad u^l|^2,
+    with lambda_min from ``meta``; tol_k = 1e-6 |H0| + 5 (h + 1/L) (1 + lambda_min D_k) is
+    first-order slack for the discrete gradient quadrature.  The worst k is recorded."""
     lambda_min = float(record.meta["lambda_min"])
     ent = np.asarray(record.entropy, dtype=float)
-    grads = np.asarray(record.grad_norm_sq, dtype=float)
-    taus = record.taus
-    dissip = np.concatenate(([0.0], np.cumsum(taus * grads[1:])))
-    worst = -np.inf
-    worst_tol = 0.0
-    for k in range(1, ent.size):
-        tol = entropy_dissipation_tolerance(record, lambda_min, k)
-        gap = (ent[k] + lambda_min * dissip[k]) - (ent[0] + tol)
-        if gap > worst:
-            worst = gap
-            worst_tol = tol
     if ent.size < 2:
-        worst, worst_tol = -np.inf, 0.0
-    return record.add_check(
-        CheckResult("entropy_dissipation", worst <= 0.0, -worst, worst_tol)
-    )
+        return record.check("entropy_dissipation", -np.inf)
+    dissip = lambda_min * np.cumsum(record.taus * np.asarray(record.grad_norm_sq, dtype=float)[1:])
+    tols = 1e-6 * abs(ent[0]) + 5.0 * _quantile_error(record) * (1.0 + dissip)
+    lhs = ent[1:] + dissip
+    k = int(np.argmax(lhs - (ent[0] + tols)))
+    return record.check("entropy_dissipation", lhs[k], ent[0], tols[k])
 
 
 def check_tv_monotone(record: RunRecord, field_name: str) -> CheckResult:
@@ -192,8 +169,8 @@ def check_tv_monotone(record: RunRecord, field_name: str) -> CheckResult:
         raise UnknownField(field_name)
     series = np.asarray(record.tv[field_name], dtype=float)
     tol = MONOTONE_TOL_REL * abs(float(series[0])) if series.size else 0.0
-    result = _series_monotone(f"tv_monotone[{field_name}]", series, tol)
-    return record.add_check(result)
+    rise = float(np.diff(series).max()) if series.size > 1 else -np.inf
+    return record.check(f"tv_monotone[{field_name}]", rise, tolerance=tol)
 
 
 def check_metric_speed(
@@ -204,6 +181,5 @@ def check_metric_speed(
     w2p = np.asarray(pressure_increments, dtype=float)
     if w2u.shape != w2p.shape:
         raise DimensionMismatch(f"series lengths differ: {w2u.shape} vs {w2p.shape}")
-    excess = w2u - np.sqrt(n_species) * w2p - METRIC_SPEED_TOL
-    worst = float(excess.max()) if excess.size else -np.inf
-    return record.add_check(CheckResult("metric_speed", worst <= 0.0, -worst, METRIC_SPEED_TOL))
+    excess = float((w2u - np.sqrt(n_species) * w2p).max()) if w2u.size else -np.inf
+    return record.check("metric_speed", excess, tolerance=METRIC_SPEED_TOL)

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import (
-    CheckResult,
     RunRecord,
     check_energy_monotone,
     check_entropy_dissipation,
@@ -55,6 +54,7 @@ from .errors import (
     InfiniteInitialEntropy,
     InnerDiverged,
     KernelUnderflow,
+    NonpositiveTime,
     NotPositiveDefinite,
 )
 from .measures import DensityVector, Grid1D, _deposit_all, to_quantiles
@@ -81,8 +81,8 @@ class JKOSchedule:
         taus = np.atleast_1d(np.asarray(self.taus, dtype=float))
         if taus.size == 0:
             raise ValueError("a schedule needs at least one step")
-        if taus.min() <= 0.0:
-            raise ValueError("all step sizes must be positive")
+        if not np.all(np.isfinite(taus) & (taus > 0.0)):
+            raise NonpositiveTime("all step sizes must be finite and positive")
         object.__setattr__(self, "taus", taus)
 
     @staticmethod
@@ -139,7 +139,7 @@ class ResidualReport:
 
 
 def _require_positive_definite(a: CouplingMatrix):
-    if not a.symmetric or not a.lambda_min > 0.0:
+    if not a.positive_definite:
         raise NotPositiveDefinite(
             f"coupling matrix must be symmetric positive definite (lambda_min={a.lambda_min})"
         )
@@ -688,7 +688,10 @@ def run_jko(
     For the Lagrangian solver the quantile state is threaded through the
     whole run and the trajectory starts at the quantile re-representation of
     ``u0`` (L1-distance O(h + 1/L) from it), which makes the energy and
-    telescoped estimates exact by construction.
+    telescoped estimates exact by construction.  Its level count L is
+    ``n_levels``, by default the cell count.  The entropic solver has no
+    quantile levels: it rejects ``n_levels`` and records L as None, so the
+    Hoelder and entropy-dissipation tolerances carry no 1/L term.
 
     ``meta`` records the inner solver's largest per-step iteration count
     (descent iterations, or entropic outer sweeps) as
@@ -702,12 +705,15 @@ def run_jko(
     if not (np.isfinite(e0) and np.isfinite(h0)):
         raise InfiniteInitialEntropy("initial energy or entropy is not finite")
 
-    L = grid.n_cells if n_levels is None else int(n_levels)
     m = schedule.n_steps
     if solver == "lagrangian":
+        L = grid.n_cells if n_levels is None else int(n_levels)
         x, quad, e_state = _lagrangian_start(u0, a, opts, L)
         state = DensityVector(grid, quad.deposit(x))
     elif solver == "entropic":
+        if n_levels is not None:
+            raise ValueError("n_levels applies to the lagrangian solver only")
+        L = None
         state = u0
         e_state = energy_quadratic(state, a)
     else:
@@ -769,5 +775,5 @@ def run_jko(
     )
     check_entropy_dissipation(record)
     # margin: minus the number of steps whose inner solver did not converge
-    record.add_check(CheckResult("inner_solver_converged", unconverged == 0, float(-unconverged), 0.0))
+    record.check("inner_solver_converged", unconverged)
     return trajectory, record.finish(strict)

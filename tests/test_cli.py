@@ -19,6 +19,14 @@ def write_config(tmp_path: Path, **overrides) -> Path:
     return path
 
 
+def read_report(out: Path) -> dict:
+    """report.json of a run, after checking that each check passes exactly when its margin is >= 0."""
+    report = json.loads((out / "report.json").read_text())
+    for check in report["checks"]:
+        assert check["pass"] == (check["margin"] >= 0), check
+    return report
+
+
 class TestListScenarios:
     def test_contains_expected_ids(self):
         text = list_scenarios()
@@ -39,7 +47,7 @@ class TestRun:
         cfg = write_config(tmp_path)
         assert run(str(cfg)) == 0
         out = tmp_path / "out"
-        report = json.loads((out / "report.json").read_text())
+        report = read_report(out)
         assert report["scenario"] == "parabolic_jko"
         assert all(c["pass"] for c in report["checks"])
         meta = report["meta"]
@@ -59,7 +67,11 @@ class TestRun:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_negative_tau_exit_code_and_message(self, tmp_path, capsys):
-        for schedule in ({"tau": -1e-3, "steps": 5}, {"tau": 1e-3, "steps": 0}):
+        for schedule in (
+            {"tau": -1e-3, "steps": 5},
+            {"tau": 1e-3, "steps": 0},
+            {"taus": [1e-3, float("nan")]},
+        ):
             cfg = write_config(tmp_path, schedule=schedule)
             assert run(str(cfg)) == 1
             assert "schedule" in capsys.readouterr().err
@@ -89,7 +101,7 @@ class TestRun:
             closure_tol=1e-12,  # unattainable on purpose
         )
         assert run(str(cfg), out_dir=str(tmp_path / "fail")) == 2
-        report = json.loads((tmp_path / "fail" / "report.json").read_text())
+        report = read_report(tmp_path / "fail")
         assert any(not c["pass"] for c in report["checks"])
 
     def test_skt_joint_smoke(self, tmp_path):
@@ -118,7 +130,7 @@ class TestRun:
         last = float(entropy_rows[-1].split(",")[1])
         assert first <= 1e-6
         assert last > 10 * max(first, 0.0)
-        meta = json.loads((out / "report.json").read_text())["meta"]
+        meta = read_report(out)["meta"]
         assert meta["steps"] == len(entropy_rows) - 2 and 0.0 < meta["dt_min"] <= meta["dt_max"]
 
     def test_skt_degenerate_config_exit_code(self, tmp_path, capsys):
@@ -128,28 +140,61 @@ class TestRun:
             assert run(str(cfg)) == 1
             assert "config key 'skt'" in capsys.readouterr().err
 
+    def test_skt_decoupled_smoke(self, tmp_path):
+        cfg = write_config(tmp_path, scenario="skt_decoupled", n1=32, n2=32, t_final=0.05)
+        assert run(str(cfg)) == 0
+        assert [c["name"] for c in read_report(tmp_path / "out")["checks"]] == ["gap_zero_at_start"]
+
     def test_hyperbolic_split_smoke(self, tmp_path):
-        cfg_path = tmp_path / "hyp.json"
-        cfg_path.write_text(
-            json.dumps(
-                {
-                    "scenario": "hyperbolic_split",
-                    "grid": {"n_cells": 64, "x_min": 0.0, "x_max": 1.0},
-                    "initial": [
-                        {"preset": "segregated", "lo": 0.15, "hi": 0.42},
-                        {"preset": "segregated", "lo": 0.58, "hi": 0.85},
-                    ],
-                    "t_final": 0.005,
-                    "out_dir": str(tmp_path / "hyp_out"),
-                }
+        for scenario in ("hyperbolic_split", "hyperbolic_transport"):
+            cfg_path = tmp_path / "hyp.json"
+            cfg_path.write_text(
+                json.dumps(
+                    {
+                        "scenario": scenario,
+                        "grid": {"n_cells": 64, "x_min": 0.0, "x_max": 1.0},
+                        "initial": [
+                            {"preset": "segregated", "lo": 0.15, "hi": 0.42},
+                            {"preset": "segregated", "lo": 0.58, "hi": 0.85},
+                        ],
+                        "t_final": 0.005,
+                        "out_dir": str(tmp_path / scenario),
+                    }
+                )
             )
-        )
-        assert run(str(cfg_path)) == 0
-        report = json.loads((tmp_path / "hyp_out" / "report.json").read_text())
-        names = {c["name"] for c in report["checks"]}
-        assert "tv_monotone[p]" in names
-        meta = report["meta"]
-        assert meta["steps"] >= 1 and 0.0 < meta["dt_min"] <= meta["dt_max"]
+            assert run(str(cfg_path)) == 0
+            report = read_report(tmp_path / scenario)
+            names = {c["name"] for c in report["checks"]}
+            assert "tv_monotone[p]" in names
+            meta = report["meta"]
+            assert meta["steps"] >= 1 and 0.0 < meta["dt_min"] <= meta["dt_max"]
+
+    def test_n_species_must_be_a_positive_integer(self, tmp_path, capsys):
+        base = {
+            "scenario": "hyperbolic_split",
+            "grid": {"n_cells": 32, "x_min": 0.0, "x_max": 1.0},
+            "initial": {"preset": "segregated"},
+            "t_final": 0.003,
+        }
+        for n_species in (2.5, "2", True, 0, -1):
+            cfg = write_config(tmp_path, **(base | {"n_species": n_species}))
+            assert run(str(cfg)) == 1
+            assert "config key 'n_species'" in capsys.readouterr().err
+
+    def test_entropic_run_has_no_level_count(self, tmp_path, capsys):
+        base = {
+            "grid": {"n_cells": 32, "x_min": 0.0, "x_max": 1.0},
+            "coupling": [[2.0, 1.0], [1.0, 2.0]],
+            "initial": {"preset": "cosine"},
+            "schedule": {"tau": 1e-3, "steps": 2},
+        }
+        cfg = write_config(tmp_path, **base, solver={"name": "entropic"})
+        assert run(str(cfg)) == 0
+        report = read_report(tmp_path / "out")
+        assert report["meta"]["solver"] == "entropic" and report["meta"]["L"] is None
+        cfg = write_config(tmp_path, **base, solver={"name": "entropic", "levels": 1})
+        assert run(str(cfg), out_dir=str(tmp_path / "levels")) == 1
+        assert "config key 'solver'" in capsys.readouterr().err
 
     def test_hyperbolic_degenerate_times_exit_code(self, tmp_path, capsys):
         base = {
@@ -178,6 +223,7 @@ class TestRun:
             )
         )
         assert run(str(cfg_path)) == 0
+        read_report(tmp_path / "b4_out")
 
     def test_fourth_order_needs_a_step(self, tmp_path, capsys):
         # zero steps used to run no step and pass with an infinite margin

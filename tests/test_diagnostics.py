@@ -81,6 +81,10 @@ class TestHoelder:
         result = check_hoelder(rec, pairwise_w2=lambda i, j: 10.0)
         assert not result.passed
 
+    def test_nan_distance_fails(self):
+        rec = simple_record()
+        assert not check_hoelder(rec, pairwise_w2=lambda i, j: np.nan if j == 10 else 0.0).passed
+
     def test_requires_callback(self):
         with pytest.raises(ValueError):
             check_hoelder(simple_record())
@@ -101,6 +105,10 @@ class TestEntropyDissipation:
 
     def test_synthetic_violation_fails(self):
         rec = simple_record(entropy=np.full(11, -1.0), grad_norm_sq=np.full(11, 50.0))
+        assert not check_entropy_dissipation(rec).passed
+
+    def test_nan_entropy_fails(self):
+        rec = simple_record(entropy=np.r_[np.linspace(-1.0, -1.5, 10), np.nan])
         assert not check_entropy_dissipation(rec).passed
 
 
@@ -159,3 +167,17 @@ class TestRecord:
         with pytest.raises(EstimateFailed):
             rec.finish(strict=True)
         assert rec.finish(strict=False) is rec
+
+    def test_check_compares_value_with_limit_plus_tolerance(self):
+        rec = RunRecord(times=np.zeros(1))
+        below = rec.check("below", 1.25, limit=1.0, tolerance=0.5)
+        assert below == CheckResult("below", True, 0.25, 0.5)
+        above = rec.check("above", 2.0, limit=1.0, tolerance=0.5)
+        assert above == CheckResult("above", False, -0.5, 0.5)
+        at = rec.check("at", 1.5, limit=1.0, tolerance=0.5)
+        assert at.passed and at.margin == 0.0
+        empty = rec.check("empty", -np.inf)  # the largest entry of an empty series
+        assert empty.passed and empty.margin == np.inf and empty.tolerance == 0.0
+        nan = rec.check("nan", np.nan, tolerance=1.0)
+        assert not nan.passed
+        assert rec.checks == [below, above, at, empty, nan]

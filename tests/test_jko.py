@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import btflow.jko as jko_module
 from btflow.energies import CouplingMatrix
-from btflow.errors import EstimateFailed, KernelUnderflow, NotPositiveDefinite
+from btflow.errors import EstimateFailed, KernelUnderflow, NonpositiveTime, NotPositiveDefinite
 from btflow.fdref import barenblatt, barenblatt_peak_time, l1_error, l1_error_vector
 from btflow.jko import (
     JKOOptions,
@@ -46,6 +46,11 @@ class TestSchedule:
     def test_positive_steps_required(self):
         with pytest.raises(ValueError):
             JKOSchedule(np.array([0.1, -0.1]))
+
+    @pytest.mark.parametrize("taus", [[np.nan], [np.inf], [1e-3, np.nan]])
+    def test_finite_steps_required(self, taus):
+        with pytest.raises(NonpositiveTime):
+            JKOSchedule(np.array(taus))
 
 
 class TestPAV:
@@ -240,6 +245,14 @@ class TestRunJKO:
         )
         assert len(traj) == 4
         assert record.meta["solver"] == "entropic"
+        # no quantile levels, so no 1/L term in the Hoelder tolerance
+        assert record.meta["L"] is None
+        hoelder = next(c for c in record.checks if c.name == "hoelder_half")
+        assert hoelder.tolerance == 1e-6 + 2.0 * u0.grid.h
+
+    def test_entropic_solver_rejects_levels(self, pd_matrix):
+        with pytest.raises(ValueError, match="n_levels"):
+            run_jko(smooth_pair(32), pd_matrix, JKOSchedule.uniform(1e-3, 1), solver="entropic", n_levels=32)
 
     def test_unknown_solver(self, pd_matrix):
         u0 = smooth_pair(32)
