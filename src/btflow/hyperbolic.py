@@ -34,13 +34,14 @@ import numpy as np
 from .diagnostics import RunRecord, check_metric_speed, check_tv_monotone
 from .errors import CFLViolation, DimensionMismatch, EstimateFailed, InvalidDensity, NonpositiveTime
 from .measures import MASS_TOL_1D, Density, DensityVector, Grid1D, _checked_unit_mass
-from .transport1d import _plan, _plan_w2, _w2_product
+from .transport1d import _plans, _plans_w2, _w2_product, monotone_plan
 
 SUPPORT_EPS = 1e-12
 CFL_SAFETY = 0.45  # automatic steps take this fraction of splitting_stable_dt
 SPLIT_MASS_TOL = 1e-5  # species mass tolerance along a split run (see recover_species)
 TRANSPORT_MASS_TOL = 1e-10  # species mass tolerance after a plan transport
 MAX_STEPS = 10_000_000  # a run that needs more steps raises RuntimeError
+CHUNK_STEPS = 16  # steps between the batched plan, W2 and TV passes of a run
 
 
 @dataclass(frozen=True)
@@ -103,30 +104,30 @@ def tv(field: np.ndarray) -> float:
     return float(np.abs(np.diff(field)).sum())
 
 
-def _extend_constant_off_support(r: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Fill fractions on zero-pressure cells from the nearest support cell.
+def _off_support_fill(support: np.ndarray):
+    """Cell map r[:, fill] that fills fractions on zero-pressure cells.
 
     Mass leaking into a vacuum region must carry the composition of the side
     it came from, so every p = 0 cell (including interior gaps between
     support components) copies the closest supported cell, ties going left.
     """
     idx = np.nonzero(support)[0]
-    if idx.size == 0 or idx.size == r.shape[1]:
-        return r
-    cells = np.arange(r.shape[1])
+    if idx.size == 0 or idx.size == support.size:
+        return slice(None)
+    cells = np.arange(support.size)
     pos = np.searchsorted(idx, cells)
     left = idx[np.clip(pos - 1, 0, idx.size - 1)]
     right = idx[np.clip(pos, 0, idx.size - 1)]
-    nearest = np.where(np.abs(cells - left) <= np.abs(right - cells), left, right)
-    return r[:, nearest]
+    return np.where(np.abs(cells - left) <= np.abs(right - cells), left, right)
 
 
-def _stable_dt(p: np.ndarray, h: float) -> float:
+def _stable_dt(p: np.ndarray, slope: np.ndarray, h: float) -> float:
+    """splitting_stable_dt of p, given its interface slopes diff(p) / h."""
     bound = np.inf
     pmax = float(p.max())
     if pmax > 0.0:
         bound = 0.5 * h**2 / pmax
-    vmax = float((np.abs(np.diff(p)) / h).max())
+    vmax = float(np.abs(slope).max())
     if vmax > 0.0:
         bound = min(bound, h / vmax)
     return bound
@@ -134,19 +135,17 @@ def _stable_dt(p: np.ndarray, h: float) -> float:
 
 def splitting_stable_dt(pf: PressureFraction) -> float:
     """min of the diffusion bound h^2/(2 max p) and the transport CFL h/max|p_x|."""
-    return _stable_dt(pf.pressure.values, pf.grid.h)
+    p = pf.pressure.values
+    return _stable_dt(p, np.diff(p) / pf.grid.h, pf.grid.h)
 
 
-def _split(p: np.ndarray, r: np.ndarray, dt: float, h: float):
-    """Kernel of step_splitting on arrays; returns the checked (p_new, r_new)."""
-    slope = np.diff(p) / h  # p_x at interfaces
+def _split(p: np.ndarray, r: np.ndarray, dt: float, slope: np.ndarray, h: float):
+    """Checked (p_new, r_new) of step_splitting, given r extended and slope = diff(p) / h."""
     flux = 0.5 * (p[1:] + p[:-1]) * slope
     p_new = p.copy()
     p_new[:-1] += (dt / h) * flux
     p_new[1:] -= (dt / h) * flux
 
-    support = p > SUPPORT_EPS
-    r = _extend_constant_off_support(r, support)
     # upwind with interface velocities w = -p_x: a symmetric stagnation
     # interface has w = 0 exactly and passes nothing, so segregated halves
     # never mix; Harten's lemma gives TV decay under the same CFL bound
@@ -177,24 +176,27 @@ def step_splitting(pf: PressureFraction, dt: float) -> PressureFraction:
     constant outside the (old) pressure support so the off-support convention
     r = 0 does not generate spurious variation.
     """
-    dt_max = splitting_stable_dt(pf)
+    p, h = pf.pressure.values, pf.grid.h
+    slope = np.diff(p) / h
+    dt_max = _stable_dt(p, slope, h)
     if dt > dt_max:
         raise CFLViolation(dt, dt_max)
-    p_new, r_new = _split(pf.pressure.values, pf.fractions, dt, pf.grid.h)
+    p_new, r_new = _split(p, pf.fractions[:, _off_support_fill(p > SUPPORT_EPS)], dt, slope, h)
     return PressureFraction(Density(pf.grid, p_new), r_new)
 
 
-def _transport(u: np.ndarray, p: np.ndarray, p_next: np.ndarray, h: float):
-    """Kernel of pressure_transport_step; also returns the plan from p to p_next."""
+def _transport(u: np.ndarray, p: np.ndarray, plan, h: float) -> np.ndarray:
+    """Kernel of pressure_transport_step along a (padded) monotone plan of p * h to p_next * h."""
     if h * float(np.abs(u.mean(axis=0) - p).sum()) > 1e-9:
         raise InvalidDensity("pressure disagrees with the species average beyond 1e-9")
-    p_mass = p * h
-    plan = _plan(p_mass, p_next * h)
     src, dst, seg = plan
+    n_species, n = u.shape
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(p_mass[src] > 0.0, u[:, src] / p[src], 0.0)
-    u_next = np.stack([np.bincount(dst, w, minlength=p.size) for w in seg * ratios / h])
-    return _checked_unit_mass(u_next, h, TRANSPORT_MASS_TOL, "species"), plan
+        ratios = np.where(p[src] * h > 0.0, u[:, src] / p[src], 0.0)
+    # one bincount for all species: species i deposits into bins i*n .. i*n + n - 1
+    bins = dst + n * np.arange(n_species)[:, None]
+    u_next = np.bincount(bins.ravel(), (seg * ratios / h).ravel(), minlength=n_species * n)
+    return _checked_unit_mass(u_next.reshape(n_species, n), h, TRANSPORT_MASS_TOL, "species")
 
 
 def pressure_transport_step(
@@ -210,7 +212,7 @@ def pressure_transport_step(
     grid = u_prev.grid
     if not grid == p_prev.grid == p_next.grid:
         raise DimensionMismatch("species and pressures live on different grids")
-    u_next, _ = _transport(u_prev.values, p_prev.values, p_next.values, grid.h)
+    u_next = _transport(u_prev.values, p_prev.values, monotone_plan(p_prev, p_next), grid.h)
     return DensityVector(grid, u_next, mass_tol=TRANSPORT_MASS_TOL)
 
 
@@ -241,7 +243,9 @@ def run_hyperbolic(
     scheme, the sqrt(N)-metric-speed bound, when ``strict``.  The TV(r_i)
     series of both schemes are the upwind fractions of the splitting step;
     for ``pressure_transport`` they are not the fractions of the transported
-    species, which can gain total variation.
+    species, which can gain total variation.  The run advances in chunks of
+    CHUNK_STEPS steps: every per-step check runs on every step, and the plans,
+    W2 increments and TV series are computed per chunk from its recorded states.
     """
     if scheme not in ("splitting", "pressure_transport"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -254,17 +258,16 @@ def run_hyperbolic(
     h = grid.h
     x = grid.centers()
     pf = split_state(u0)
-    pf = PressureFraction(
-        pf.pressure,
-        _extend_constant_off_support(pf.fractions, pf.pressure.values > SUPPORT_EPS),
-    )
+    support = pf.pressure.values > SUPPORT_EPS
+    fill = _off_support_fill(support)
+    pf = PressureFraction(pf.pressure, pf.fractions[:, fill])
     state_u = recover_species(pf) if scheme == "splitting" else u0
     species_tol = SPLIT_MASS_TOL if scheme == "splitting" else TRANSPORT_MASS_TOL
     p, r, u = pf.pressure.values, pf.fractions, state_u.values
 
     times = [0.0]
     tvs_p = [tv(p)]
-    tvs_r = [[tv(r[i])] for i in range(n_species - 1)]
+    tvs_r = [[tv(ri) for ri in r]]
     w2_u = []
     w2_p = []
     dts = []
@@ -274,29 +277,42 @@ def run_hyperbolic(
     t = 0.0
     step = 0
     while t < t_final and step < MAX_STEPS:
-        dt_k = CFL_SAFETY * _stable_dt(p, h)  # below the bound, so no CFL guard
-        if dt is not None:
-            dt_k = min(dt_k, dt)
-        dt_k = min(dt_k, t_final - t)
-        p_new, r_new = _split(p, r, dt_k, h)
-        if scheme == "splitting":
-            u_new = _recover(p_new, r_new, h)
-            plan = _plan(p * h, p_new * h)
-        else:
-            u_new, plan = _transport(u, p, p_new, h)
-        w2_u.append(_w2_product(u, u_new, h, x))
-        w2_p.append(_plan_w2(plan, x))
-        dts.append(dt_k)
-        t += dt_k
-        step += 1
-        times.append(t)
-        tvs_p.append(tv(p_new))
-        for i in range(n_species - 1):
-            tvs_r[i].append(tv(r_new[i]))
-        p, r, u = p_new, r_new, u_new
-        if snapshot_every and step % snapshot_every == 0:
-            trajectory.append(DensityVector(grid, u, mass_tol=species_tol))
-            pressures.append(Density(grid, p))
+        # up to CHUNK_STEPS checked steps of the pressure and fractions ...
+        ps, rs, us = [p], [r], [u]
+        while len(ps) <= CHUNK_STEPS and t < t_final and step < MAX_STEPS:
+            slope = np.diff(p) / h
+            dt_k = CFL_SAFETY * _stable_dt(p, slope, h)  # below the bound, so no CFL guard
+            if dt is not None:
+                dt_k = min(dt_k, dt)
+            dt_k = min(dt_k, t_final - t)
+            on = p > SUPPORT_EPS
+            if not np.array_equal(on, support):
+                support, fill = on, _off_support_fill(on)
+            p, r = _split(p, r[:, fill], dt_k, slope, h)
+            if scheme == "splitting":
+                us.append(_recover(p, r, h))
+            ps.append(p)
+            rs.append(r)
+            dts.append(dt_k)
+            t += dt_k
+            times.append(t)
+            step += 1
+        # ... then the chunk's plans, W2 increments and TV at once (species pushed step by step)
+        pressure = np.stack(ps)
+        plans = _plans(pressure[:-1] * h, pressure[1:] * h)
+        if scheme == "pressure_transport":
+            for k in range(len(ps) - 1):
+                us.append(_transport(us[k], ps[k], [v[k] for v in plans], h))
+        species = np.stack(us)
+        w2_u += _w2_product(species[:-1], species[1:], h, x)
+        w2_p += _plans_w2(plans, x)
+        tvs_p += np.abs(np.diff(pressure[1:])).sum(axis=-1).tolist()
+        tvs_r += np.abs(np.diff(np.stack(rs[1:]))).sum(axis=-1).tolist()
+        u = us[-1]
+        for k in range(1, len(ps)):
+            if snapshot_every and (step + 1 - len(ps) + k) % snapshot_every == 0:
+                trajectory.append(DensityVector(grid, us[k], mass_tol=species_tol))
+                pressures.append(Density(grid, ps[k]))
     if t < t_final:
         raise RuntimeError("hyperbolic run exceeded the step budget")
     if not snapshot_every or step % snapshot_every != 0:
@@ -307,7 +323,7 @@ def run_hyperbolic(
         times=np.asarray(times),
         w2_increments=np.asarray(w2_u),
         tv={"p": np.asarray(tvs_p)}
-        | {f"r_{i + 1}": np.asarray(tvs_r[i]) for i in range(n_species - 1)},
+        | {f"r_{i + 1}": np.asarray(tvs_i) for i, tvs_i in enumerate(zip(*tvs_r))},
         meta={
             "h": h,
             "scheme": scheme,

@@ -599,6 +599,11 @@ def jko_step_entropic(
             for _ in range(SINKHORN_INNER_CAP):
                 a_vec = mu[i] / (kernel @ b)
                 xi = kernel @ a_vec
+                if not xi.min() > 0.0:  # also catches NaN
+                    raise KernelUnderflow(
+                        f"Gibbs kernel product underflows on {int(np.sum(~(xi > 0.0)))} cells "
+                        f"out of reach of species {i + 1}'s support (eps = {eps:g})"
+                    )
                 y0 = np.log(np.maximum(nu, 1e-300))
                 nu_new = _prox_newton(xi, alpha, beta, SINKHORN_INNER_TOL, y0)
                 b = nu_new / xi

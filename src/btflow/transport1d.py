@@ -10,6 +10,9 @@ couples the two step quantile functions over the merged mass breakpoints;
 on the cell-center cost matrix to machine precision.  Passing an explicit level
 count instead evaluates the midpoint-level quadrature of the piecewise-linear
 quantile functions (the metric used by the Lagrangian JKO solver).
+
+Every plan comes from one row-wise primitive, `_plans`; a single coupling is
+its one-row case, so a batch of plans carries the bits of one plan at a time.
 """
 
 from __future__ import annotations
@@ -42,33 +45,43 @@ class PotentialField:
         return float(d2.min()) if d2.size else 0.0
 
 
-def _plan(a: np.ndarray, b: np.ndarray):
-    """Monotone coupling of the cell-mass arrays a and b (see monotone_plan).
+def _plans(a: np.ndarray, b: np.ndarray):
+    """Monotone couplings (see monotone_plan) of the rows of the (R, n) cell masses a and b.
 
-    The distinct positive cumulative masses of either side bound the segments.
+    The distinct positive cumulative masses of either side, up to the smaller
+    total, bound the segments.  Returns (src, dst, seg) of shape (R, 2n), one
+    segment per merged breakpoint; a breakpoint that bounds no segment (a zero,
+    a repeat or one past the smaller total) becomes a zero-length pad.
     """
-    ca = np.cumsum(a)
-    cb = np.cumsum(b)
-    total = min(ca[-1], cb[-1])
-    ca[-1] = cb[-1] = total
-    s = np.concatenate((ca, cb))
-    s.sort()
-    keep = (s > 0.0) & (s <= total)
-    keep[1:] &= s[1:] != s[:-1]
-    s = s[keep]
-    prev = np.concatenate(([0.0], s[:-1]))
-    lengths = s - prev
-    mid = prev + 0.5 * lengths
-    ia = np.minimum(np.searchsorted(ca, mid, side="left"), a.size - 1)
-    ib = np.minimum(np.searchsorted(cb, mid, side="left"), b.size - 1)
-    return ia, ib, lengths
+    ca = np.cumsum(a, axis=1)
+    cb = np.cumsum(b, axis=1)
+    total = np.minimum(ca[:, -1], cb[:, -1])
+    ca[:, -1] = cb[:, -1] = total
+    s = np.concatenate((ca, cb), axis=1)
+    s.sort(axis=1)
+    np.clip(s, 0.0, total[:, None], out=s)
+    prev = np.zeros_like(s)
+    prev[:, 1:] = s[:, :-1]
+    seg = s - prev
+    mid = prev + 0.5 * seg
+    # row by row: a count over the merged order differs on ulp-length segments
+    src = np.array([c.searchsorted(m, side="left") for c, m in zip(ca, mid)])
+    dst = np.array([c.searchsorted(m, side="left") for c, m in zip(cb, mid)])
+    n = a.shape[1]
+    return np.minimum(src, n - 1), np.minimum(dst, n - 1), seg
 
 
-def _plan_w2(plan, x: np.ndarray) -> float:
-    """Square root of the cost of a plan between the cell centers x."""
-    src, dst, seg = plan
+def _plans_w2(plans, x: np.ndarray) -> list[float]:
+    """Square root of the cost of each row of _plans between the cell centers x.
+
+    A row's cost is summed over its kept segments alone: pads would change the rounding.
+    """
+    src, dst, seg = plans
     d = x[src] - x[dst]
-    return float(np.sqrt(np.sum(seg * (d * d))))
+    keep = seg > 0.0
+    cost = (seg * (d * d))[keep]
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    return [float(np.sqrt(np.sum(cost[i:j]))) for i, j in zip([0] + ends[:-1], ends)]
 
 
 def monotone_plan(p_prev: Density, p_next: Density):
@@ -81,7 +94,9 @@ def monotone_plan(p_prev: Density, p_next: Density):
     if p_prev.grid != p_next.grid:
         raise DimensionMismatch("densities live on different grids")
     h = p_prev.grid.h
-    return _plan(p_prev.values * h, p_next.values * h)
+    src, dst, seg = (v[0] for v in _plans(p_prev.values[None] * h, p_next.values[None] * h))
+    keep = seg > 0.0
+    return src[keep], dst[keep], seg[keep]
 
 
 def w2_exact(u: Density, v: Density, n_levels: int | None = None) -> float:
@@ -98,13 +113,15 @@ def w2_exact(u: Density, v: Density, n_levels: int | None = None) -> float:
         qv = to_quantiles(v, n_levels).positions
         return float(np.sqrt(np.mean((qu - qv) ** 2)))
     h = u.grid.h
-    return _plan_w2(_plan(u.values * h, v.values * h), u.grid.centers())
+    return _plans_w2(_plans(u.values[None] * h, v.values[None] * h), u.grid.centers())[0]
 
 
-def _w2_product(u: np.ndarray, v: np.ndarray, h: float, x: np.ndarray) -> float:
-    """w2_product of the (N, n_cells) value arrays of two DensityVectors."""
-    a, b = u * h, v * h
-    return float(np.sqrt(sum(_plan_w2(_plan(a[i], b[i]), x) ** 2 for i in range(len(a)))))
+def _w2_product(u: np.ndarray, v: np.ndarray, h: float, x: np.ndarray) -> list[float]:
+    """w2_product of u[k] and v[k] for the stacked (K, N, n_cells) value arrays."""
+    n_species, n = u.shape[1:]
+    w2 = _plans_w2(_plans((u * h).reshape(-1, n), (v * h).reshape(-1, n)), x)
+    rows = [w2[k : k + n_species] for k in range(0, len(w2), n_species)]
+    return [float(np.sqrt(sum(w**2 for w in row))) for row in rows]
 
 
 def w2_product(u: DensityVector, v: DensityVector) -> float:
@@ -113,7 +130,7 @@ def w2_product(u: DensityVector, v: DensityVector) -> float:
         raise DimensionMismatch("species counts differ")
     if u.grid != v.grid:
         raise DimensionMismatch("grids differ")
-    return _w2_product(u.values, v.values, u.grid.h, u.grid.centers())
+    return _w2_product(u.values[None], v.values[None], u.grid.h, u.grid.centers())[0]
 
 
 def optimal_map_1d(u: Density, v: Density) -> np.ndarray:

@@ -196,6 +196,11 @@ class TestRun:
         assert run(str(cfg), out_dir=str(tmp_path / "levels")) == 1
         assert "config key 'solver'" in capsys.readouterr().err
 
+    def test_entropic_kernel_underflow_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, solver={"name": "entropic"})
+        assert run(str(cfg)) == 1
+        assert "KernelUnderflow: Gibbs kernel product underflows" in capsys.readouterr().err
+
     def test_hyperbolic_degenerate_times_exit_code(self, tmp_path, capsys):
         base = {
             "scenario": "hyperbolic_transport",

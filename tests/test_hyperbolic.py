@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from btflow import hyperbolic
 from btflow.errors import CFLViolation, InvalidDensity, NonpositiveTime
@@ -7,8 +9,12 @@ from btflow.fdref import barenblatt, barenblatt_peak_time, l1_error, run_bt_fd
 from btflow.hyperbolic import (
     CFL_SAFETY,
     SUPPORT_EPS,
+    TRANSPORT_MASS_TOL,
     PressureFraction,
-    _extend_constant_off_support,
+    _off_support_fill,
+    _split,
+    _stable_dt,
+    _transport,
     pressure_transport_step,
     recover_species,
     run_hyperbolic,
@@ -18,7 +24,7 @@ from btflow.hyperbolic import (
     tv,
 )
 from btflow.measures import Density, DensityVector, Grid1D, normalize
-from btflow.transport1d import w2_exact, w2_product
+from btflow.transport1d import _plans, w2_exact, w2_product
 
 T0 = barenblatt_peak_time()
 
@@ -261,13 +267,17 @@ class TestRunHyperbolic:
             run_hyperbolic(pair, "pressure_transport", **({"t_final": 0.01} | times))
 
 
-def step_by_hand(u0, scheme, t_final):
-    """run_hyperbolic spelled out with the public step functions."""
+def step_by_hand(u0, scheme, t_final, states=None):
+    """run_hyperbolic spelled out with the public step functions.
+
+    If given, the list ``states`` collects (u, p) after every step, starting
+    with the initial state.
+    """
     pf = split_state(u0)
-    pf = PressureFraction(
-        pf.pressure, _extend_constant_off_support(pf.fractions, pf.pressure.values > SUPPORT_EPS)
-    )
+    pf = PressureFraction(pf.pressure, pf.fractions[:, _off_support_fill(pf.pressure.values > SUPPORT_EPS)])
     u = recover_species(pf) if scheme == "splitting" else u0
+    if states is not None:
+        states.append((u, pf.pressure))
     t, times, dts, w2_u, w2_p = 0.0, [0.0], [], [], []
     tv_p, tv_r = [tv(pf.pressure.values)], [tv(pf.fractions[0])]
     while t < t_final:
@@ -285,6 +295,8 @@ def step_by_hand(u0, scheme, t_final):
         tv_p.append(tv(pf_new.pressure.values))
         tv_r.append(tv(pf_new.fractions[0]))
         pf, u = pf_new, u_new
+        if states is not None:
+            states.append((u, pf.pressure))
     return u, pf.pressure, times, dts, w2_u, w2_p, tv_p, tv_r
 
 
@@ -304,3 +316,88 @@ def test_run_matches_public_steps_bit_for_bit(scheme):
     assert np.array_equal(run.pressures[-1].values, p.values)
     assert rec.meta["steps"] == len(dts)
     assert (rec.meta["dt_min"], rec.meta["dt_max"]) == (min(dts), max(dts))
+
+
+def chunk_boundary_t_final(n_steps):
+    """A t_final that the automatic steps from segregated_pair(64) reach in n_steps steps."""
+    times = step_by_hand(segregated_pair(64), "splitting", 1.2e-3)[2]
+    return 0.5 * (times[n_steps - 1] + times[n_steps])
+
+
+@pytest.mark.parametrize("chunk", [16, 1, 5])
+@pytest.mark.parametrize("snapshot_every", [1, 7, 0])
+@pytest.mark.parametrize("scheme", ["splitting", "pressure_transport"])
+@pytest.mark.parametrize("case", ["below_one_chunk", "one_chunk", "two_chunks", "two_chunks_and_one"])
+def test_chunk_boundaries_match_public_steps(case, scheme, snapshot_every, chunk, monkeypatch):
+    monkeypatch.setattr(hyperbolic, "CHUNK_STEPS", chunk)
+    n_steps = {
+        "below_one_chunk": max(chunk - 1, 1),
+        "one_chunk": chunk,
+        "two_chunks": 2 * chunk,
+        "two_chunks_and_one": 2 * chunk + 1,
+    }[case]
+    t_final = chunk_boundary_t_final(n_steps)
+    pair = segregated_pair(64)
+    run = run_hyperbolic(pair, scheme, t_final=t_final, snapshot_every=snapshot_every)
+    states = []
+    _, _, times, _, w2_u, w2_p, tv_p, tv_r = step_by_hand(pair, scheme, t_final, states)
+    rec = run.record
+    assert rec.meta["steps"] == n_steps == len(states) - 1
+    assert np.array_equal(rec.times, times)
+    assert np.array_equal(rec.w2_increments, w2_u)
+    assert np.array_equal(rec.meta["pressure_increments"], w2_p)
+    assert np.array_equal(rec.tv["p"], tv_p)
+    assert np.array_equal(rec.tv["r_1"], tv_r)
+    kept = [k for k in range(n_steps + 1) if snapshot_every and k % snapshot_every == 0]
+    kept = kept if snapshot_every else [0]
+    if kept[-1] != n_steps:
+        kept.append(n_steps)
+    assert len(run.trajectory) == len(run.pressures) == len(kept)
+    for k, u, p in zip(kept, run.trajectory, run.pressures):
+        assert np.array_equal(u.values, states[k][0].values)
+        assert np.array_equal(p.values, states[k][1].values)
+
+
+@st.composite
+def species_with_zero_runs(draw):
+    """2-3 unit-mass species on 8-64 cells, empty on one shared run of cells."""
+    n = draw(st.integers(8, 64))
+    cell = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    rows = np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=2, max_size=3)))
+    start = draw(st.integers(0, n - 1))
+    rows[:, start : start + draw(st.integers(1, n // 2))] = 0.0
+    assume(rows.any(axis=1).all())
+    g = Grid1D(n, 0.0, 1.0)
+    return DensityVector.from_species([normalize(row, g) for row in rows])
+
+
+def split_once(u):
+    """One splitting step of split_state(u) at CFL_SAFETY times the stable step."""
+    pf = split_state(u)
+    p, h = pf.pressure.values, u.grid.h
+    slope = np.diff(p) / h
+    r = pf.fractions[:, _off_support_fill(p > SUPPORT_EPS)]
+    return p, _split(p, r, CFL_SAFETY * _stable_dt(p, slope, h), slope, h)
+
+
+class TestKernelProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(species_with_zero_runs())
+    def test_split_keeps_pressure_mass_sign_and_fractions(self, u):
+        p, (p_new, r_new) = split_once(u)
+        h = u.grid.h
+        assert abs(h * p_new.sum() - h * p.sum()) <= 1e-12
+        assert p_new.min() >= 0.0
+        assert r_new.min() >= 0.0 and r_new.max() <= 1.0
+        assert r_new.sum(axis=0).max() <= 1.0 + 1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(species_with_zero_runs())
+    def test_transport_keeps_species_mass_sign_and_average(self, u):
+        p, (p_next, _) = split_once(u)
+        h = u.grid.h
+        plan = [v[0] for v in _plans(p[None] * h, p_next[None] * h)]
+        u_next = _transport(u.values, p, plan, h)
+        assert np.abs(h * u_next.sum(axis=1) - h * u.values.sum(axis=1)).max() <= TRANSPORT_MASS_TOL
+        assert u_next.min() >= 0.0
+        np.testing.assert_allclose(u_next.mean(axis=0), p_next, rtol=0.0, atol=1e-12)

@@ -159,6 +159,15 @@ class TestEntropicStep:
         with pytest.raises(KernelUnderflow):
             jko_step_entropic(u0, unit_matrix, 1e-3, 1e-8)
 
+    def test_kernel_product_underflow_on_zero_cells(self, unit_matrix):
+        # the CLI barenblatt preset: 40 of 64 cells on [-2, 2] are empty, and
+        # the kernel mass reaching the far ones underflows to 0 at eps = 1e-3
+        g = Grid1D(64, -2.0, 2.0)
+        u0 = DensityVector.from_species([barenblatt(barenblatt_peak_time(), g)])
+        assert np.sum(u0.values == 0.0) == 40
+        with pytest.raises(KernelUnderflow, match="kernel product underflows"):
+            jko_step_entropic(u0, unit_matrix, 1e-3, 1e-3)
+
     def test_positive_definite_required(self):
         u0 = smooth_pair(32)
         with pytest.raises(NotPositiveDefinite):

@@ -7,6 +7,8 @@ from scipy.optimize import linprog
 from btflow.errors import DegenerateSupport, DimensionMismatch
 from btflow.measures import Density, DensityVector, Grid1D, normalize, to_quantiles
 from btflow.transport1d import (
+    _plans,
+    _plans_w2,
     kantorovich_potential_1d,
     monotone_plan,
     optimal_map_1d,
@@ -262,9 +264,9 @@ class TestMonotonePlan:
 
 
 @st.composite
-def histogram_pairs(draw, max_cells=64):
+def histogram_pairs(draw, max_cells=64, n=None):
     """Unit-mass histograms with zero runs; sometimes with disjoint supports."""
-    n = draw(st.integers(2, max_cells))
+    n = draw(st.integers(2, max_cells)) if n is None else n
     cell = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
     a = np.array(draw(st.lists(cell, min_size=n, max_size=n)))
     b = np.array(draw(st.lists(cell, min_size=n, max_size=n)))
@@ -300,6 +302,38 @@ class TestMonotonePlanProperties:
         x = u.grid.centers()
         cost = float(np.sum(seg * (x[src] - x[dst]) ** 2))
         assert cost == pytest.approx(lp_w2_squared(u, v), abs=1e-8)
+
+
+@st.composite
+def stacked_histogram_pairs(draw):
+    """1-4 histogram pairs on one grid, as stacked (R, n) cell-mass arrays."""
+    n = draw(st.integers(2, 64))
+    pairs = draw(st.lists(histogram_pairs(n=n), min_size=1, max_size=4))
+    h = pairs[0][0].grid.h
+    a = np.stack([u.values * h for u, _ in pairs])
+    b = np.stack([v.values * h for _, v in pairs])
+    return a, b, pairs[0][0].grid.centers()
+
+
+class TestStackedPlans:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(stacked_histogram_pairs())
+    def test_rows_match_one_row_calls(self, stacked):
+        a, b, x = stacked
+        plans = _plans(a, b)
+        w2 = _plans_w2(plans, x)
+        src, dst, seg = plans
+        assert seg.shape == (len(a), 2 * a.shape[1]) and seg.min() >= 0.0
+        for k in range(len(a)):
+            one = _plans(a[k : k + 1], b[k : k + 1])
+            for rows, row in zip(plans, one):
+                assert np.array_equal(rows[k], row[0])
+            assert np.float64(w2[k]).tobytes() == np.float64(_plans_w2(one, x)[0]).tobytes()
+            # the zero-length pads carry no mass
+            left = np.bincount(src[k], seg[k], minlength=a.shape[1])
+            right = np.bincount(dst[k], seg[k], minlength=a.shape[1])
+            np.testing.assert_allclose(left, a[k], rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(right, b[k], rtol=0.0, atol=1e-15)
 
 
 def _inverse_cdf_reference(v, m, side):
