@@ -35,6 +35,7 @@ SCENARIOS = {
     "skt_decoupled": "nonlocally coupled marginal system (quadratic or entropy variant)",
     "benchmark_closure": "cross-validation: variational vs finite-difference trajectories at matched times",
 }
+CSV_BLOCK_ROWS = 1024  # rows formatted per write
 
 
 def list_scenarios() -> str:
@@ -127,11 +128,33 @@ def _initial_from(cfg: dict, grid: Grid1D, n_species: int) -> DensityVector:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
-    rows = zip(*[np.asarray(c) for c in columns])
+    """One row per index, every value as a float with 17 significant digits.
+
+    Rows go out in blocks of CSV_BLOCK_ROWS, each formatted by one ``%`` on a
+    row template repeated per row; only one block is held as text at a time.
+    The shortest column sets the row count.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n_rows = min((len(c) for c in columns), default=0)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(format(float(v), ".17g") for v in row) + "\n")
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, n_rows)
+            block = np.column_stack([c[start:stop] for c in columns]).astype(float, copy=False)
+            f.write(row * (stop - start) % tuple(block.ravel().tolist()))
+
+
+def _check_snapshot_times(times):
+    """Raise ConfigInvalid if two distinct snapshot times print alike under ``:g``.
+
+    Their files would share a name, and the second would overwrite the first.
+    """
+    seen = {}
+    for t in times:
+        first = seen.setdefault(f"{t:g}", t)
+        if first != t:
+            raise ConfigInvalid("snapshots", f"times {first!r} and {t!r} would write the same t{t:g} file")
 
 
 def _write_density_csv(path: Path, u: DensityVector):
@@ -157,9 +180,10 @@ def _run_parabolic(cfg: dict, out: Path) -> RunRecord:
         n_levels=solver.get("levels"),
         strict=False,
     )
+    ks = [int(np.argmin(np.abs(record.times - float(t)))) for t in cfg.get("snapshots", [])]
+    _check_snapshot_times(record.times[ks].tolist())
     _write_density_csv(out / "final_density.csv", traj[-1])
-    for t_snap in cfg.get("snapshots", []):
-        k = int(np.argmin(np.abs(record.times - float(t_snap))))
+    for k in ks:
         _write_density_csv(out / f"density_t{record.times[k]:g}.csv", traj[k])
     _write_csv(
         out / "series.csv",
@@ -239,6 +263,7 @@ def _skt_config(cfg: dict) -> skt.SKTConfig:
 def _run_skt_joint(cfg: dict, out: Path) -> RunRecord:
     config = _skt_config(cfg)
     run = skt.run_skt_scenario(config, strict=False)
+    _check_snapshot_times([t for t, _ in run.snapshots])
     for t, p in run.snapshots:
         c1, c2 = p.grid.centers()
         x1 = np.repeat(c1, p.grid.n2)

@@ -29,10 +29,10 @@ import numpy as np
 
 from .diagnostics import RunRecord
 from .errors import CFLViolation, DimensionMismatch, EstimateFailed, InvalidDensity, NegativityDetected, NonpositiveTime
-from .energies import ENTROPY_FLOOR
 from .measures import MASS_TOL_1D, MASS_TOL_2D, Density, Grid2D, JointDensity, _checked_unit_mass
 
 CONTACT_BAND_MASS = 1e-4  # band mass that marks the first diagonal contact
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -99,19 +99,28 @@ def marginals(p: JointDensity) -> MarginalPair:
     return MarginalPair(Density(p.grid.axis1(), u1), Density(p.grid.axis2(), u2))
 
 
+def _xlogx_sum(x: np.ndarray, out=None, positive: bool = False) -> float:
+    """Sum of x log x over nonnegative x; a zero entry adds exactly 0.
+
+    Unless ``positive`` promises x > 0, the logarithm is taken of max(x, tiny),
+    so that a zero entry gives 0 * log(tiny) whatever ``out`` held before.
+    """
+    logs = np.log(x, out=out) if positive else np.log(np.maximum(x, _TINY, out=out), out=out)
+    logs *= x
+    return float(logs.sum())
+
+
 def _relative_entropy(v: np.ndarray, low: float, grid: Grid2D, work=None) -> float:
     """H(v || u1 x u2) of nonnegative cell values v whose minimum is ``low``.
 
-    Zero cells are masked out (their term is zero) only when ``low`` is zero;
-    ``work`` is an optional scratch array shaped like v.
+    Since h2 sum_j v_ij = u1_i and h1 sum_i v_ij = u2_j, the relative entropy
+    separates into h1 h2 sum v log v - h1 sum u1 log u1 - h2 sum u2 log u2, and
+    no outer product of the marginals is formed.  ``work`` is an optional
+    scratch array shaped like v; its contents on entry do not matter.
     """
     u1, u2 = _marginals(v, grid)
-    terms = np.multiply(u1[:, None], u2, out=work)
-    np.maximum(terms, ENTROPY_FLOOR, out=terms)
-    np.divide(v, terms, out=terms)
-    np.log(terms, out=terms, where=True if low > 0.0 else v > 0.0)
-    terms *= v
-    out = grid.h1 * grid.h2 * float(terms.sum())
+    out = grid.h1 * grid.h2 * _xlogx_sum(v, work, positive=low > 0.0)
+    out -= grid.h1 * _xlogx_sum(u1) + grid.h2 * _xlogx_sum(u2)
     if out < -1e-12:
         raise EstimateFailed(f"relative entropy {out} fell below -1e-12")
     return out
@@ -130,7 +139,12 @@ def _stable_dt(v: np.ndarray, m: np.ndarray, grid: Grid2D, work=None) -> float:
 
 
 def joint_stable_dt(p: JointDensity, mob: MobilityField) -> float:
-    """Explicit bound dt <= min(h1, h2)^2 / (4 max(M p))."""
+    """Explicit bound dt <= min(h1, h2)^2 / (4 max(M p)), M and p at one cell.
+
+    The fluxes average M over faces, so where M jumps sharply between
+    neighbouring cells the update need not be a convex combination within
+    this bound, and a step can go negative.
+    """
     return _stable_dt(p.values, mob.values, p.grid)
 
 
@@ -140,21 +154,25 @@ class _Stencil:
     Both axes run on the flattened row-major arrays: axis 0 pairs cells n2
     apart, axis 1 neighbours, and a zero face mobility at each row end keeps
     axis-1 fluxes from crossing rows.  The face mobilities are fixed for a
-    run.  Fluxes go into zero-padded face buffers, so one subtraction gives
-    every cell's net flux; ``work`` holds the face averages of p, then the
-    update.  The new state alternates between two output arrays: a caller
-    that keeps a state past the next step copies it.
+    run and stored halved, so the face coefficient mbar (p_a + p_b) / 2 is
+    one product (p_a + p_b) * (mbar / 2).  Halving is exact, so this rounds
+    as mbar * ((p_a + p_b) / 2) does, unless a face sum p_a + p_b falls below
+    2^-1021, where halving it would round.  Fluxes go into
+    zero-padded face buffers, so one subtraction gives every cell's net flux;
+    ``work`` holds the face coefficients, then the update.  The new state
+    alternates between two output arrays: a caller that keeps a state past
+    the next step copies it.
     """
 
     def __init__(self, mob: MobilityField):
         m = mob.values
         n2 = m.shape[1]
         row_faces = np.zeros_like(m)
-        row_faces[:, :-1] = 0.5 * (m[:, 1:] + m[:, :-1])
+        row_faces[:, :-1] = 0.25 * (m[:, 1:] + m[:, :-1])
         self.grid = mob.grid
         self.m = m
-        self.axes = (  # (stride, h, face mobilities, zero-padded face fluxes)
-            (n2, mob.grid.h1, (0.5 * (m[1:] + m[:-1])).ravel(), np.zeros(m.size + n2)),
+        self.axes = (  # (stride, h, half face mobilities, zero-padded face fluxes)
+            (n2, mob.grid.h1, (0.25 * (m[1:] + m[:-1])).ravel(), np.zeros(m.size + n2)),
             (1, mob.grid.h2, row_faces.ravel()[:-1], np.zeros(m.size + 1)),
         )
         self.work = np.empty(m.shape)  # C order: the kernel writes through flat views
@@ -167,13 +185,12 @@ class _Stencil:
         """Advance the cell values v by dt; returns the new values, their min and sum."""
         new = self.out[1] if v is self.out[0] else self.out[0]
         flat, size, work = v.ravel(), v.size, self.work.ravel()
-        for axis, (s, h, mbar, face) in enumerate(self.axes):
+        for axis, (s, h, half_mbar, face) in enumerate(self.axes):
             hi, lo = flat[s:], flat[:-s]
             flux = face[s:size]
             pbar = work[: size - s]
             np.add(hi, lo, out=pbar)
-            pbar *= 0.5
-            np.multiply(mbar, pbar, out=pbar)
+            pbar *= half_mbar
             np.subtract(hi, lo, out=flux)
             flux *= pbar
             flux /= h
@@ -200,9 +217,11 @@ def step_joint_fd(p: JointDensity, mob: MobilityField, dt: float) -> JointDensit
     """One conservative explicit step of dp/dt = div(M p grad p).
 
     Interface fluxes use arithmetic averages of M and p and centered
-    gradients; boundary fluxes vanish.  Under the stated bound the update is
-    a convex combination, so negativity signals a genuine violation and
-    aborts instead of being clipped.
+    gradients; boundary fluxes vanish.  A cell below -1e-13 max(1, max p)
+    raises NegativityDetected instead of being clipped.  A step within
+    ``joint_stable_dt`` can still raise it where M jumps sharply between
+    neighbouring cells, since the bound does not hold the update to a convex
+    combination there.
     """
     dt_max = joint_stable_dt(p, mob)
     if dt > dt_max:

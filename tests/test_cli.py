@@ -1,7 +1,11 @@
 import json
 from pathlib import Path
 
-from btflow.cli import SCENARIOS, list_scenarios, main, run
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from btflow.cli import CSV_BLOCK_ROWS, SCENARIOS, _write_csv, list_scenarios, main, run
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -140,6 +144,19 @@ class TestRun:
             assert run(str(cfg)) == 1
             assert "config key 'skt'" in capsys.readouterr().err
 
+    def test_snapshot_times_that_share_a_file_name_rejected(self, tmp_path, capsys):
+        # f"{t:g}" keeps six digits, so the second snapshot would overwrite the first
+        skt_cfg = {"scenario": "skt_joint", "n1": 32, "n2": 32, "t_final": 0.2, "dt_cap": 1e-2}
+        jko_cfg = {"schedule": {"taus": [0.1, 1e-7]}}
+        for base in (skt_cfg, jko_cfg):
+            cfg = write_config(tmp_path, **(base | {"snapshots": [0.1, 0.1000001]}))
+            assert run(str(cfg)) == 1
+            assert "config key 'snapshots'" in capsys.readouterr().err
+            assert not any((tmp_path / "out").iterdir())  # checked before any file is written
+        cfg = write_config(tmp_path, **(jko_cfg | {"snapshots": [0.1, 0.1]}))
+        assert run(str(cfg), out_dir=str(tmp_path / "same")) == 0
+        assert (tmp_path / "same" / "density_t0.1.csv").exists()
+
     def test_skt_decoupled_smoke(self, tmp_path):
         cfg = write_config(tmp_path, scenario="skt_decoupled", n1=32, n2=32, t_final=0.05)
         assert run(str(cfg)) == 0
@@ -248,3 +265,44 @@ class TestRun:
         cfg = write_config(tmp_path)
         code = main(["run", str(cfg), str(cfg), "--out", str(tmp_path / "multi")])
         assert code == 0
+
+
+def per_value_csv(path, header, columns):
+    """The CSV writer as it was before rows were formatted in blocks."""
+    rows = zip(*[np.asarray(c) for c in columns])
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(format(float(v), ".17g") for v in row) + "\n")
+
+
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, np.inf, -np.inf, np.nan, 1e22, 0.1]
+
+
+@st.composite
+def csv_columns(draw):
+    """1-4 equally long float, int or bool columns of 0, 1, CSV_BLOCK_ROWS +- 1 or a few rows."""
+    n_rows = draw(st.sampled_from([0, 1, 7, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["float", "int", "bool"]))
+        if kind == "float":
+            value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(allow_subnormal=True))
+            pool = np.array(draw(st.lists(value, min_size=1, max_size=12)), dtype=float)
+        elif kind == "int":
+            pool = np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=12)))
+        else:
+            pool = np.array(draw(st.lists(st.booleans(), min_size=1, max_size=12)))
+        columns.append(np.resize(pool, n_rows))  # the pool repeated, so a block edge sees every value
+    return columns
+
+
+class TestWriteCsv:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(csv_columns())
+    def test_matches_per_value_writer(self, tmp_path_factory, columns):
+        out = tmp_path_factory.mktemp("csv")
+        header = [f"c{i}" for i in range(len(columns))]
+        _write_csv(out / "block.csv", header, columns)
+        per_value_csv(out / "row.csv", header, columns)
+        assert (out / "block.csv").read_bytes() == (out / "row.csv").read_bytes()

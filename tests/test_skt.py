@@ -12,6 +12,8 @@ from btflow.skt import (
     CONTACT_BAND_MASS,
     MarginalPair,
     SKTConfig,
+    _relative_entropy,
+    _Stencil,
     build_mobility,
     compare_correlated_vs_decoupled,
     constant_mobility,
@@ -307,6 +309,21 @@ def swap_reflect(v):
     return v[::-1, ::-1].T
 
 
+def former_joint_step(m, h1, h2, v, dt):
+    """The explicit joint step as written before the face mobilities were stored halved."""
+    n2 = m.shape[1]
+    row_faces = np.zeros_like(m)
+    row_faces[:, :-1] = 0.5 * (m[:, 1:] + m[:, :-1])
+    flat, size = v.ravel(), v.size
+    new = v.copy()
+    for s, h, mbar in ((n2, h1, (0.5 * (m[1:] + m[:-1])).ravel()), (1, h2, row_faces.ravel()[:-1])):
+        hi, lo = flat[s:], flat[:-s]
+        face = np.zeros(size + s)
+        face[s:size] = (hi - lo) * (mbar * (0.5 * (hi + lo))) / h
+        new += ((face[s:] - face[:size]) * (dt / h)).reshape(v.shape)
+    return new
+
+
 class TestStepperProperties:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.data())
@@ -328,6 +345,28 @@ class TestStepperProperties:
         assert np.abs(out - swap_reflect(out)).max() <= 1e-12 * max(1.0, float(p.values.max()))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_step_matches_former_kernel_bit_for_bit(self, data):
+        # the drawn states hold no subnormal values, so halving the face
+        # mobilities instead of the face sums rounds nowhere
+        g, vals = data.draw(joint_states())
+        mob = data.draw(mobilities(g))
+        dt = 0.5 * joint_stable_dt(JointDensity(g, vals), mob)
+        new, _, _ = _Stencil(mob).step(vals, dt)
+        np.testing.assert_array_equal(new, former_joint_step(mob.values, g.h1, g.h2, vals, dt))
+
+    def test_relative_entropy_ignores_stale_work_on_zero_cells(self):
+        g = Grid2D(6, 5, -1.0, 1.0, -1.0, 1.0)
+        vals = np.arange(30.0).reshape(6, 5) % 7  # zero cells, none in a full row or column
+        vals /= g.h1 * g.h2 * vals.sum()
+        h = _relative_entropy(vals, 0.0, g, np.full(vals.shape, np.nan))
+        pos = vals > 0.0
+        prod = np.outer(vals.sum(axis=1) * g.h2, vals.sum(axis=0) * g.h1)
+        direct = g.h1 * g.h2 * np.sum(vals[pos] * np.log(vals[pos] / prod[pos]))
+        assert h == relative_entropy(JointDensity(g, vals))
+        assert h == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(joint_states())
     def test_relative_entropy_matches_masked_formula(self, state):
         g, vals = state
@@ -347,7 +386,35 @@ class TestStepperProperties:
         assert abs(relative_entropy(JointDensity(g, prod / (g.h1 * g.h2 * prod.sum())))) <= 1e-12
 
 
+@st.composite
+def marginal_pairs(draw):
+    """Two unit-mass marginals on a square grid of 4-32 cells, each with a run of zero cells."""
+    n = draw(st.integers(4, 32))
+    g = Grid2D(n, n, -1.0, 1.0, -1.0, 1.0)
+    species = []
+    for axis in (g.axis1(), g.axis2()):
+        vals = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+        start = draw(st.integers(0, n - 2))
+        vals[start : start + draw(st.integers(1, n - 1))] = 0.0
+        assume(vals.any())
+        species.append(normalize(vals, axis))
+    return g, MarginalPair(*species)
+
+
 class TestDecoupled:
+    @pytest.mark.parametrize("variant", ["quadratic", "entropy"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_step_conserves_mass_and_sign(self, data, variant):
+        # the step clamps at zero, so unit mass also shows the clamp removed
+        # nothing beyond rounding
+        g, pair = data.draw(marginal_pairs())
+        mob = data.draw(mobilities(g))
+        out = step_decoupled_fd(pair, mob, 0.5 * decoupled_stable_dt(pair, mob, variant), variant)
+        for u, h in ((out.u1.values, g.h1), (out.u2.values, g.h2)):
+            assert u.min() >= 0.0
+            assert abs(h * u.sum() - 1.0) <= 1e-12
+
     def test_swap_symmetry_exact(self):
         g = square_grid(32)
         gx = g.axis1()
