@@ -27,9 +27,10 @@ coupling = CouplingMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
 tau, eps, steps = 1e-3, 1e-3, 50
 
 u_lagr = u_entr = u0
-# inner work per step: descent iterations (Lagrangian), outer Gauss-Seidel
-# sweeps (entropic), and whether the step's inner solver converged
-print(f"{'step':>4s} {'L1(lagr, entr)':>15s} {'lagr iters':>10s} {'conv':>5s} {'entr sweeps':>11s} {'conv':>5s}")
+# inner work per step: descent iterations (Lagrangian), joint scaling
+# iterations over all species (entropic), and whether the step's inner
+# solver converged
+print(f"{'step':>4s} {'L1(lagr, entr)':>15s} {'lagr iters':>10s} {'conv':>5s} {'entr iters':>11s} {'conv':>5s}")
 for k in range(steps):
     u_lagr, rep_l = jko_step_lagrangian(u_lagr, coupling, tau)
     u_entr, rep_e = jko_step_entropic(u_entr, coupling, tau, eps)

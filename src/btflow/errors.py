@@ -25,10 +25,6 @@ class NotPositiveDefinite(ValueError):
     """Raised by solvers that require a positive definite coupling matrix."""
 
 
-class InnerDiverged(RuntimeError):
-    """Raised when an inner optimization loop fails to converge."""
-
-
 class KernelUnderflow(ValueError):
     """Raised when the Gibbs kernel underflows at the grid scale (epsilon too small)."""
 

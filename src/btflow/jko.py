@@ -17,11 +17,10 @@ independent inner solvers:
 * ``jko_step_entropic`` solves the epsilon-regularized problem on the
   Eulerian grid by Sinkhorn-type scaling against the Gibbs kernel, with a
   pointwise relative-entropy prox of the frozen-coefficient energy density
-  (safeguarded Newton) for the second marginal and Gauss-Seidel over species.
-  Within a step the scaling is warm-started: each species keeps its scaling
-  vector from one outer sweep to the next, and each Newton solve starts from
-  the log of the previous scaling iterate's marginal.  A step reports
-  ``converged=False`` when a scaling loop of its final sweep hit
+  (safeguarded Newton) for the second marginal.  One loop updates all
+  species, each once per iteration against the others' current marginals,
+  and each Newton solve starts from the log of the species' previous
+  marginal.  A step reports ``converged=False`` when the loop hit
   SINKHORN_INNER_CAP.
 
 The two solvers share no machinery, which is what makes their agreement a
@@ -52,7 +51,6 @@ from .errors import (
     DegenerateSupport,
     EstimateFailed,
     InfiniteInitialEntropy,
-    InnerDiverged,
     KernelUnderflow,
     NonpositiveTime,
     NotPositiveDefinite,
@@ -64,10 +62,8 @@ STEP_FLOOR = 2.0**-60  # the descent gives up when its step falls below this * t
 STEP_GROWTH = 1.1  # descent step factor after an accepted iterate
 QUADRATURE_REFINE = 4.0  # inner quadrature cells per smallest level gap
 QUADRATURE_CAP = 32768
-TOL_FIX = 1e-9  # entropic outer fixed-point tolerance (L1)
-MAX_OUTER = 2000
 SINKHORN_INNER_TOL = 1e-12
-SINKHORN_INNER_CAP = 500
+SINKHORN_INNER_CAP = 100_000  # joint iterations; a 64-200 cell stress grid needs <= 7,530
 SUPPORT_THRESHOLD_SCALE = 1e-8  # residual support cut at scale / h
 
 
@@ -81,8 +77,7 @@ class JKOSchedule:
         taus = np.atleast_1d(np.asarray(self.taus, dtype=float))
         if taus.size == 0:
             raise ValueError("a schedule needs at least one step")
-        if not np.all(np.isfinite(taus) & (taus > 0.0)):
-            raise NonpositiveTime("all step sizes must be finite and positive")
+        _require_finite_positive("all step sizes", taus, NonpositiveTime)
         object.__setattr__(self, "taus", taus)
 
     @staticmethod
@@ -136,6 +131,11 @@ class ResidualReport:
     @property
     def worst(self) -> float:
         return float(self.values.max())
+
+
+def _require_finite_positive(name: str, value, error=ValueError):
+    if not np.all(np.isfinite(value) & (np.asarray(value) > 0.0)):
+        raise error(f"{name} must be finite and positive")
 
 
 def _require_positive_definite(a: CouplingMatrix):
@@ -494,6 +494,7 @@ def jko_step_lagrangian(
 ) -> tuple[DensityVector, JKOStepReport]:
     """One minimizing-movement step via the quantile-map descent."""
     _require_positive_definite(a)
+    _require_finite_positive("tau", tau, NonpositiveTime)
     L = u_prev.grid.n_cells if n_levels is None else int(n_levels)
     # energies under the solver's own quadrature: monotone by construction
     x_prev, quad, e_before = _lagrangian_start(u_prev, a, opts, L)
@@ -521,8 +522,8 @@ def _prox_newton(
     Newton warm-started at y0 (the log of the previous scaling iterate).  The
     function is convex and increasing, so Newton from above the root
     decreases monotonically onto it, and from below it overshoots once and
-    then decreases monotonically.  A bisection pass guards the (never
-    observed in practice) stragglers.
+    then decreases monotonically.  A bisection pass takes the cells Newton
+    leaves above tol, which stiff steps (large tau / eps, peaked data) have.
     """
     c = np.log(np.maximum(xi, 1e-300)) - beta
     if alpha == 0.0:
@@ -549,7 +550,18 @@ def _prox_newton(
             else:
                 lo = mid
         y[k] = 0.5 * (lo + hi)
-    return np.exp(np.minimum(y, 700.0))
+    return ey if bad.size == 0 else np.exp(np.minimum(y, 700.0))
+
+
+def _source_marginal(kernel: np.ndarray, mu: np.ndarray, b: np.ndarray, species: int, eps: float):
+    """xi = K (mu / K b), the kernel side of the first-marginal scaling."""
+    xi = kernel @ (mu / (kernel @ b))
+    if not xi.min() > 0.0:  # also catches NaN
+        raise KernelUnderflow(
+            f"Gibbs kernel product underflows on {int(np.sum(~(xi > 0.0)))} cells "
+            f"out of reach of species {species + 1}'s support (eps = {eps:g})"
+        )
+    return xi
 
 
 def jko_step_entropic(
@@ -560,18 +572,20 @@ def jko_step_entropic(
 ) -> tuple[DensityVector, JKOStepReport]:
     """One entropic-proximal step on the Eulerian grid.
 
-    Species are visited in fixed order (Gauss-Seidel); for each species the
-    scaling iteration alternates the source-marginal update with the
-    relative-entropy prox of the frozen-coefficient energy density
-    tau * (a_ii u_i^2 / 2 + u_i sum_{j != i} a_ij u_j).  Each species keeps
-    its scaling vector and its last second marginal from one sweep to the
-    next, so a sweep resumes the scaling iteration where the previous one
-    stopped.  The step reports ``converged=False`` when a scaling iteration
-    of the final sweep ran out of iterations before its tolerance.
+    One scaling loop updates every species once per iteration, in fixed
+    order: the relative-entropy prox of the frozen-coefficient energy density
+    tau * (a_ii u_i^2 / 2 + u_i sum_{j != i} a_ij u_j) gives the second
+    marginal nu_i, and nu_i / xi_i the new scaling vector b_i.  The coupling
+    reads the other species' current exact-mass marginals
+    b_j K(mu_j / K b_j) / h, and each species keeps xi_i = K(mu_i / K b_i)
+    from its update for the next one, so an update costs two kernel products.
+    The loop stops when the second marginals move by less than
+    SINKHORN_INNER_TOL in L1 over one iteration; after SINKHORN_INNER_CAP
+    iterations the step returns with ``converged=False``.
     """
     _require_positive_definite(a)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    _require_finite_positive("tau", tau, NonpositiveTime)
+    _require_finite_positive("eps", eps)
     grid = u_prev.grid
     h = grid.h
     if np.exp(-(h * h) / eps) == 0.0:
@@ -581,46 +595,33 @@ def jko_step_entropic(
     x = grid.centers()
     kernel = np.exp(-((x[:, None] - x[None, :]) ** 2) / eps)
     mu = u_prev.values * h
-    dens = u_prev.values.copy()
     n_species = u_prev.n_species
     e_before = energy_quadratic(u_prev, a)
+    # p_i less the uniform state's pressure: the first marginal fixes the mass, so the
+    # minimizer stays, and b_i stays near 1 instead of near exp(-2 tau p_i / eps)
+    level = a.entries.sum(axis=1) / grid.length
     scaling = np.ones_like(mu)
     marginal = mu.copy()
+    xi = np.stack([_source_marginal(kernel, mu[i], scaling[i], i, eps) for i in range(n_species)])
+    dens = xi / h  # the exact-mass second marginals at b = 1
 
-    outer_used = None
-    for outer in range(1, MAX_OUTER + 1):
-        prev = dens.copy()
-        capped = False
+    converged = False
+    for iterations in range(1, SINKHORN_INNER_CAP + 1):
+        delta = 0.0
         for i in range(n_species):
-            frozen = a.entries[i] @ dens - a.entries[i, i] * dens[i]
+            frozen = a.entries[i] @ dens - a.entries[i, i] * dens[i] - level[i]
             alpha = 2.0 * tau * a.entries[i, i] / (eps * h)
             beta = (2.0 * tau / eps) * frozen
-            b, nu = scaling[i], marginal[i]
-            for _ in range(SINKHORN_INNER_CAP):
-                a_vec = mu[i] / (kernel @ b)
-                xi = kernel @ a_vec
-                if not xi.min() > 0.0:  # also catches NaN
-                    raise KernelUnderflow(
-                        f"Gibbs kernel product underflows on {int(np.sum(~(xi > 0.0)))} cells "
-                        f"out of reach of species {i + 1}'s support (eps = {eps:g})"
-                    )
-                y0 = np.log(np.maximum(nu, 1e-300))
-                nu_new = _prox_newton(xi, alpha, beta, SINKHORN_INNER_TOL, y0)
-                b = nu_new / xi
-                delta = float(np.abs(nu_new - nu).sum())
-                nu = nu_new
-                if delta < SINKHORN_INNER_TOL:
-                    break
-            else:
-                capped = True
-            scaling[i], marginal[i] = b, nu
-            a_vec = mu[i] / (kernel @ b)
-            dens[i] = b * (kernel @ a_vec) / h  # exact-mass second marginal
-        if float(np.abs(dens - prev).sum()) * h < TOL_FIX:
-            outer_used = outer
+            y0 = np.log(np.maximum(marginal[i], 1e-300))
+            nu = _prox_newton(xi[i], alpha, beta, SINKHORN_INNER_TOL, y0)
+            scaling[i] = nu / xi[i]
+            delta += float(np.abs(nu - marginal[i]).sum())
+            marginal[i] = nu
+            xi[i] = _source_marginal(kernel, mu[i], scaling[i], i, eps)
+            dens[i] = scaling[i] * xi[i] / h
+        if delta < SINKHORN_INNER_TOL:
+            converged = True
             break
-    if outer_used is None:
-        raise InnerDiverged(f"entropic outer loop exceeded {MAX_OUTER} sweeps")
 
     masses = h * dens.sum(axis=1)
     drift = float(np.abs(masses - 1.0).max())
@@ -633,9 +634,9 @@ def jko_step_entropic(
         w2_increment=w2_product(u_prev, u_next),
         energy_before=e_before,
         energy_after=e_after,
-        inner_iterations=outer_used,
+        inner_iterations=iterations,
         optimality_residual=optimality_residual(u_prev, u_next, a, tau).worst,
-        converged=not capped,
+        converged=converged,
     )
     return u_next, report
 
@@ -699,7 +700,7 @@ def run_jko(
     Hoelder and entropy-dissipation tolerances carry no 1/L term.
 
     ``meta`` records the inner solver's largest per-step iteration count
-    (descent iterations, or entropic outer sweeps) as
+    (descent iterations, or joint entropic scaling iterations) as
     ``inner_iterations_max`` and whether every step converged as
     ``inner_converged``.
     """

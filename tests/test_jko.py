@@ -180,6 +180,32 @@ class TestEntropicStep:
         assert l1_error_vector(ul, ue) <= 5e-2
 
 
+BAD_STEP_ARGUMENTS = [
+    ("entropic", 1e-3, np.nan, ValueError, "eps"),
+    ("entropic", 1e-3, np.inf, ValueError, "eps"),
+    ("entropic", 1e-3, 0.0, ValueError, "eps"),
+    ("entropic", -1e-3, 1e-3, NonpositiveTime, "tau"),
+    ("entropic", 0.0, 1e-3, NonpositiveTime, "tau"),
+    ("entropic", np.nan, 1e-3, NonpositiveTime, "tau"),
+    ("entropic", np.inf, 1e-3, NonpositiveTime, "tau"),
+    ("lagrangian", -1e-3, None, NonpositiveTime, "tau"),
+    ("lagrangian", 0.0, None, NonpositiveTime, "tau"),
+    ("lagrangian", np.nan, None, NonpositiveTime, "tau"),
+    ("lagrangian", np.inf, None, NonpositiveTime, "tau"),
+]
+
+
+@pytest.mark.parametrize("solver, tau, eps, error, name", BAD_STEP_ARGUMENTS)
+def test_bad_step_arguments_name_their_cause(pd_matrix, solver, tau, eps, error, name):
+    u0 = smooth_pair(32)
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive") as excinfo:
+        if solver == "entropic":
+            jko_step_entropic(u0, pd_matrix, tau, eps)
+        else:
+            jko_step_lagrangian(u0, pd_matrix, tau)
+    assert excinfo.type is error  # not KernelUnderflow, itself a ValueError
+
+
 class TestOptimalityResidual:
     def test_energy_minimum_has_small_residual(self, pd_matrix):
         # with a huge step size the minimizer is the unconstrained energy
@@ -659,3 +685,108 @@ class TestInnerConvergedCheck:
         assert not {c.name: c.passed for c in record.checks}["inner_solver_converged"]
         with pytest.raises(EstimateFailed, match="inner_solver_converged"):
             run_jko(u0, pd_matrix, schedule, solver="entropic", strict=True)
+
+
+def _sweep_reference(u_prev, a, tau, eps, dens, scaling, marginal, cap=500):
+    """Reference: one Gauss-Seidel sweep of the per-species scaling loops.
+
+    Each species in turn runs its own scaling loop to 1e-12 (at most ``cap``
+    iterations) against the frozen marginals of the others in ``dens``, then
+    writes its exact-mass marginal there.  ``dens``, ``scaling`` and
+    ``marginal`` are updated in place; returns whether a loop hit its cap.
+    """
+    grid = u_prev.grid
+    h = grid.h
+    x = grid.centers()
+    kernel = np.exp(-((x[:, None] - x[None, :]) ** 2) / eps)
+    mu = u_prev.values * h
+    capped = False
+    for i in range(u_prev.n_species):
+        frozen = a.entries[i] @ dens - a.entries[i, i] * dens[i]
+        alpha = 2.0 * tau * a.entries[i, i] / (eps * h)
+        beta = (2.0 * tau / eps) * frozen
+        b, nu = scaling[i], marginal[i]
+        for _ in range(cap):
+            xi = kernel @ (mu[i] / (kernel @ b))
+            assert xi.min() > 0.0
+            nu_new = _prox_newton(xi, alpha, beta, 1e-12, np.log(np.maximum(nu, 1e-300)))
+            b = nu_new / xi
+            delta = float(np.abs(nu_new - nu).sum())
+            nu = nu_new
+            if delta < 1e-12:
+                break
+        else:
+            capped = True
+        scaling[i], marginal[i] = b, nu
+        dens[i] = b * (kernel @ (mu[i] / (kernel @ b))) / h
+    return capped
+
+
+def _step_reference(u_prev, a, tau, eps):
+    """Reference: the entropic step as Gauss-Seidel sweeps, repeated until a
+    sweep moves the densities by less than 1e-9 in L1.  Returns the
+    normalized densities and whether the last sweep's loops all converged."""
+    h = u_prev.grid.h
+    dens = u_prev.values.copy()
+    scaling, marginal = np.ones_like(dens), dens * h
+    for _ in range(2000):
+        prev = dens.copy()
+        capped = _sweep_reference(u_prev, a, tau, eps, dens, scaling, marginal)
+        if h * np.abs(dens - prev).sum() < 1e-9:
+            return dens / (h * dens.sum(axis=1))[:, None], not capped
+    raise AssertionError("the reference sweeps did not settle")
+
+
+@st.composite
+def entropic_problems(draw):
+    """Smooth positive pairs and triples on 16-128 cells with a coupling of
+    smallest eigenvalue lambda_min, and a step size and regularization."""
+    n_species = draw(st.integers(2, 3))
+    grid = Grid1D(draw(st.integers(16, 128)), 0.0, 1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = grid.centers()
+    rows = [
+        normalize(1.0 + rng.uniform(0.0, 0.3) * np.cos(np.pi * x + rng.uniform(0.0, 2.0 * np.pi)), grid)
+        for _ in range(n_species)
+    ]
+    # lambda_min I + v v^T: eigenvalues lambda_min (N - 1 times) and lambda_min + |v|^2
+    v = rng.uniform(0.2, 1.0, n_species)
+    a = CouplingMatrix(draw(st.floats(0.02, 1.0)) * np.eye(n_species) + np.outer(v, v))
+    tau = float(10.0 ** draw(st.floats(-3.0, np.log10(5e-2))))
+    eps = float(10.0 ** draw(st.floats(np.log10(5e-4), np.log10(2e-3))))
+    return DensityVector.from_species(rows), a, tau, eps
+
+
+class TestJointScaling:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(entropic_problems())
+    def test_matches_the_sweep_reference(self, problem):
+        u0, a, tau, eps = problem
+        out, report = jko_step_entropic(u0, a, tau, eps)
+        ref, ref_converged = _step_reference(u0, a, tau, eps)
+        assert report.converged and ref_converged
+        assert u0.grid.h * np.abs(out.values - ref).sum() <= 1e-8
+
+    # at tau / eps = 100 the scaling vectors of the unshifted pressures sit
+    # near exp(-2 tau p / eps) ~ e^-600, and the loop used to run into NaN
+    @pytest.mark.parametrize(
+        "n_species, tau, eps",
+        [(2, 1e-3, 1e-3), (2, 1e-2, 5e-4), (2, 5e-2, 5e-4), (3, 5e-3, 2e-3), (3, 2e-2, 1e-3)],
+    )
+    def test_returned_state_is_a_fixed_point_of_a_sweep(self, n_species, tau, eps):
+        grid = Grid1D(96, 0.0, 1.0)
+        x = grid.centers()
+        u0 = DensityVector.from_species(
+            [normalize(1.0 + 0.25 * np.cos(np.pi * x + 2.0 * np.pi * i / n_species), grid)
+             for i in range(n_species)]
+        )
+        a = CouplingMatrix(np.eye(n_species) + np.ones((n_species, n_species)))
+        out, report = jko_step_entropic(u0, a, tau, eps)
+        assert report.converged
+        dens = out.values.copy()
+        # from cold scaling vectors a loop needs more than the sweeps' 500
+        # iterations at the larger tau / eps
+        start = np.ones_like(dens), u0.values * grid.h
+        assert not _sweep_reference(u0, a, tau, eps, dens, *start, cap=20000)
+        # 1e-9 is the sweeps' own stopping tolerance
+        assert grid.h * np.abs(dens - out.values).sum() < 1e-9
