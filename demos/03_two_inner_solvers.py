@@ -27,7 +27,8 @@ coupling = CouplingMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
 tau, eps, steps = 1e-3, 1e-3, 50
 
 u_lagr = u_entr = u0
-# inner work per step: descent iterations (Lagrangian), joint scaling
+# inner work per step: descent iterations in the Hessian metric, plus any
+# Euclidean restart (Lagrangian, about 20 on this data), joint scaling
 # iterations over all species (entropic), and whether the step's inner
 # solver converged
 print(f"{'step':>4s} {'L1(lagr, entr)':>15s} {'lagr iters':>10s} {'conv':>5s} {'entr iters':>11s} {'conv':>5s}")

@@ -169,15 +169,18 @@ def _run_parabolic(cfg: dict, out: Path) -> RunRecord:
     schedule = _schedule_from(cfg)
     solver = cfg.get("solver", {})
     name = solver.get("name", "lagrangian")
-    if name == "entropic" and solver.get("levels") is not None:
+    levels = solver.get("levels")
+    if name == "entropic" and levels is not None:
         raise ConfigInvalid("solver", "levels applies to the lagrangian solver only")
+    if levels is not None and (type(levels) is not int or levels < 1):
+        raise ConfigInvalid("solver", f"levels: expected an integer of at least 1, got {levels!r}")
     traj, record = jko.run_jko(
         u0,
         a,
         schedule,
         solver=name,
         eps=float(solver.get("eps", 1e-3)),
-        n_levels=solver.get("levels"),
+        n_levels=levels,
         strict=False,
     )
     ks = [int(np.argmin(np.abs(record.times - float(t)))) for t in cfg.get("snapshots", [])]

@@ -7,12 +7,15 @@ independent inner solvers:
   term is a diagonal quadratic and the energy gradient is assembled through
   the exact adjoint of the deposition operator, for all species and slabs in
   one vector pass.  The descent is monotone FISTA with adaptive restart over
-  the monotone maps in the box (pool-adjacent-violators projection).  Its
-  accepted iterates never raise the objective, so the per-step energy
-  inequality holds, and it reports convergence only when the
-  projected-gradient mapping is small relative to the energy gradient at the
-  step's start.  Grid edges and the split of the coupling matrix are computed
-  once per run.
+  the monotone maps in the box (pool-adjacent-violators projection), scaled
+  by a per-step metric: the per-species tridiagonal part of the energy
+  Hessian at the step's start, read from finite-difference gradient probes,
+  plus the prox curvature.  Where that model fails, the step restarts once
+  in the Euclidean metric.  Its accepted iterates never raise the objective,
+  so the per-step energy inequality holds, and it reports convergence only
+  when the Euclidean projected-gradient mapping is small relative to the
+  energy gradient at the step's start.  Grid edges and the split of the
+  coupling matrix are computed once per run.
 
 * ``jko_step_entropic`` solves the epsilon-regularized problem on the
   Eulerian grid by Sinkhorn-type scaling against the Gibbs kernel, with a
@@ -29,7 +32,7 @@ meaningful cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,6 +63,9 @@ from .transport1d import kantorovich_potential_1d, w2_product
 
 STEP_FLOOR = 2.0**-60  # the descent gives up when its step falls below this * tau * L
 STEP_GROWTH = 1.1  # descent step factor after an accepted iterate
+HESSIAN_PROBE = 1e-6  # metric probe move, relative to the smallest positive level gap
+METRIC_MIN_STEP = 0.25  # an accepted Hessian-metric step below this fails the metric
+METRIC_ITERATIONS = 100  # Hessian-metric iterations before the Euclidean restart
 QUADRATURE_REFINE = 4.0  # inner quadrature cells per smallest level gap
 QUADRATURE_CAP = 32768
 SINKHORN_INNER_TOL = 1e-12
@@ -371,38 +377,149 @@ def _stationarity(x: np.ndarray, grad: np.ndarray, step: float, lo: float, hi: f
     return np.sqrt(_dot(r, r)) / step
 
 
+def _tridiagonal_inverse(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Inverses of diagonally dominant symmetric tridiagonal matrices, one per row
+    of ``diag`` (N, L) and ``off`` (N, L - 1), by elimination on the identity.
+
+    O(L^2) per matrix, elementwise, so equal rows give equal inverses bit for
+    bit; dominance makes pivoting unnecessary.
+    """
+    n_species, n = diag.shape
+    inverse = np.zeros((n_species, n, n))
+    inverse[:, np.arange(n), np.arange(n)] = 1.0
+    pivot = diag.copy()
+    for k in range(1, n):
+        factor = off[:, k - 1] / pivot[:, k - 1]
+        pivot[:, k] -= factor * off[:, k - 1]
+        inverse[:, k, :k] -= factor[:, None] * inverse[:, k - 1, :k]
+    inverse[:, -1] /= pivot[:, -1, None]
+    for k in range(n - 2, -1, -1):
+        inverse[:, k] -= off[:, k, None] * inverse[:, k + 1]
+        inverse[:, k] /= pivot[:, k, None]
+    return inverse
+
+
+class _HessianMetric:
+    """The descent metric M of one step, held as D = tau L M (D = I is Euclidean).
+
+    M is the per-species tridiagonal block of the Hessian of E at x_prev,
+    symmetrized, plus 1/(tau L), each diagonal entry raised to at least its
+    row's off-diagonal magnitudes plus 1/(tau L), so D >= I is SPD.  Probe c
+    moves the positions j = c (mod 3) of one species by HESSIAN_PROBE times
+    the smallest positive gap (away from a repeated neighbour); the change of
+    that species' gradient gives its columns j at rows j - 1, j, j + 1, so
+    3N evaluations per step.  D is inverted once (N L^2 floats).
+    """
+
+    def __init__(self, x: np.ndarray, grad_e: np.ndarray, tau: float, quad: _Quadrature):
+        n_species, n_levels = x.shape
+        gaps = np.diff(x, axis=1)
+        delta = HESSIAN_PROBE * float(gaps[gaps > 0.0].min())
+        # +delta with room to the right, -delta with room only to the left
+        room_right = np.append(gaps > 0.0, x[:, -1:] < quad.grid.x_max, axis=1)
+        room_left = np.insert(gaps > 0.0, 0, x[:, 0] > quad.grid.x_min, axis=1)
+        move = delta * np.where(room_right, 1.0, np.where(room_left, -1.0, 0.0))
+        color = np.arange(n_levels) % 3
+        # change[i, c]: how species i's gradient moves under its probe c
+        change = np.zeros((n_species, 3, n_levels))
+        for i in range(n_species):
+            for c in range(3):
+                probe = x.copy()
+                probe[i, color == c] += move[i, color == c]
+                g = quad.gradient(probe, quad.densities(probe))
+                change[i, c] = g[i] - grad_e[i]
+        scale = np.divide(1.0, move, out=np.zeros_like(move), where=move != 0.0)
+        j = np.arange(n_levels - 1)
+        hess_diag = change[:, color, np.arange(n_levels)] * scale
+        below = change[:, color[:-1], j + 1] * scale[:, :-1]  # H[j + 1, j]
+        above = change[:, color[1:], j] * scale[:, 1:]  # H[j, j + 1]
+        weight = tau * n_levels
+        self.off = 0.5 * weight * (below + above)
+        rows = np.pad(np.abs(self.off), ((0, 0), (1, 0))) + np.pad(np.abs(self.off), ((0, 0), (0, 1)))
+        self.diag = np.maximum(1.0 + weight * hess_diag, 1.0 + rows)
+        self.test_step = weight / float((self.diag + rows).max())
+        self.inverse = _tridiagonal_inverse(self.diag, self.off)
+
+    def solve(self, g: np.ndarray) -> np.ndarray:
+        return np.matmul(self.inverse, g[..., None])[..., 0]
+
+    def norm_sq(self, d: np.ndarray) -> float:
+        return _dot(d, self.diag * d) + 2.0 * _dot(self.off, d[:, :-1] * d[:, 1:])
+
+
 def _lagrangian_minimize(
     x_prev: np.ndarray,
     tau: float,
     quad: _Quadrature,
     opts: JKOOptions,
 ) -> _LagrangianResult:
-    """Minimize f(x) = |x - x_prev|^2 / (2 tau L) + E(x) by monotone FISTA.
+    """Minimize f(x) = |x - x_prev|^2 / (2 tau L) + E(x) by ``_descend`` in
+    the step's Hessian metric, which brings the Laplacian-like conditioning of
+    f in quantile variables down to a few units.
 
-    f is evaluated only on the feasible set (monotone maps in the box): each
-    candidate z, a gradient step from the extrapolated point y, and y itself
-    are projected.  f is taken relative to f(x_prev), the energy difference
-    summed cell by cell, so decreases far below the rounding of E still count.
-    The step starts at tau * L, the prox term's inverse curvature, and never
-    exceeds it; it halves until z lies under the quadratic upper bound of f
-    around y and grows by STEP_GROWTH after an accepted z.  A z that would
-    raise f is rejected and the momentum restarts from x, so accepted
-    iterates never raise f; it also restarts when <y - z, z - x> > 0
-    (O'Donoghue and Candes 2015).
+    When that model fails (an accepted step below METRIC_MIN_STEP, a stall,
+    or no convergence in METRIC_ITERATIONS), the descent restarts once from
+    x_prev in the Euclidean metric M = I / (tau L), with what is left of
+    ``max_iterations``; the reported iterations include the metric's.  A map
+    without a positive gap has no metric and descends in the Euclidean one.
+    """
+    base = quad.densities(x_prev)
+    grad_e = quad.gradient(x_prev, base)
+    if not np.any(np.diff(x_prev, axis=1) > 0.0):
+        return _descend(x_prev, tau, quad, opts, base, grad_e)[0]
+    metric = _HessianMetric(x_prev, grad_e, tau, quad)
+    result, failed = _descend(x_prev, tau, quad, opts, base, grad_e, metric)
+    if not failed:
+        return result
+    rest = replace(opts, max_iterations=opts.max_iterations - result.iterations)
+    fallback, _ = _descend(x_prev, tau, quad, rest, base, grad_e)
+    fallback.iterations += result.iterations
+    return fallback
 
-    Converged means ||x - P(x - s grad f(x))|| / s <= tol_stationarity *
-    |grad E(x_prev)|, with s the longest accepted step: tau * L itself would
-    make the measure lax, and a collapsed step would round the move away.
-    The test runs when the gradient at x is at hand anyway (a restart) or
-    when the step from y was already that short.  A step below STEP_FLOOR *
-    tau * L, an accepted step that leaves x unchanged, or running out of
-    ``max_iterations`` returns ``converged=False``.
+
+def _descend(
+    x_prev: np.ndarray,
+    tau: float,
+    quad: _Quadrature,
+    opts: JKOOptions,
+    base: tuple,
+    grad_e: np.ndarray,
+    metric: _HessianMetric | None = None,
+) -> tuple[_LagrangianResult, bool]:
+    """Monotone FISTA on f in the metric M (Euclidean when ``metric`` is None),
+    from x_prev evaluated as ``base`` with energy gradient ``grad_e``.
+
+    f is evaluated only on the feasible set (monotone maps in the box): the
+    candidate z = P(y - s M^-1 grad f(y)) and the extrapolated point y are
+    projected.  f is taken relative to f(x_prev), the energy difference
+    summed cell by cell, so decreases far below the rounding of E still
+    count.  The step s starts at 1 (tau * L in the Euclidean metric, the prox
+    term's inverse curvature) and never exceeds it; it halves until f(z) <=
+    f(y) + <grad f(y), d> + |d|_M^2 / (2 s), d = z - y, and grows by
+    STEP_GROWTH after an accepted z.  A z that would raise f is rejected and
+    the momentum restarts from x, so accepted iterates never raise f; it also
+    restarts when <y - z, z - x> > 0 (O'Donoghue and Candes 2015).
+
+    Converged means the Euclidean ||x - P(x - s grad f(x))|| / s <=
+    tol_stationarity * |grad E(x_prev)|, with s the longest accepted step in
+    the Euclidean metric (tau * L itself would make the measure lax, and a
+    collapsed step would round the move away) and 1 / (largest row sum of M)
+    <= tau * L in the Hessian one; the mapping's norm does not grow as s
+    shrinks.  The test runs when the gradient at x is at hand anyway (a
+    restart) or when the step from y was already that short.  A step below
+    STEP_FLOOR, an accepted step that leaves x unchanged, or running out of
+    ``max_iterations`` returns ``converged=False``.  The returned flag says
+    that the Hessian metric's model failed.
     """
     n_levels = x_prev.shape[1]
     prox_weight = 1.0 / (tau * n_levels)
     lo, hi = quad.grid.x_min, quad.grid.x_max
-    max_step = tau * n_levels
-    base = quad.densities(x_prev)
+    max_step = tau * n_levels  # the step is held in Euclidean units, s * tau * L
+    if metric is None:
+        solve, norm_sq, budget = (lambda g: g), (lambda d: _dot(d, d)), opts.max_iterations
+    else:
+        solve, norm_sq = metric.solve, metric.norm_sq
+        budget = min(opts.max_iterations, METRIC_ITERATIONS)
 
     def objective(x):
         d = x - x_prev
@@ -412,20 +529,20 @@ def _lagrangian_minimize(
     def gradient(x, state):
         return prox_weight * (x - x_prev) + quad.gradient(x, state)
 
-    x, obj, state_x = x_prev, 0.0, base
-    grad = quad.gradient(x, base)
+    x, obj, state_x, grad = x_prev, 0.0, base, grad_e
     target = opts.tol_stationarity * np.sqrt(_dot(grad, grad))  # |grad E(x_prev)|
     y, obj_y, grad_y = x, obj, grad
     t, step, test_step = 1.0, max_step, 0.0
-    converged = False
+    converged = failed = False
     iterations = 0
-    while iterations < opts.max_iterations:
+    while iterations < budget:
         iterations += 1
+        direction = solve(grad_y)
         while step >= STEP_FLOOR * max_step:
-            z = _project_monotone(y - step * grad_y, lo, hi)
+            z = _project_monotone(y - step * direction, lo, hi)
             d = z - y
             obj_z, state = objective(z)
-            if obj_z <= obj_y + _dot(grad_y, d) + _dot(d, d) / (2.0 * step):
+            if obj_z <= obj_y + _dot(grad_y, d) + norm_sq(d) / (2.0 * step):
                 break
             step *= 0.5
         else:
@@ -438,7 +555,13 @@ def _lagrangian_minimize(
                 grad = gradient(x, state_x)
             y, obj_y, grad_y, t = x, obj, grad, 1.0
             continue
-        test_step = max(test_step, step)
+        if metric is None:
+            test_step = max(test_step, step)
+        elif step < METRIC_MIN_STEP * max_step:
+            failed = True
+            break
+        else:
+            test_step = metric.test_step
         stalled = np.array_equal(z, x)
         if _dot(y - z, z - x) > 0.0:
             t = 1.0
@@ -453,6 +576,7 @@ def _lagrangian_minimize(
                 converged = True
                 break
             if stalled:
+                failed = metric is not None
                 break  # the accepted step no longer moves x
         step = min(step * STEP_GROWTH, max_step)
         if momentum == 0.0:
@@ -461,7 +585,9 @@ def _lagrangian_minimize(
             y = _project_monotone(x + momentum * (x - x_old), lo, hi)
             obj_y, state_y = objective(y)
             grad_y = gradient(y, state_y)
-    return _LagrangianResult(x, iterations, converged, quad.energy(state_x), test_step)
+    else:
+        failed = metric is not None and budget < opts.max_iterations
+    return _LagrangianResult(x, iterations, converged, quad.energy(state_x), test_step), failed
 
 
 def _quantile_state(u: DensityVector, n_levels: int) -> np.ndarray:
@@ -470,9 +596,14 @@ def _quantile_state(u: DensityVector, n_levels: int) -> np.ndarray:
     )
 
 
-def _lagrangian_start(u: DensityVector, a: CouplingMatrix, opts: JKOOptions, n_levels: int):
-    """The quantile state x of u at n_levels levels, the run's quadrature and E(x)."""
-    x = _quantile_state(u, n_levels)
+def _lagrangian_start(u: DensityVector, a: CouplingMatrix, opts: JKOOptions, n_levels: int | None):
+    """The quantile state x of u at n_levels levels (by default the cell
+    count), the run's quadrature and E(x)."""
+    if n_levels is None:
+        n_levels = u.grid.n_cells
+    elif isinstance(n_levels, bool) or not isinstance(n_levels, (int, np.integer)) or n_levels < 1:
+        raise ValueError(f"n_levels must be an integer of at least 1, got {n_levels!r}")
+    x = _quantile_state(u, int(n_levels))
     quad = _Quadrature(a, u.grid, _quadrature_grid(x, u.grid), opts.include_dirichlet)
     return x, quad, quad.energy(quad.densities(x))
 
@@ -495,9 +626,8 @@ def jko_step_lagrangian(
     """One minimizing-movement step via the quantile-map descent."""
     _require_positive_definite(a)
     _require_finite_positive("tau", tau, NonpositiveTime)
-    L = u_prev.grid.n_cells if n_levels is None else int(n_levels)
     # energies under the solver's own quadrature: monotone by construction
-    x_prev, quad, e_before = _lagrangian_start(u_prev, a, opts, L)
+    x_prev, quad, e_before = _lagrangian_start(u_prev, a, opts, n_levels)
     result, u_next, increment = _lagrangian_step(x_prev, tau, quad, opts)
     e_after = result.energy
     if e_after > e_before + 1e-12 * max(1.0, abs(e_before)):
@@ -522,8 +652,9 @@ def _prox_newton(
     Newton warm-started at y0 (the log of the previous scaling iterate).  The
     function is convex and increasing, so Newton from above the root
     decreases monotonically onto it, and from below it overshoots once and
-    then decreases monotonically.  A bisection pass takes the cells Newton
-    leaves above tol, which stiff steps (large tau / eps, peaked data) have.
+    then decreases monotonically.  One vectorized bisection takes the cells
+    Newton leaves above tol, which stiff steps (large tau / eps, peaked data)
+    have.
     """
     c = np.log(np.maximum(xi, 1e-300)) - beta
     if alpha == 0.0:
@@ -541,16 +672,19 @@ def _prox_newton(
             break
     np.exp(np.minimum(y, 700.0, out=ey), out=ey)
     bad = np.flatnonzero(abs(y + alpha * ey - c) >= max(tol, 1e-12))
-    for k in bad:
-        lo, hi = min(c[k] - alpha * np.exp(min(c[k], 700.0)), y[k]) - 1.0, max(c[k], y[k]) + 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid + alpha * np.exp(min(mid, 700.0)) - c[k] > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        y[k] = 0.5 * (lo + hi)
-    return ey if bad.size == 0 else np.exp(np.minimum(y, 700.0))
+    if bad.size == 0:
+        return ey
+    # one bisection over all the bad cells, 200 halvings of each bracket
+    cb, yb = c[bad], y[bad]
+    lo = np.minimum(cb - alpha * np.exp(np.minimum(cb, 700.0)), yb) - 1.0
+    hi = np.maximum(cb, yb) + 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        above = mid + alpha * np.exp(np.minimum(mid, 700.0)) - cb > 0.0
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    y[bad] = 0.5 * (lo + hi)
+    return np.exp(np.minimum(y, 700.0))
 
 
 def _source_marginal(kernel: np.ndarray, mu: np.ndarray, b: np.ndarray, species: int, eps: float):
@@ -713,8 +847,8 @@ def run_jko(
 
     m = schedule.n_steps
     if solver == "lagrangian":
-        L = grid.n_cells if n_levels is None else int(n_levels)
-        x, quad, e_state = _lagrangian_start(u0, a, opts, L)
+        x, quad, e_state = _lagrangian_start(u0, a, opts, n_levels)
+        L = x.shape[1]
         state = DensityVector(grid, quad.deposit(x))
     elif solver == "entropic":
         if n_levels is not None:

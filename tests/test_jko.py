@@ -8,15 +8,21 @@ from btflow.energies import CouplingMatrix
 from btflow.errors import EstimateFailed, KernelUnderflow, NonpositiveTime, NotPositiveDefinite
 from btflow.fdref import barenblatt, barenblatt_peak_time, l1_error, l1_error_vector
 from btflow.jko import (
+    STEP_FLOOR,
+    STEP_GROWTH,
     JKOOptions,
     JKOSchedule,
+    _dot,
     _energy_position_gradient,
     _lagrangian_minimize,
+    _LagrangianResult,
+    _project_monotone,
     _prox_newton,
     _Quadrature,
     _quadrature_grid,
     _quantile_state,
     _stationarity,
+    _tridiagonal_inverse,
     jko_step_entropic,
     jko_step_lagrangian,
     optimality_residual,
@@ -288,6 +294,18 @@ class TestRunJKO:
     def test_entropic_solver_rejects_levels(self, pd_matrix):
         with pytest.raises(ValueError, match="n_levels"):
             run_jko(smooth_pair(32), pd_matrix, JKOSchedule.uniform(1e-3, 1), solver="entropic", n_levels=32)
+
+    @pytest.mark.parametrize("n_levels", [2.5, True, 0, -3, "8"])
+    def test_level_count_must_be_a_positive_integer(self, pd_matrix, n_levels):
+        u0 = smooth_pair(32)
+        with pytest.raises(ValueError, match="^n_levels must be an integer of at least 1"):
+            run_jko(u0, pd_matrix, JKOSchedule.uniform(1e-3, 1), n_levels=n_levels)
+        with pytest.raises(ValueError, match="^n_levels must be an integer of at least 1"):
+            jko_step_lagrangian(u0, pd_matrix, 1e-3, n_levels=n_levels)
+
+    def test_numpy_level_count_accepted(self, pd_matrix):
+        _, record = run_jko(smooth_pair(32), pd_matrix, JKOSchedule.uniform(1e-3, 1), n_levels=np.int64(24))
+        assert record.meta["L"] == 24 and type(record.meta["L"]) is int
 
     def test_unknown_solver(self, pd_matrix):
         u0 = smooth_pair(32)
@@ -602,6 +620,121 @@ def descent_problems(draw):
     return DensityVector.from_species(rows), a, tau
 
 
+def _fista_reference(x_prev, tau, quad, opts):
+    """Reference: the descent in the Euclidean metric alone, as it ran before
+    the Hessian metric (monotone FISTA with adaptive restart, stationarity
+    stop at the longest accepted step)."""
+    n_levels = x_prev.shape[1]
+    prox_weight = 1.0 / (tau * n_levels)
+    lo, hi = quad.grid.x_min, quad.grid.x_max
+    max_step = tau * n_levels
+    base = quad.densities(x_prev)
+
+    def objective(x):
+        d = x - x_prev
+        state = quad.densities(x)
+        return 0.5 * prox_weight * _dot(d, d) + quad.energy(state, base), state
+
+    def gradient(x, state):
+        return prox_weight * (x - x_prev) + quad.gradient(x, state)
+
+    x, obj, state_x = x_prev, 0.0, base
+    grad = quad.gradient(x, base)
+    target = opts.tol_stationarity * np.sqrt(_dot(grad, grad))
+    y, obj_y, grad_y = x, obj, grad
+    t, step, test_step = 1.0, max_step, 0.0
+    converged = False
+    iterations = 0
+    while iterations < opts.max_iterations:
+        iterations += 1
+        while step >= STEP_FLOOR * max_step:
+            z = _project_monotone(y - step * grad_y, lo, hi)
+            d = z - y
+            obj_z, state = objective(z)
+            if obj_z <= obj_y + _dot(grad_y, d) + _dot(d, d) / (2.0 * step):
+                break
+            step *= 0.5
+        else:
+            break
+        if obj_z > obj:
+            if y is x:
+                step *= 0.5
+            if grad is None:
+                grad = gradient(x, state_x)
+            y, obj_y, grad_y, t = x, obj, grad, 1.0
+            continue
+        test_step = max(test_step, step)
+        stalled = np.array_equal(z, x)
+        if _dot(y - z, z - x) > 0.0:
+            t = 1.0
+        short = _dot(d, d) <= (step * target) ** 2
+        x_old = x
+        x, obj, grad, state_x = z, obj_z, None, state
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        momentum, t = (t - 1.0) / t_next, t_next
+        if momentum == 0.0 or short or stalled:
+            grad = gradient(x, state_x)
+            if _stationarity(x, grad, test_step, lo, hi) <= target:
+                converged = True
+                break
+            if stalled:
+                break
+        step = min(step * STEP_GROWTH, max_step)
+        if momentum == 0.0:
+            y, obj_y, grad_y = x, obj, grad
+        else:
+            y = _project_monotone(x + momentum * (x - x_old), lo, hi)
+            obj_y, state_y = objective(y)
+            grad_y = gradient(y, state_y)
+    return _LagrangianResult(x, iterations, converged, quad.energy(state_x), test_step)
+
+
+STRESS_KINDS = ("cosines", "bumps", "wall_blocks", "gaussians_floor")
+
+
+def stress_density(kind, grid, rng):
+    """One species' initial density of the given kind."""
+    x = (grid.centers() - grid.x_min) / grid.length
+    if kind == "cosines":
+        c = rng.uniform(-0.3, 0.3, 3)
+        raw = 1.0 + c[0] * np.cos(np.pi * x) + c[1] * np.cos(2 * np.pi * x) + c[2] * np.sin(np.pi * x)
+    elif kind == "bumps":  # compact support away from the walls
+        center, width = rng.uniform(0.35, 0.65), rng.uniform(0.1, 0.25)
+        raw = np.maximum(1.0 - ((x - center) / width) ** 2, 0.0) ** rng.uniform(0.5, 2.0)
+    elif kind == "wall_blocks":  # a block on a wall, and maybe a second block
+        raw = np.where(x < rng.uniform(0.2, 0.5), 1.0, 0.0)
+        if rng.uniform() < 0.5:
+            raw += np.where(np.abs(x - rng.uniform(0.6, 0.85)) < 0.1, rng.uniform(0.5, 2.0), 0.0)
+        raw = raw if rng.uniform() < 0.5 else raw[::-1]
+    else:  # two Gaussians plus a floor
+        centers, var = rng.uniform(0.15, 0.85, 2), rng.uniform(0.003, 0.02)
+        raw = np.exp(-0.5 * (x - centers[0]) ** 2 / var) + np.exp(-0.5 * (x - centers[1]) ** 2 / var)
+        raw += rng.uniform(1e-3, 0.1)
+    return normalize(raw, grid)
+
+
+@st.composite
+def stress_problems(draw):
+    """Descent problems over four input kinds: 16-200 cells, 1-3 species, a
+    random SPD coupling, tau in [1e-4, 1e-1] and tolerance 1e-5 or 1e-6."""
+    kind = draw(st.sampled_from(STRESS_KINDS))
+    # sizes from the seed, so the examples spread over the ranges instead of
+    # gathering at the smallest sizes
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_species = int(rng.integers(1, 4))
+    grid = Grid1D(int(rng.integers(16, 201)), 0.0, 1.0)
+    u0 = DensityVector.from_species([stress_density(kind, grid, rng) for _ in range(n_species)])
+    b = rng.uniform(-1.0, 1.0, (n_species, n_species))
+    a = CouplingMatrix(b @ b.T + rng.uniform(0.05, 1.0) * np.eye(n_species))
+    tau = float(10.0 ** rng.uniform(-4.0, -1.0))
+    return u0, a, tau, JKOOptions(tol_stationarity=float(rng.choice([1e-5, 1e-6])))
+
+
+def descent_setup(u0, a):
+    x_prev = _quantile_state(u0, u0.grid.n_cells)
+    return x_prev, _Quadrature(a, u0.grid, _quadrature_grid(x_prev, u0.grid), False)
+
+
 class TestDescent:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(descent_problems())
@@ -672,6 +805,71 @@ class TestDescent:
         assert record.meta["inner_converged"] is False
         with pytest.raises(EstimateFailed, match="inner_solver_converged"):
             run_jko(u0, pd_matrix, JKOSchedule.uniform(1e-3, 1))
+
+
+class TestMetricDescent:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(stress_problems())
+    def test_converges_wherever_the_reference_does(self, problem):
+        u0, a, tau, opts = problem
+        x_prev, quad = descent_setup(u0, a)
+        result = _lagrangian_minimize(x_prev, tau, quad, opts)
+        base = quad.densities(x_prev)
+        d = result.positions - x_prev
+        assert np.sum(d * d) / (2.0 * tau * x_prev.shape[1]) + quad.energy(quad.densities(result.positions), base) <= 0.0
+        if not result.converged:
+            assert not _fista_reference(x_prev, tau, quad, opts).converged
+
+    def test_iteration_budget(self, pd_matrix):
+        x_prev, quad = descent_setup(smooth_pair(128), pd_matrix)
+        result = _lagrangian_minimize(x_prev, 1e-3, quad, JKOOptions())
+        assert result.converged and result.iterations <= 30
+        reference = _fista_reference(x_prev, 1e-3, quad, JKOOptions())
+        assert reference.iterations > 100  # what the Euclidean metric needs
+        h = quad.grid.h
+        assert h * np.abs(quad.deposit(result.positions) - quad.deposit(reference.positions)).sum() <= 1e-6
+
+    @pytest.mark.parametrize(
+        "name, value", [("METRIC_ITERATIONS", 3), ("METRIC_MIN_STEP", 2.0)]
+    )  # out of metric iterations; every accepted step too short
+    def test_restart_is_the_reference_descent(self, pd_matrix, monkeypatch, name, value):
+        x_prev, quad = descent_setup(smooth_pair(64), pd_matrix)
+        reference = _fista_reference(x_prev, 1e-3, quad, JKOOptions())
+        spent = []
+        descend = jko_module._descend
+
+        def tapped(*args):
+            result, failed = descend(*args)
+            spent.append(result.iterations)
+            return result, failed
+
+        monkeypatch.setattr(jko_module, name, value)
+        monkeypatch.setattr(jko_module, "_descend", tapped)
+        result = _lagrangian_minimize(x_prev, 1e-3, quad, JKOOptions())
+        assert len(spent) == 2  # the metric descent, then the restart
+        assert np.array_equal(result.positions, reference.positions)
+        assert result.converged and reference.converged
+        assert result.step == reference.step and result.energy == reference.energy
+        assert result.iterations == spent[0] + reference.iterations
+
+    def test_tridiagonal_inverse(self):
+        rng = np.random.default_rng(5)
+        off = rng.normal(size=(3, 40))
+        dominance = np.pad(np.abs(off), ((0, 0), (1, 0))) + np.pad(np.abs(off), ((0, 0), (0, 1)))
+        diag = rng.uniform(1.0, 2.0, (3, 41)) + dominance
+        diag[2], off[2] = diag[0], off[0]
+        inverse = _tridiagonal_inverse(diag, off)
+        for i in range(3):
+            dense = np.diag(diag[i]) + np.diag(off[i], 1) + np.diag(off[i], -1)
+            np.testing.assert_allclose(inverse[i] @ dense, np.eye(41), rtol=0.0, atol=1e-14)
+        assert np.array_equal(inverse[2], inverse[0])  # equal rows, equal inverses
+
+    def test_map_without_gaps_skips_the_metric(self, pd_matrix, monkeypatch):
+        # a single level has no gap to probe: the descent runs in the Euclidean metric
+        u0 = smooth_pair(32)
+        monkeypatch.setattr(jko_module, "_HessianMetric", None)
+        _, report = jko_step_lagrangian(u0, pd_matrix, 1e-3, n_levels=1)
+        assert report.converged
 
 
 class TestInnerConvergedCheck:
