@@ -163,24 +163,33 @@ class TestRun:
         assert [c["name"] for c in read_report(tmp_path / "out")["checks"]] == ["gap_zero_at_start"]
 
     def test_hyperbolic_split_smoke(self, tmp_path):
-        for scenario in ("hyperbolic_split", "hyperbolic_transport"):
+        segregated = {
+            "initial": [
+                {"preset": "segregated", "lo": 0.15, "hi": 0.42},
+                {"preset": "segregated", "lo": 0.58, "hi": 0.85},
+            ]
+        }
+        cosine = {"n_species": 3, "initial": {"preset": "cosine"}}  # fractions vary on every cell
+        inputs = [
+            ("hyperbolic_split", segregated),
+            ("hyperbolic_transport", segregated),
+            ("hyperbolic_split", cosine),
+        ]
+        for k, (scenario, species) in enumerate(inputs):
             cfg_path = tmp_path / "hyp.json"
             cfg_path.write_text(
                 json.dumps(
                     {
                         "scenario": scenario,
                         "grid": {"n_cells": 64, "x_min": 0.0, "x_max": 1.0},
-                        "initial": [
-                            {"preset": "segregated", "lo": 0.15, "hi": 0.42},
-                            {"preset": "segregated", "lo": 0.58, "hi": 0.85},
-                        ],
                         "t_final": 0.005,
-                        "out_dir": str(tmp_path / scenario),
+                        "out_dir": str(tmp_path / f"{scenario}_{k}"),
                     }
+                    | species
                 )
             )
             assert run(str(cfg_path)) == 0
-            report = read_report(tmp_path / scenario)
+            report = read_report(tmp_path / f"{scenario}_{k}")
             names = {c["name"] for c in report["checks"]}
             assert "tv_monotone[p]" in names
             meta = report["meta"]

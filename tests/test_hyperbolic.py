@@ -12,6 +12,7 @@ from btflow.hyperbolic import (
     TRANSPORT_MASS_TOL,
     PressureFraction,
     _off_support_fill,
+    _recover,
     _split,
     _stable_dt,
     _transport,
@@ -37,6 +38,13 @@ def segregated_pair(n=128, lo=0.15, hi=0.42):
     u1 /= g.h * u1.sum()
     u2 = u1[::-1].copy()
     return DensityVector(g, np.stack([u1, u2]))
+
+
+def cosine_triple(n=64):
+    """Three overlapping cosine profiles: fractions vary across every cell."""
+    g = Grid1D(n, 0.0, 1.0)
+    x = g.centers()
+    return DensityVector.from_species([normalize(1.0 + sign * 0.25 * np.cos(np.pi * x), g) for sign in (1, -1, 1)])
 
 
 class TestSplitState:
@@ -139,6 +147,14 @@ class TestStepSplitting:
         with pytest.raises(CFLViolation):
             step_splitting(pf, 100.0 * splitting_stable_dt(pf))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_fractions_rejected(self, bad):
+        g = Grid1D(8, 0.0, 1.0)
+        r = np.full((2, 8), 0.25)
+        r[1, 3] = bad
+        with pytest.raises(InvalidDensity, match=rf"fractions must be finite, found \[{bad}\]"):
+            PressureFraction(normalize(np.ones(8), g), r)
+
 
 class TestPressureTransport:
     def test_identity_transport(self):
@@ -239,6 +255,13 @@ class TestRunHyperbolic:
             thr = 1e-8 * state.values.max()
             overlap = np.sum((state.values[0] > thr) & (state.values[1] > thr))
             assert overlap <= 2
+
+    @pytest.mark.parametrize("u0", [segregated_pair(64), cosine_triple()], ids=["segregated", "cosine"])
+    def test_schemes_agree_on_species(self, u0):
+        # a donor-cell flux and an optimal plan are independent constructions of one step
+        runs = [run_hyperbolic(u0, s, t_final=0.01) for s in ("splitting", "pressure_transport")]
+        split, plan = (run.trajectory[-1].values for run in runs)
+        assert u0.grid.h * np.abs(split - plan).sum() <= 1e-10
 
     def test_unknown_scheme(self):
         pair = segregated_pair(32)
@@ -401,3 +424,18 @@ class TestKernelProperties:
         assert np.abs(h * u_next.sum(axis=1) - h * u.values.sum(axis=1)).max() <= TRANSPORT_MASS_TOL
         assert u_next.min() >= 0.0
         np.testing.assert_allclose(u_next.mean(axis=0), p_next, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(species_with_zero_runs())
+    def test_split_is_one_plan_transport(self, u):
+        p, (p_next, r_next) = split_once(u)
+        h = u.grid.h
+        u_split = _recover(p_next, r_next, h)
+        plan = [v[0] for v in _plans(p[None] * h, p_next[None] * h)]
+        assert h * np.abs(u_split - _transport(u.values, p, plan, h)).sum() <= 1e-12
+        assert np.abs(h * u_split.sum(axis=1) - h * u.values.sum(axis=1)).max() <= 1e-13
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(species_with_zero_runs())
+    def test_short_splitting_run_passes_every_check(self, u):
+        assert run_hyperbolic(u, "splitting", t_final=1e-3).record.all_passed()
