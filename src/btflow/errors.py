@@ -29,6 +29,10 @@ class KernelUnderflow(ValueError):
     """Raised when the Gibbs kernel underflows at the grid scale (epsilon too small)."""
 
 
+class ScalingOverflow(ArithmeticError):
+    """Raised when an entropic scaling vector leaves the finite numbers (its prox solve overflowed)."""
+
+
 class CFLViolation(ValueError):
     """Raised when a requested explicit time step exceeds the stability bound."""
 

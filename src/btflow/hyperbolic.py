@@ -21,12 +21,18 @@ Two schemes are provided:
   On cell histograms the plan is exact, so mass conservation, the projection
   identity and the sqrt(N) metric-speed bound hold to machine precision.
 
-The public step functions wrap the array kernels ``run_hyperbolic`` steps
-with.  A run validates ``u0``, ``t_final`` and ``dt`` once; each kernel checks
-the invariants the Density types enforce (cells >= -1e-13, unit masses,
-fractions in [0, 1], species average equal to the pressure) in vectorised
-form, raising InvalidDensity.  Density objects are built only for the
-snapshots and the final state.
+The public step functions run the array kernels of ``run_hyperbolic`` and
+check their one step as a run checks a chunk.  A run validates ``u0``,
+``t_final`` and ``dt`` once.  Per step it keeps only the guard whose result
+feeds the next step: a pressure cell below -1e-13 or NaN raises
+InvalidDensity at once, and cells in [-1e-13, 0) are clamped at 0.  The other
+invariants of every step are checked once per chunk of CHUNK_STEPS steps, on
+its stacked states: pressure mass drift per step (1e-12, EstimateFailed),
+pressure unit mass, fractions summing to at most 1 + 1e-12, species unit mass
+(TRANSPORT_MASS_TOL) and, for the plan transport, the species average equal
+to the pressure within 1e-9 (InvalidDensity).  A failing step raises once its
+chunk is computed.  Density objects are built only for the snapshots and the
+final state.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ import numpy as np
 
 from .diagnostics import RunRecord, check_metric_speed, check_tv_monotone
 from .errors import CFLViolation, DimensionMismatch, EstimateFailed, InvalidDensity, NonpositiveTime
-from .measures import MASS_TOL_1D, Density, DensityVector, Grid1D, _checked_unit_mass
-from .transport1d import _plans, _plans_w2, _w2_product, monotone_plan
+from .measures import MASS_TOL_1D, Density, DensityVector, Grid1D
+from .transport1d import _plans, _plans_w2, _w2_product
 
 SUPPORT_EPS = 1e-12
 CFL_SAFETY = 0.45  # automatic steps take this fraction of splitting_stable_dt
@@ -79,16 +85,15 @@ def split_state(u: DensityVector) -> PressureFraction:
     p = total / u.n_species
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(total > SUPPORT_EPS, u.values[:-1] / total, 0.0)
-    return PressureFraction(Density(u.grid, p), np.clip(r, 0.0, 1.0))
+    return PressureFraction(Density(u.grid, p, mass_tol=u.mass_tol), np.clip(r, 0.0, 1.0))
 
 
-def _recover(p: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
-    """Kernel of recover_species on the pressure and fraction arrays."""
-    total = (r.shape[0] + 1) * p
-    r_last = np.clip(1.0 - r.sum(axis=0), 0.0, 1.0)
-    vals = np.vstack([r * total, (r_last * total)[None, :]])
-    vals = np.where(total[None, :] > SUPPORT_EPS, vals, 0.0)
-    return _checked_unit_mass(vals, h, TRANSPORT_MASS_TOL, "species")
+def _recover(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Kernel of recover_species: the (..., N, n) species of pressures (..., n) and fractions (..., N-1, n)."""
+    total = (r.shape[-2] + 1) * p[..., None, :]
+    r_last = np.clip(1.0 - r.sum(axis=-2, keepdims=True), 0.0, 1.0)
+    vals = np.concatenate([r * total, r_last * total], axis=-2)
+    return np.where(total > SUPPORT_EPS, vals, 0.0)
 
 
 def recover_species(pf: PressureFraction) -> DensityVector:
@@ -96,8 +101,7 @@ def recover_species(pf: PressureFraction) -> DensityVector:
 
     Every species must have unit mass within TRANSPORT_MASS_TOL.
     """
-    vals = _recover(pf.pressure.values, pf.fractions, pf.grid.h)
-    return DensityVector(pf.grid, vals, mass_tol=TRANSPORT_MASS_TOL)
+    return DensityVector(pf.grid, _recover(pf.pressure.values, pf.fractions), mass_tol=TRANSPORT_MASS_TOL)
 
 
 def tv(field: np.ndarray) -> float:
@@ -141,15 +145,54 @@ def splitting_stable_dt(pf: PressureFraction) -> float:
     return _stable_dt(p, np.diff(p) / pf.grid.h, pf.grid.h)
 
 
+def _split_checks(pressure: np.ndarray, fractions: np.ndarray, h: float) -> list:
+    """Checks of the _split steps between the (K+1, n) pressures, which give the (K, N-1, n) fractions."""
+    mass = pressure.sum(axis=-1)
+    drift = np.abs(h * mass[1:] - 1.0)
+    return [
+        (EstimateFailed, "pressure mass drifted beyond 1e-12 in one step", np.abs(np.diff(mass)) * h > 1e-12),
+        (InvalidDensity, f"pressure mass deviates from 1 beyond {MASS_TOL_1D}", ~(drift <= MASS_TOL_1D)),
+        (InvalidDensity, "fractions sum beyond 1", ~(fractions.sum(axis=1).max(axis=-1) <= 1.0 + 1e-12)),
+    ]
+
+
+def _species_check(species: np.ndarray, h: float) -> tuple:
+    """Check of each step's species in the stacked (K, N, n) species: unit mass within TRANSPORT_MASS_TOL."""
+    drift = np.abs(h * species.sum(axis=-1) - 1.0).max(axis=-1)
+    return InvalidDensity, f"species mass deviates from 1 beyond {TRANSPORT_MASS_TOL}", ~(drift <= TRANSPORT_MASS_TOL)
+
+
+def _push_checks(species: np.ndarray, sources: np.ndarray, h: float) -> list:
+    """Checks of the _transport pushes of the (K+1, N, n) species away from the (K, n) pressures sources."""
+    gap = h * np.abs(species[:-1].mean(axis=1) - sources).sum(axis=-1)
+    average = (InvalidDensity, "pressure disagrees with the species average beyond 1e-9", gap > 1e-9)
+    return [average, _species_check(species[1:], h)]
+
+
+def _raise_first(checks: list, first_step: int):
+    """Raise for the earliest failing step, by its first failing check: (error type, message, failed per step)."""
+    failed = np.array([bad for *_, bad in checks])
+    if failed.any():
+        k = int(failed.any(axis=0).argmax())
+        error, message, _ = next(check for check in checks if check[2][k])
+        raise error(f"{message} (step {first_step + k})")
+
+
 def _split(p: np.ndarray, r: np.ndarray, dt: float, slope: np.ndarray, h: float):
-    """Checked (p_new, r_new) of step_splitting, given r extended and slope = diff(p) / h."""
+    """(p_new, r_new) of step_splitting, given r extended and slope = diff(p) / h.
+
+    The sign guard is the one check made here, as the next step reads its
+    result; _split_checks holds the other invariants.
+    """
     moved = (dt / h) * (0.5 * (p[1:] + p[:-1]) * slope)  # pressure moved leftward across each interface
     p_new = p.copy()
     p_new[:-1] += moved
     p_new[1:] -= moved
-    if np.abs(p_new.sum() - p.sum()) * h > 1e-12:
-        raise EstimateFailed("pressure mass drifted beyond 1e-12 in one step")
-    p_new = _checked_unit_mass(p_new, h, MASS_TOL_1D, "pressure")
+    low = p_new.min()
+    if not low >= -1e-13:  # also rejects NaN
+        raise InvalidDensity(f"pressure values must be nonnegative, found {low!r}")
+    if low < 0.0:
+        p_new = np.maximum(p_new, 0.0)
 
     # donor-cell fractions; a p_new = 0 cell receives nothing (the floor only avoids
     # 0/0), and a symmetric stagnation interface moves 0 exactly, so halves never mix
@@ -158,11 +201,8 @@ def _split(p: np.ndarray, r: np.ndarray, dt: float, slope: np.ndarray, h: float)
     r_new = r.copy()
     r_new[:, :-1] += (np.maximum(moved, 0.0) * inv[:-1]) * jumps
     r_new[:, 1:] += (np.minimum(moved, 0.0) * inv[1:]) * jumps
-    r_new = np.clip(r_new, 0.0, 1.0)
-    # the clip bounds each fraction; their sum must stay within 1 as well
-    if not r_new.sum(axis=0).max() <= 1.0 + 1e-12:
-        raise InvalidDensity("fractions sum beyond 1")
-    return p_new, r_new
+    # the clip bounds each fraction; _split_checks bounds their sum
+    return p_new, r_new.clip(0.0, 1.0)
 
 
 def step_splitting(pf: PressureFraction, dt: float) -> PressureFraction:
@@ -179,21 +219,29 @@ def step_splitting(pf: PressureFraction, dt: float) -> PressureFraction:
     if dt > dt_max:
         raise CFLViolation(dt, dt_max)
     p_new, r_new = _split(p, pf.fractions[:, _off_support_fill(p > SUPPORT_EPS)], dt, slope, h)
+    _raise_first(_split_checks(np.stack([p, p_new]), r_new[None], h), 1)
     return PressureFraction(Density(pf.grid, p_new), r_new)
 
 
-def _transport(u: np.ndarray, p: np.ndarray, plan, h: float) -> np.ndarray:
-    """Kernel of pressure_transport_step along a (padded) monotone plan of p * h to p_next * h."""
-    if h * float(np.abs(u.mean(axis=0) - p).sum()) > 1e-9:
-        raise InvalidDensity("pressure disagrees with the species average beyond 1e-9")
-    src, dst, seg = plan
+def _transport(u: np.ndarray, p: np.ndarray, plans, h: float) -> np.ndarray:
+    """The (K+1, N, n) species from u (N, n), pushed in turn along each of the K padded plans.
+
+    Plan row k couples p[k] * h, p of shape (K, n), to the next pressure;
+    each species' cell mass moves proportionally along it.  Row 0 is u.
+    """
+    src, dst, seg = plans
+    p_src = np.take_along_axis(p, src, axis=1)
+    den = np.where(p_src * h > 0.0, p_src, np.inf)  # a cell without pressure sends u / inf = 0
     n_species, n = u.shape
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(p[src] * h > 0.0, u[:, src] / p[src], 0.0)
-    # one bincount for all species: species i deposits into bins i*n .. i*n + n - 1
-    bins = dst + n * np.arange(n_species)[:, None]
-    u_next = np.bincount(bins.ravel(), (seg * ratios / h).ravel(), minlength=n_species * n)
-    return _checked_unit_mass(u_next.reshape(n_species, n), h, TRANSPORT_MASS_TOL, "species")
+    # one bincount per push for all species: species i deposits into bins i*n .. i*n + n - 1
+    lanes = n * np.arange(n_species)[:, None]
+    species = np.empty((len(dst) + 1, n_species, n))
+    species[0] = u
+    for k in range(len(dst)):
+        carried = seg[k] * (species[k].take(src[k], axis=1) / den[k]) / h
+        bins = (dst[k] + lanes).ravel()
+        species[k + 1] = np.bincount(bins, carried.ravel(), minlength=n_species * n).reshape(n_species, n)
+    return species
 
 
 def pressure_transport_step(
@@ -209,8 +257,10 @@ def pressure_transport_step(
     grid = u_prev.grid
     if not grid == p_prev.grid == p_next.grid:
         raise DimensionMismatch("species and pressures live on different grids")
-    u_next = _transport(u_prev.values, p_prev.values, monotone_plan(p_prev, p_next), grid.h)
-    return DensityVector(grid, u_next, mass_tol=TRANSPORT_MASS_TOL)
+    h, sources = grid.h, p_prev.values[None]
+    species = _transport(u_prev.values, sources, _plans(sources * h, p_next.values[None] * h), h)
+    _raise_first(_push_checks(species, sources, h), 1)
+    return DensityVector(grid, species[1], mass_tol=TRANSPORT_MASS_TOL)
 
 
 @dataclass
@@ -242,9 +292,10 @@ def run_hyperbolic(
     the transported species match within about 1e-11 in L1.  Their own
     u_i / (N p) is plan rounding where p is near 1e-12 (0.86 for a pure
     species at p = 1.6e-12), and its TV rose by 0.48 on a benchmark input.
-    The run advances in chunks of CHUNK_STEPS steps: every per-step check
-    runs on every step, and the plans, W2 increments and TV series are
-    computed per chunk from its recorded states.
+    The run advances in chunks of CHUNK_STEPS steps.  Per step it checks only
+    the pressure's sign; the other invariants of every step are checked per
+    chunk (see the module docstring), and a step that fails one raises, once
+    its chunk is computed, the error the check raises on a single step.
     """
     if scheme not in ("splitting", "pressure_transport"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -275,10 +326,10 @@ def run_hyperbolic(
     t = 0.0
     step = 0
     while t < t_final and step < MAX_STEPS:
-        # up to CHUNK_STEPS checked steps of the pressure and fractions ...
-        ps, rs, us = [p], [r], [u]
+        # up to CHUNK_STEPS steps of the pressure and fractions under the sign guard ...
+        ps, rs = [p], [r]
         while len(ps) <= CHUNK_STEPS and t < t_final and step < MAX_STEPS:
-            slope = np.diff(p) / h
+            slope = (p[1:] - p[:-1]) / h  # np.diff(p) / h without its call overhead
             dt_k = CFL_SAFETY * _stable_dt(p, slope, h)  # below the bound, so no CFL guard
             if dt is not None:
                 dt_k = min(dt_k, dt)
@@ -287,30 +338,34 @@ def run_hyperbolic(
             if not np.array_equal(on, support):
                 support, fill = on, _off_support_fill(on)
             p, r = _split(p, r[:, fill], dt_k, slope, h)
-            if scheme == "splitting":
-                us.append(_recover(p, r, h))
             ps.append(p)
             rs.append(r)
             dts.append(dt_k)
             t += dt_k
             times.append(t)
             step += 1
-        # ... then the chunk's plans, W2 increments and TV at once (species pushed step by step)
-        pressure = np.stack(ps)
+        # ... then the chunk's checks, plans, species, W2 increments and TV at once
+        first = step + 2 - len(ps)
+        pressure, fractions = np.stack(ps), np.stack(rs)
+        checks = _split_checks(pressure, fractions[1:], h)
+        if scheme == "splitting":
+            species = _recover(pressure, fractions)
+            checks.append(_species_check(species[1:], h))
+        _raise_first(checks, first)
         plans = _plans(pressure[:-1] * h, pressure[1:] * h)
         if scheme == "pressure_transport":
-            for k in range(len(ps) - 1):
-                us.append(_transport(us[k], ps[k], [v[k] for v in plans], h))
-        species = np.stack(us)
+            species = _transport(u, pressure[:-1], plans, h)
+            _raise_first(_push_checks(species, pressure[:-1], h), first)
         w2_u += _w2_product(species[:-1], species[1:], h, x)
         w2_p += _plans_w2(plans, x)
         tvs_p += np.abs(np.diff(pressure[1:])).sum(axis=-1).tolist()
-        tvs_r += np.abs(np.diff(np.stack(rs[1:]))).sum(axis=-1).tolist()
-        u = us[-1]
+        tvs_r += np.abs(np.diff(fractions[1:])).sum(axis=-1).tolist()
+        u = species[-1]
         for k in range(1, len(ps)):
-            if snapshot_every and (step + 1 - len(ps) + k) % snapshot_every == 0:
-                trajectory.append(DensityVector(grid, us[k], mass_tol=TRANSPORT_MASS_TOL))
-                pressures.append(Density(grid, ps[k]))
+            if snapshot_every and (first - 1 + k) % snapshot_every == 0:
+                # copies: a view would keep the whole chunk's stack alive
+                trajectory.append(DensityVector(grid, species[k].copy(), mass_tol=TRANSPORT_MASS_TOL))
+                pressures.append(Density(grid, pressure[k].copy()))
     if t < t_final:
         raise RuntimeError("hyperbolic run exceeded the step budget")
     if not snapshot_every or step % snapshot_every != 0:

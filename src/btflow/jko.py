@@ -57,6 +57,7 @@ from .errors import (
     KernelUnderflow,
     NonpositiveTime,
     NotPositiveDefinite,
+    ScalingOverflow,
 )
 from .measures import DensityVector, Grid1D, _deposit_all, to_quantiles
 from .transport1d import kantorovich_potential_1d, w2_product
@@ -691,6 +692,11 @@ def _source_marginal(kernel: np.ndarray, mu: np.ndarray, b: np.ndarray, species:
     """xi = K (mu / K b), the kernel side of the first-marginal scaling."""
     xi = kernel @ (mu / (kernel @ b))
     if not xi.min() > 0.0:  # also catches NaN
+        if not np.isfinite(b).all():
+            raise ScalingOverflow(
+                f"scaling vector of species {species + 1} is not finite on {int(np.sum(~np.isfinite(b)))} "
+                f"cells: the prox Newton solve overflowed (eps = {eps:g})"
+            )
         raise KernelUnderflow(
             f"Gibbs kernel product underflows on {int(np.sum(~(xi > 0.0)))} cells "
             f"out of reach of species {species + 1}'s support (eps = {eps:g})"
@@ -740,22 +746,24 @@ def jko_step_entropic(
     dens = xi / h  # the exact-mass second marginals at b = 1
 
     converged = False
-    for iterations in range(1, SINKHORN_INNER_CAP + 1):
-        delta = 0.0
-        for i in range(n_species):
-            frozen = a.entries[i] @ dens - a.entries[i, i] * dens[i] - level[i]
-            alpha = 2.0 * tau * a.entries[i, i] / (eps * h)
-            beta = (2.0 * tau / eps) * frozen
-            y0 = np.log(np.maximum(marginal[i], 1e-300))
-            nu = _prox_newton(xi[i], alpha, beta, SINKHORN_INNER_TOL, y0)
-            scaling[i] = nu / xi[i]
-            delta += float(np.abs(nu - marginal[i]).sum())
-            marginal[i] = nu
-            xi[i] = _source_marginal(kernel, mu[i], scaling[i], i, eps)
-            dens[i] = scaling[i] * xi[i] / h
-        if delta < SINKHORN_INNER_TOL:
-            converged = True
-            break
+    # an overflowing prox solve is reported by _source_marginal, not by warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, SINKHORN_INNER_CAP + 1):
+            delta = 0.0
+            for i in range(n_species):
+                frozen = a.entries[i] @ dens - a.entries[i, i] * dens[i] - level[i]
+                alpha = 2.0 * tau * a.entries[i, i] / (eps * h)
+                beta = (2.0 * tau / eps) * frozen
+                y0 = np.log(np.maximum(marginal[i], 1e-300))
+                nu = _prox_newton(xi[i], alpha, beta, SINKHORN_INNER_TOL, y0)
+                scaling[i] = nu / xi[i]
+                delta += float(np.abs(nu - marginal[i]).sum())
+                marginal[i] = nu
+                xi[i] = _source_marginal(kernel, mu[i], scaling[i], i, eps)
+                dens[i] = scaling[i] * xi[i] / h
+            if delta < SINKHORN_INNER_TOL:
+                converged = True
+                break
 
     masses = h * dens.sum(axis=1)
     drift = float(np.abs(masses - 1.0).max())

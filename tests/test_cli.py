@@ -70,6 +70,19 @@ class TestRun:
         for name in ("final_density.csv", "series.csv", "increments.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_hyperbolic_outputs_are_deterministic(self, tmp_path):
+        hyp = {"grid": {"n_cells": 48, "x_min": 0.0, "x_max": 1.0}, "t_final": 0.004}
+        for scenario in ("hyperbolic_transport", "hyperbolic_split"):
+            cfg = write_config(tmp_path, scenario=scenario, n_species=3, initial={"preset": "cosine"}, **hyp)
+            outs = [tmp_path / scenario / side for side in "ab"]
+            for out in outs:
+                assert run(str(cfg), out_dir=str(out)) == 0
+            names = sorted(f.name for f in outs[0].iterdir())
+            assert names == sorted(f.name for f in outs[1].iterdir())
+            assert {"final_density.csv", "series.csv", "increments.csv", "report.json"} <= set(names)
+            for name in names:
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (scenario, name)
+
     def test_negative_tau_exit_code_and_message(self, tmp_path, capsys):
         for schedule in (
             {"tau": -1e-3, "steps": 5},

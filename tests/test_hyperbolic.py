@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from btflow import hyperbolic
-from btflow.errors import CFLViolation, InvalidDensity, NonpositiveTime
+from btflow.errors import CFLViolation, EstimateFailed, InvalidDensity, NonpositiveTime
 from btflow.fdref import barenblatt, barenblatt_peak_time, l1_error, run_bt_fd
 from btflow.hyperbolic import (
     CFL_SAFETY,
@@ -75,6 +75,13 @@ class TestSplitState:
         pair = segregated_pair()
         back = recover_species(split_state(pair))
         np.testing.assert_allclose(back.values, pair.values, atol=1e-12)
+
+    def test_pressure_keeps_the_species_mass_tolerance(self):
+        # plan-transport states hold their species to 1e-10, beyond Density's default 1e-12
+        u = DensityVector(Grid1D(32), np.ones((2, 32)) * (1 + 5e-12), mass_tol=1e-10)
+        pf = split_state(u)
+        assert pf.pressure.mass_tol == 1e-10
+        np.testing.assert_array_equal(pf.pressure.values, 1 + 5e-12)
 
 
 class TestTV:
@@ -381,6 +388,86 @@ def test_chunk_boundaries_match_public_steps(case, scheme, snapshot_every, chunk
         assert np.array_equal(p.values, states[k][1].values)
 
 
+def fault_at(real, step, fault):
+    """A wrapper of the kernel real that applies fault(out, k) to its output once it reaches step.
+
+    For _split the output is (p_new, r_new) of one step; for _transport it is
+    the stacked species, whose row k is the state after step ``step``.
+    """
+    done = [0]  # steps computed so far
+
+    def wrapped(*args):
+        out = real(*args)
+        n = 1 if isinstance(out, tuple) else len(out) - 1
+        if done[0] < step <= done[0] + n:
+            fault(out, step - done[0])
+        done[0] += n
+        return out
+
+    return wrapped
+
+
+def add_pressure_mass(out, k):
+    out[0][30] += 1e-9
+
+
+def push_fraction_sum_above_one(out, k):
+    out[1][0, 30] = 1.5
+
+
+def shift_within_species(species, k):
+    """Move mass within species 1 between two cells: masses stay, the average leaves the pressure."""
+    species[k, 0, 20] -= 0.5
+    species[k, 0, 40] += 0.5
+
+
+# kernel, fault, error, and the step a run names: the average check reads the state a push leaves
+FAULTS = {
+    "pressure_mass": ("_split", add_pressure_mass, EstimateFailed, 7),
+    "fraction_sum": ("_split", push_fraction_sum_above_one, InvalidDensity, 7),
+    "species_average": ("_transport", shift_within_species, InvalidDensity, 8),
+}
+
+
+@pytest.mark.parametrize("chunk", [16, 5, 1])
+@pytest.mark.parametrize(
+    "fault, scheme",
+    [(f, s) for f in FAULTS for s in ("splitting", "pressure_transport") if (f, s) != ("species_average", "splitting")],
+)
+def test_chunk_checks_catch_a_bad_step(fault, scheme, chunk, monkeypatch):
+    kernel, apply, error, failing_step = FAULTS[fault]
+    real = getattr(hyperbolic, kernel)
+    pair = segregated_pair(64)
+    t_final = chunk_boundary_t_final(40)
+    # the public steps check their one step: that is the error a run must raise
+    monkeypatch.setattr(hyperbolic, kernel, fault_at(real, 7, apply))
+    with pytest.raises(error):
+        step_by_hand(pair, scheme, t_final)
+    monkeypatch.setattr(hyperbolic, kernel, fault_at(real, 7, apply))
+    monkeypatch.setattr(hyperbolic, "CHUNK_STEPS", chunk)
+    with pytest.raises(error, match=rf"\(step {failing_step}\)$"):
+        run_hyperbolic(pair, scheme, t_final=t_final)
+
+
+@pytest.mark.parametrize("chunk", [16, 5, 1])
+@pytest.mark.parametrize("scheme", ["splitting", "pressure_transport"])
+def test_nan_pressure_raises_on_its_own_step(scheme, chunk, monkeypatch):
+    real, calls = hyperbolic._split, []
+
+    def split(p, *args):
+        calls.append(len(calls) + 1)
+        if len(calls) == 7:
+            p = p.copy()
+            p[30] = np.nan
+        return real(p, *args)
+
+    monkeypatch.setattr(hyperbolic, "_split", split)
+    monkeypatch.setattr(hyperbolic, "CHUNK_STEPS", chunk)
+    with pytest.raises(InvalidDensity, match="pressure values must be nonnegative"):
+        run_hyperbolic(segregated_pair(64), scheme, t_final=chunk_boundary_t_final(40))
+    assert len(calls) == 7
+
+
 @st.composite
 def species_with_zero_runs(draw):
     """2-3 unit-mass species on 8-64 cells, empty on one shared run of cells."""
@@ -419,8 +506,7 @@ class TestKernelProperties:
     def test_transport_keeps_species_mass_sign_and_average(self, u):
         p, (p_next, _) = split_once(u)
         h = u.grid.h
-        plan = [v[0] for v in _plans(p[None] * h, p_next[None] * h)]
-        u_next = _transport(u.values, p, plan, h)
+        u_next = _transport(u.values, p[None], _plans(p[None] * h, p_next[None] * h), h)[1]
         assert np.abs(h * u_next.sum(axis=1) - h * u.values.sum(axis=1)).max() <= TRANSPORT_MASS_TOL
         assert u_next.min() >= 0.0
         np.testing.assert_allclose(u_next.mean(axis=0), p_next, rtol=0.0, atol=1e-12)
@@ -430,9 +516,9 @@ class TestKernelProperties:
     def test_split_is_one_plan_transport(self, u):
         p, (p_next, r_next) = split_once(u)
         h = u.grid.h
-        u_split = _recover(p_next, r_next, h)
-        plan = [v[0] for v in _plans(p[None] * h, p_next[None] * h)]
-        assert h * np.abs(u_split - _transport(u.values, p, plan, h)).sum() <= 1e-12
+        u_split = _recover(p_next, r_next)
+        u_plan = _transport(u.values, p[None], _plans(p[None] * h, p_next[None] * h), h)[1]
+        assert h * np.abs(u_split - u_plan).sum() <= 1e-12
         assert np.abs(h * u_split.sum(axis=1) - h * u.values.sum(axis=1)).max() <= 1e-13
 
     @settings(max_examples=30, deadline=None, derandomize=True)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import btflow.jko as jko_module
 from btflow.energies import CouplingMatrix
-from btflow.errors import EstimateFailed, KernelUnderflow, NonpositiveTime, NotPositiveDefinite
+from btflow.errors import EstimateFailed, KernelUnderflow, NonpositiveTime, NotPositiveDefinite, ScalingOverflow
 from btflow.fdref import barenblatt, barenblatt_peak_time, l1_error, l1_error_vector
 from btflow.jko import (
     STEP_FLOOR,
@@ -173,6 +175,15 @@ class TestEntropicStep:
         assert np.sum(u0.values == 0.0) == 40
         with pytest.raises(KernelUnderflow, match="kernel product underflows"):
             jko_step_entropic(u0, unit_matrix, 1e-3, 1e-3)
+
+    def test_prox_overflow_names_the_scaling(self, pd_matrix):
+        # both species on one spot: the prox Newton overshoot overflows, though the kernel does not underflow
+        g = Grid1D(64, 0.0, 1.0)
+        bump = normalize(np.exp(-((g.centers() - 0.5) ** 2) / (2 * 0.01)) + 1e-3, g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScalingOverflow, match="scaling vector of species 1 is not finite"):
+                jko_step_entropic(DensityVector.from_species([bump, bump]), pd_matrix, 5e-2, 5e-4)
 
     def test_positive_definite_required(self):
         u0 = smooth_pair(32)
