@@ -49,7 +49,7 @@ def _require(cfg: dict, key: str, types, default=None):
             return default
         raise ConfigInvalid(key, "missing")
     value = cfg[key]
-    if not isinstance(value, types):
+    if isinstance(value, bool) or not isinstance(value, types):  # no key asks for a bool
         raise ConfigInvalid(key, f"expected {types}, got {type(value).__name__}")
     return value
 

@@ -8,7 +8,7 @@ transport.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,8 +28,8 @@ class CouplingMatrix:
     """
 
     entries: np.ndarray
-    symmetric: bool = None  # type: ignore[assignment]
-    lambda_min: float = None  # type: ignore[assignment]
+    symmetric: bool = field(init=False)
+    lambda_min: float = field(init=False)
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)

@@ -18,7 +18,9 @@ Two schemes are provided:
 
 * ``pressure_transport_step``: the constructive route -- every species is
   pushed by the same monotone optimal plan that transports p_k to p_{k+1}.
-  On cell histograms the plan is exact, so mass conservation, the projection
+  Each source cell splits its species mass over its plan segments in the
+  shares of the mass it sends along each, so the push conserves species
+  mass to rounding.  On cell histograms the plan is exact, so the projection
   identity and the sqrt(N) metric-speed bound hold to machine precision.
 
 The public step functions run the array kernels of ``run_hyperbolic`` and
@@ -29,10 +31,10 @@ InvalidDensity at once, and cells in [-1e-13, 0) are clamped at 0.  The other
 invariants of every step are checked once per chunk of CHUNK_STEPS steps, on
 its stacked states: pressure mass drift per step (1e-12, EstimateFailed),
 pressure unit mass, fractions summing to at most 1 + 1e-12, species unit mass
-(TRANSPORT_MASS_TOL) and, for the plan transport, the species average equal
-to the pressure within 1e-9 (InvalidDensity).  A failing step raises once its
-chunk is computed.  Density objects are built only for the snapshots and the
-final state.
+(MASS_TOL_1D, as every 1D density) and, for the plan transport, the species
+average equal to the pressure within 1e-9 (InvalidDensity).  A failing step
+raises once its chunk is computed.  Density objects are built only for the
+snapshots and the final state.
 """
 
 from __future__ import annotations
@@ -44,11 +46,10 @@ import numpy as np
 from .diagnostics import RunRecord, check_metric_speed, check_tv_monotone
 from .errors import CFLViolation, DimensionMismatch, EstimateFailed, InvalidDensity, NonpositiveTime
 from .measures import MASS_TOL_1D, Density, DensityVector, Grid1D
-from .transport1d import _plans, _plans_w2, _w2_product
+from .transport1d import _plans, _plans_cost
 
 SUPPORT_EPS = 1e-12
 CFL_SAFETY = 0.45  # automatic steps take this fraction of splitting_stable_dt
-TRANSPORT_MASS_TOL = 1e-10  # species mass tolerance of both schemes
 MAX_STEPS = 10_000_000  # a run that needs more steps raises RuntimeError
 CHUNK_STEPS = 16  # steps between the batched plan, W2 and TV passes of a run
 
@@ -85,7 +86,7 @@ def split_state(u: DensityVector) -> PressureFraction:
     p = total / u.n_species
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(total > SUPPORT_EPS, u.values[:-1] / total, 0.0)
-    return PressureFraction(Density(u.grid, p, mass_tol=u.mass_tol), np.clip(r, 0.0, 1.0))
+    return PressureFraction(Density(u.grid, p), np.clip(r, 0.0, 1.0))
 
 
 def _recover(p: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -99,9 +100,9 @@ def _recover(p: np.ndarray, r: np.ndarray) -> np.ndarray:
 def recover_species(pf: PressureFraction) -> DensityVector:
     """Inverse transformation u_i = N p r_i, u_N = N p (1 - sum r_i).
 
-    Every species must have unit mass within TRANSPORT_MASS_TOL.
+    Every species must have unit mass within MASS_TOL_1D, as every density.
     """
-    return DensityVector(pf.grid, _recover(pf.pressure.values, pf.fractions), mass_tol=TRANSPORT_MASS_TOL)
+    return DensityVector(pf.grid, _recover(pf.pressure.values, pf.fractions))
 
 
 def tv(field: np.ndarray) -> float:
@@ -157,9 +158,9 @@ def _split_checks(pressure: np.ndarray, fractions: np.ndarray, h: float) -> list
 
 
 def _species_check(species: np.ndarray, h: float) -> tuple:
-    """Check of each step's species in the stacked (K, N, n) species: unit mass within TRANSPORT_MASS_TOL."""
+    """Check of each step's species in the stacked (K, N, n) species: unit mass within MASS_TOL_1D."""
     drift = np.abs(h * species.sum(axis=-1) - 1.0).max(axis=-1)
-    return InvalidDensity, f"species mass deviates from 1 beyond {TRANSPORT_MASS_TOL}", ~(drift <= TRANSPORT_MASS_TOL)
+    return InvalidDensity, f"species mass deviates from 1 beyond {MASS_TOL_1D}", ~(drift <= MASS_TOL_1D)
 
 
 def _push_checks(species: np.ndarray, sources: np.ndarray, h: float) -> list:
@@ -223,22 +224,26 @@ def step_splitting(pf: PressureFraction, dt: float) -> PressureFraction:
     return PressureFraction(Density(pf.grid, p_new), r_new)
 
 
-def _transport(u: np.ndarray, p: np.ndarray, plans, h: float) -> np.ndarray:
+def _transport(u: np.ndarray, plans) -> np.ndarray:
     """The (K+1, N, n) species from u (N, n), pushed in turn along each of the K padded plans.
 
-    Plan row k couples p[k] * h, p of shape (K, n), to the next pressure;
-    each species' cell mass moves proportionally along it.  Row 0 is u.
+    Each source cell splits every species' mass over the segments its plan
+    row sends from that cell, in proportion to their masses, so a push
+    conserves species mass to rounding.  Row 0 is u.
     """
     src, dst, seg = plans
-    p_src = np.take_along_axis(p, src, axis=1)
-    den = np.where(p_src * h > 0.0, p_src, np.inf)  # a cell without pressure sends u / inf = 0
+    n_rows = len(src)
     n_species, n = u.shape
+    # mass each row sends from each cell, one bincount: row k fills bins k*n .. k*n + n - 1
+    rows = n * np.arange(n_rows)[:, None]
+    sent = np.bincount((src + rows).ravel(), seg.ravel(), minlength=n_rows * n).reshape(n_rows, n)
+    share = seg / np.take_along_axis(np.where(sent > 0.0, sent, np.inf), src, axis=1)  # a pad gets 0
     # one bincount per push for all species: species i deposits into bins i*n .. i*n + n - 1
     lanes = n * np.arange(n_species)[:, None]
-    species = np.empty((len(dst) + 1, n_species, n))
+    species = np.empty((n_rows + 1, n_species, n))
     species[0] = u
-    for k in range(len(dst)):
-        carried = seg[k] * (species[k].take(src[k], axis=1) / den[k]) / h
+    for k in range(n_rows):
+        carried = share[k] * species[k].take(src[k], axis=1)
         bins = (dst[k] + lanes).ravel()
         species[k + 1] = np.bincount(bins, carried.ravel(), minlength=n_species * n).reshape(n_species, n)
     return species
@@ -250,17 +255,17 @@ def pressure_transport_step(
     """Push every species by the monotone plan transporting p_prev to p_next.
 
     Each species' cell mass moves proportionally along the shared plan, so
-    the average of the result is exactly p_next and the squared transport
-    costs sum to N * W2(p_prev, p_next)^2, which is the discrete form of the
-    metric-speed inequality.
+    species mass is conserved to rounding, the average of the result is
+    p_next and the squared transport costs sum to N * W2(p_prev, p_next)^2,
+    which is the discrete form of the metric-speed inequality.
     """
     grid = u_prev.grid
     if not grid == p_prev.grid == p_next.grid:
         raise DimensionMismatch("species and pressures live on different grids")
     h, sources = grid.h, p_prev.values[None]
-    species = _transport(u_prev.values, sources, _plans(sources * h, p_next.values[None] * h), h)
+    species = _transport(u_prev.values, _plans(sources * h, p_next.values[None] * h))
     _raise_first(_push_checks(species, sources, h), 1)
-    return DensityVector(grid, species[1], mass_tol=TRANSPORT_MASS_TOL)
+    return DensityVector(grid, species[1])
 
 
 @dataclass
@@ -354,22 +359,24 @@ def run_hyperbolic(
         _raise_first(checks, first)
         plans = _plans(pressure[:-1] * h, pressure[1:] * h)
         if scheme == "pressure_transport":
-            species = _transport(u, pressure[:-1], plans, h)
+            species = _transport(u, plans)
             _raise_first(_push_checks(species, pressure[:-1], h), first)
-        w2_u += _w2_product(species[:-1], species[1:], h, x)
-        w2_p += _plans_w2(plans, x)
+        rows = species.reshape(-1, grid.n_cells) * h  # step k's species are rows k*N .. k*N + N - 1
+        costs = _plans_cost(_plans(rows[:-n_species], rows[n_species:]), x)
+        w2_u += np.sqrt(costs.reshape(-1, n_species).sum(axis=1)).tolist()
+        w2_p += np.sqrt(_plans_cost(plans, x)).tolist()
         tvs_p += np.abs(np.diff(pressure[1:])).sum(axis=-1).tolist()
         tvs_r += np.abs(np.diff(fractions[1:])).sum(axis=-1).tolist()
         u = species[-1]
         for k in range(1, len(ps)):
             if snapshot_every and (first - 1 + k) % snapshot_every == 0:
                 # copies: a view would keep the whole chunk's stack alive
-                trajectory.append(DensityVector(grid, species[k].copy(), mass_tol=TRANSPORT_MASS_TOL))
+                trajectory.append(DensityVector(grid, species[k].copy()))
                 pressures.append(Density(grid, pressure[k].copy()))
     if t < t_final:
         raise RuntimeError("hyperbolic run exceeded the step budget")
     if not snapshot_every or step % snapshot_every != 0:
-        trajectory.append(DensityVector(grid, u, mass_tol=TRANSPORT_MASS_TOL))
+        trajectory.append(DensityVector(grid, u))
         pressures.append(Density(grid, p))
 
     record = RunRecord(

@@ -609,12 +609,24 @@ def _lagrangian_start(u: DensityVector, a: CouplingMatrix, opts: JKOOptions, n_l
     return x, quad, quad.energy(quad.densities(x))
 
 
-def _lagrangian_step(x: np.ndarray, tau: float, quad: _Quadrature, opts: JKOOptions):
-    """One descent from the quantile state x: (result, deposited state, W2 increment)."""
+def _lagrangian_step(
+    u_prev: DensityVector, x: np.ndarray, e_before: float, tau: float, a: CouplingMatrix, quad: _Quadrature, opts
+):
+    """One descent from the quantile state x of u_prev, whose energy is e_before.
+
+    Returns the next quantile state, the deposited state and the step's report.
+    """
     result = _lagrangian_minimize(x, tau, quad, opts)
-    state = DensityVector(quad.grid, quad.deposit(result.positions))
-    increment = float(np.sqrt(np.sum((result.positions - x) ** 2) / x.shape[1]))
-    return result, state, increment
+    u_next = DensityVector(quad.grid, quad.deposit(result.positions))
+    report = JKOStepReport(
+        w2_increment=float(np.sqrt(np.sum((result.positions - x) ** 2) / x.shape[1])),
+        energy_before=e_before,
+        energy_after=result.energy,
+        inner_iterations=result.iterations,
+        optimality_residual=optimality_residual(u_prev, u_next, a, tau).worst,
+        converged=result.converged,
+    )
+    return result.positions, u_next, report
 
 
 def jko_step_lagrangian(
@@ -629,18 +641,9 @@ def jko_step_lagrangian(
     _require_finite_positive("tau", tau, NonpositiveTime)
     # energies under the solver's own quadrature: monotone by construction
     x_prev, quad, e_before = _lagrangian_start(u_prev, a, opts, n_levels)
-    result, u_next, increment = _lagrangian_step(x_prev, tau, quad, opts)
-    e_after = result.energy
-    if e_after > e_before + 1e-12 * max(1.0, abs(e_before)):
+    _, u_next, report = _lagrangian_step(u_prev, x_prev, e_before, tau, a, quad, opts)
+    if report.energy_after > e_before + 1e-12 * max(1.0, abs(e_before)):
         raise EstimateFailed("energy increased across a Lagrangian JKO step")
-    report = JKOStepReport(
-        w2_increment=increment,
-        energy_before=e_before,
-        energy_after=e_after,
-        inner_iterations=result.iterations,
-        optimality_residual=optimality_residual(u_prev, u_next, a, tau).worst,
-        converged=result.converged,
-    )
     return u_next, report
 
 
@@ -878,21 +881,15 @@ def run_jko(
     for k in range(m):
         tau = float(schedule.taus[k])
         if solver == "lagrangian":
-            result, state, increments[k] = _lagrangian_step(x, tau, quad, opts)
-            x = result.positions
-            e_state = result.energy
-            iterations, converged = result.iterations, result.converged
-            residuals[k] = optimality_residual(trajectory[-1], state, a, tau).worst
+            x, state, report = _lagrangian_step(trajectory[-1], x, energies[-1], tau, a, quad, opts)
         else:
             state, report = jko_step_entropic(trajectory[-1], a, tau, eps)
-            increments[k] = report.w2_increment
-            e_state = report.energy_after
-            iterations, converged = report.inner_iterations, report.converged
-            residuals[k] = report.optimality_residual
-        inner_max = max(inner_max, iterations)
-        unconverged += not converged
+        increments[k] = report.w2_increment
+        residuals[k] = report.optimality_residual
+        inner_max = max(inner_max, report.inner_iterations)
+        unconverged += not report.converged
         trajectory.append(state)
-        energies.append(e_state)
+        energies.append(report.energy_after)
         entropies.append(entropy_boltzmann(state))
         grads.append(gradient_norm_sq(state))
 

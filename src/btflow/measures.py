@@ -107,7 +107,6 @@ class Density:
     grid: Grid1D
     values: np.ndarray
     clamped: bool = field(default=False, compare=False)
-    mass_tol: float = field(default=MASS_TOL_1D, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -115,7 +114,7 @@ class Density:
             raise DimensionMismatch(
                 f"expected {self.grid.n_cells} cell values, got shape {vals.shape}"
             )
-        object.__setattr__(self, "values", _checked_unit_mass(vals, self.grid.h, self.mass_tol))
+        object.__setattr__(self, "values", _checked_unit_mass(vals, self.grid.h, MASS_TOL_1D))
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,6 @@ class DensityVector:
 
     grid: Grid1D
     values: np.ndarray  # shape (N, n_cells)
-    mass_tol: float = field(default=MASS_TOL_1D, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -132,14 +130,14 @@ class DensityVector:
             raise DimensionMismatch(
                 f"expected (N, {self.grid.n_cells}) array, got shape {vals.shape}"
             )
-        object.__setattr__(self, "values", _checked_unit_mass(vals, self.grid.h, self.mass_tol))
+        object.__setattr__(self, "values", _checked_unit_mass(vals, self.grid.h, MASS_TOL_1D))
 
     @property
     def n_species(self) -> int:
         return self.values.shape[0]
 
     def species(self, i: int) -> Density:
-        return Density(self.grid, self.values[i], mass_tol=self.mass_tol)
+        return Density(self.grid, self.values[i])
 
     @staticmethod
     def from_species(densities: "list[Density]") -> "DensityVector":

@@ -242,6 +242,11 @@ def product_gaussian(
     return JointDensity(grid, np.outer(g1, g2))
 
 
+def _is_real(value) -> bool:
+    """A real number that is not a bool (True would pass as 1)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class SKTConfig:
     """Scenario parameters; the defaults reproduce the correlation build-up
@@ -253,7 +258,7 @@ class SKTConfig:
     spread leaves the state uncorrelated forever and the scenario would be
     vacuous).  ``t_final`` and ``dt_cap`` must be finite and positive,
     ``cfl_safety`` must lie in (0, 1] and every snapshot time in
-    [0, t_final].
+    [0, t_final]; a bool is no number for any of them.
     """
 
     n1: int = 128
@@ -272,14 +277,14 @@ class SKTConfig:
     def __post_init__(self):
         for key in ("t_final", "dt_cap"):
             value = getattr(self, key)
-            if not (isinstance(value, numbers.Real) and np.isfinite(value) and value > 0):
+            if not (_is_real(value) and np.isfinite(value) and value > 0):
                 raise NonpositiveTime(f"{key} must be finite and positive, got {value!r}")
-        if not (isinstance(self.cfl_safety, numbers.Real) and 0.0 < self.cfl_safety <= 1.0):
+        if not (_is_real(self.cfl_safety) and 0.0 < self.cfl_safety <= 1.0):
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety!r}")
         if self.snapshot_times is None:
             self.snapshot_times = (self.t_final,)
         for ts in self.snapshot_times:
-            if not (isinstance(ts, numbers.Real) and 0.0 <= ts <= self.t_final):
+            if not (_is_real(ts) and 0.0 <= ts <= self.t_final):
                 raise ValueError(f"snapshot time {ts!r} lies outside [0, t_final={self.t_final}]")
 
     def grid(self) -> Grid2D:

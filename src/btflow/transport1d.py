@@ -11,8 +11,9 @@ on the cell-center cost matrix to machine precision.  Passing an explicit level
 count instead evaluates the midpoint-level quadrature of the piecewise-linear
 quantile functions (the metric used by the Lagrangian JKO solver).
 
-Every plan comes from one row-wise primitive, `_plans`; a single coupling is
-its one-row case, so a batch of plans carries the bits of one plan at a time.
+Every plan comes from one row-wise primitive, `_plans`, and every plan cost
+from `_plans_cost`, which sums each row on its own; a single coupling is their
+one-row case, so a batch of plans carries the bits of one plan at a time.
 """
 
 from __future__ import annotations
@@ -71,17 +72,15 @@ def _plans(a: np.ndarray, b: np.ndarray):
     return np.minimum(src, n - 1), np.minimum(dst, n - 1), seg
 
 
-def _plans_w2(plans, x: np.ndarray) -> list[float]:
-    """Square root of the cost of each row of _plans between the cell centers x.
+def _plans_cost(plans, x: np.ndarray) -> np.ndarray:
+    """Cost of each row of _plans between the cell centers x: the sum of seg * d^2.
 
-    A row's cost is summed over its kept segments alone: pads would change the rounding.
+    Each row is summed along its own contiguous axis, pads included (they add
+    +0), so a row gives the same bits alone or in a batch.
     """
     src, dst, seg = plans
     d = x[src] - x[dst]
-    keep = seg > 0.0
-    cost = (seg * (d * d))[keep]
-    ends = np.cumsum(keep.sum(axis=1)).tolist()
-    return [float(np.sqrt(np.sum(cost[i:j]))) for i, j in zip([0] + ends[:-1], ends)]
+    return np.sum(seg * d * d, axis=1)
 
 
 def monotone_plan(p_prev: Density, p_next: Density):
@@ -113,15 +112,7 @@ def w2_exact(u: Density, v: Density, n_levels: int | None = None) -> float:
         qv = to_quantiles(v, n_levels).positions
         return float(np.sqrt(np.mean((qu - qv) ** 2)))
     h = u.grid.h
-    return _plans_w2(_plans(u.values[None] * h, v.values[None] * h), u.grid.centers())[0]
-
-
-def _w2_product(u: np.ndarray, v: np.ndarray, h: float, x: np.ndarray) -> list[float]:
-    """w2_product of u[k] and v[k] for the stacked (K, N, n_cells) value arrays."""
-    n_species, n = u.shape[1:]
-    w2 = _plans_w2(_plans((u * h).reshape(-1, n), (v * h).reshape(-1, n)), x)
-    rows = [w2[k : k + n_species] for k in range(0, len(w2), n_species)]
-    return [float(np.sqrt(sum(w**2 for w in row))) for row in rows]
+    return float(np.sqrt(_plans_cost(_plans(u.values[None] * h, v.values[None] * h), u.grid.centers())[0]))
 
 
 def w2_product(u: DensityVector, v: DensityVector) -> float:
@@ -130,7 +121,8 @@ def w2_product(u: DensityVector, v: DensityVector) -> float:
         raise DimensionMismatch("species counts differ")
     if u.grid != v.grid:
         raise DimensionMismatch("grids differ")
-    return _w2_product(u.values[None], v.values[None], u.grid.h, u.grid.centers())[0]
+    h = u.grid.h
+    return float(np.sqrt(_plans_cost(_plans(u.values * h, v.values * h), u.grid.centers()).sum()))
 
 
 def optimal_map_1d(u: Density, v: Density) -> np.ndarray:

@@ -292,6 +292,25 @@ class TestRun:
             assert "config key 'steps'" in capsys.readouterr().err
             assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_json_booleans_are_no_numbers(self, tmp_path, capsys):
+        # JSON true is an int subclass in Python and would pass as 1
+        fourth_order = {
+            "scenario": "fourth_order",
+            "grid": {"n_cells": 16, "x_min": 0.0, "x_max": 1.0},
+            "coupling": [[1.0]],
+            "initial": {"preset": "cosine"},
+        }
+        for overrides, key in (
+            (fourth_order | {"steps": True}, "steps"),
+            ({"schedule": {"tau": 1e-3, "steps": True}}, "steps"),
+            ({"schedule": {"tau": True, "steps": 1}}, "tau"),
+            ({"grid": {"n_cells": 16, "x_min": 0.0, "x_max": True}}, "x_max"),
+        ):
+            cfg = write_config(tmp_path, **overrides)
+            assert run(str(cfg)) == 1
+            assert f"config key '{key}': expected" in capsys.readouterr().err
+            assert not (tmp_path / "out" / "report.json").exists()
+
     def test_main_run_multiple(self, tmp_path):
         cfg = write_config(tmp_path)
         code = main(["run", str(cfg), str(cfg), "--out", str(tmp_path / "multi")])

@@ -45,6 +45,12 @@ class TestCouplingMatrix:
         a = CouplingMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
         assert not a.symmetric
 
+    def test_derived_fields_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            CouplingMatrix(np.eye(2), lambda_min=-1.0)
+        with pytest.raises(TypeError):
+            CouplingMatrix(np.eye(2), symmetric=False)
+
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             CouplingMatrix(np.ones((2, 3)))

@@ -9,7 +9,6 @@ from btflow.fdref import barenblatt, barenblatt_peak_time, l1_error, run_bt_fd
 from btflow.hyperbolic import (
     CFL_SAFETY,
     SUPPORT_EPS,
-    TRANSPORT_MASS_TOL,
     PressureFraction,
     _off_support_fill,
     _recover,
@@ -24,7 +23,7 @@ from btflow.hyperbolic import (
     step_splitting,
     tv,
 )
-from btflow.measures import Density, DensityVector, Grid1D, normalize
+from btflow.measures import MASS_TOL_1D, Density, DensityVector, Grid1D, normalize
 from btflow.transport1d import _plans, w2_exact, w2_product
 
 T0 = barenblatt_peak_time()
@@ -75,13 +74,6 @@ class TestSplitState:
         pair = segregated_pair()
         back = recover_species(split_state(pair))
         np.testing.assert_allclose(back.values, pair.values, atol=1e-12)
-
-    def test_pressure_keeps_the_species_mass_tolerance(self):
-        # plan-transport states hold their species to 1e-10, beyond Density's default 1e-12
-        u = DensityVector(Grid1D(32), np.ones((2, 32)) * (1 + 5e-12), mass_tol=1e-10)
-        pf = split_state(u)
-        assert pf.pressure.mass_tol == 1e-10
-        np.testing.assert_array_equal(pf.pressure.values, 1 + 5e-12)
 
 
 class TestTV:
@@ -144,7 +136,8 @@ class TestStepSplitting:
 
     def test_pressure_mass_checked_every_step(self):
         g = Grid1D(32, 0.0, 1.0)
-        p = Density(g, np.full(32, 1.0 + 1e-9), mass_tol=1e-8)
+        p = Density(g, np.ones(32))
+        object.__setattr__(p, "values", np.full(32, 1.0 + 1e-9))  # off unit mass past Density's check
         with pytest.raises(InvalidDensity):
             step_splitting(PressureFraction(p, np.full((1, 32), 0.5)), 1e-4)
 
@@ -206,9 +199,9 @@ class TestPressureTransport:
         u2 = np.where(np.arange(128) >= mid, 2.0 * p0.values, 0.0)
         u1 /= g.h * u1.sum()
         u2 /= g.h * u2.sum()
-        pair = DensityVector(g, np.stack([u1, u2]), mass_tol=1e-9)
+        pair = DensityVector(g, np.stack([u1, u2]))
         p_next = barenblatt(T0 + 5e-4, g)
-        out = pressure_transport_step(pair, Density(g, pair.values.mean(axis=0), mass_tol=1e-9), p_next)
+        out = pressure_transport_step(pair, Density(g, pair.values.mean(axis=0)), p_next)
         overlap = np.sum((out.values[0] > 1e-8) & (out.values[1] > 1e-8))
         assert overlap <= 2
 
@@ -254,6 +247,20 @@ class TestRunHyperbolic:
         assert run.record.all_passed()
         names = {c.name for c in run.record.checks}
         assert "metric_speed" in names
+
+    def test_transported_species_hold_unit_mass_at_every_step(self):
+        # two 69-cell blocks 34 cells apart on 256 cells: about 8,000 plan pushes
+        g = Grid1D(256, 0.0, 1.0)
+        cells = np.arange(256)
+        u0 = DensityVector.from_species(
+            [normalize(((cells >= lo) & (cells < lo + 69)).astype(float), g) for lo in (41, 144)]
+        )
+        run = run_hyperbolic(u0, "pressure_transport", t_final=0.02, snapshot_every=1)
+        assert len(run.trajectory) == run.record.meta["steps"] + 1
+        species = np.stack([state.values for state in run.trajectory])
+        assert np.abs(g.h * species.sum(axis=-1) - 1.0).max() <= MASS_TOL_1D
+        for state in run.trajectory:
+            split_state(DensityVector(g, state.values))
 
     def test_segregation_preserved_along_run(self):
         pair = segregated_pair(128)
@@ -506,8 +513,8 @@ class TestKernelProperties:
     def test_transport_keeps_species_mass_sign_and_average(self, u):
         p, (p_next, _) = split_once(u)
         h = u.grid.h
-        u_next = _transport(u.values, p[None], _plans(p[None] * h, p_next[None] * h), h)[1]
-        assert np.abs(h * u_next.sum(axis=1) - h * u.values.sum(axis=1)).max() <= TRANSPORT_MASS_TOL
+        u_next = _transport(u.values, _plans(p[None] * h, p_next[None] * h))[1]
+        assert np.abs(h * u_next.sum(axis=1) - h * u.values.sum(axis=1)).max() <= MASS_TOL_1D
         assert u_next.min() >= 0.0
         np.testing.assert_allclose(u_next.mean(axis=0), p_next, rtol=0.0, atol=1e-12)
 
@@ -517,7 +524,7 @@ class TestKernelProperties:
         p, (p_next, r_next) = split_once(u)
         h = u.grid.h
         u_split = _recover(p_next, r_next)
-        u_plan = _transport(u.values, p[None], _plans(p[None] * h, p_next[None] * h), h)[1]
+        u_plan = _transport(u.values, _plans(p[None] * h, p_next[None] * h))[1]
         assert h * np.abs(u_split - u_plan).sum() <= 1e-12
         assert np.abs(h * u_split.sum(axis=1) - h * u.values.sum(axis=1)).max() <= 1e-13
 

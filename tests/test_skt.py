@@ -268,6 +268,10 @@ class TestSKTConfig:
             ({"cfl_safety": math.nan}, ValueError),
             ({"snapshot_times": (-0.1,)}, ValueError),
             ({"t_final": 0.5, "snapshot_times": (0.25, 1.0)}, ValueError),
+            ({"t_final": True}, NonpositiveTime),
+            ({"dt_cap": True}, NonpositiveTime),
+            ({"cfl_safety": True}, ValueError),
+            ({"snapshot_times": (True,)}, ValueError),
         ],
     )
     def test_invalid_config_rejected(self, kwargs, error):

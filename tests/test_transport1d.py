@@ -8,7 +8,7 @@ from btflow.errors import DegenerateSupport, DimensionMismatch
 from btflow.measures import Density, DensityVector, Grid1D, normalize, to_quantiles
 from btflow.transport1d import (
     _plans,
-    _plans_w2,
+    _plans_cost,
     kantorovich_potential_1d,
     monotone_plan,
     optimal_map_1d,
@@ -321,19 +321,36 @@ class TestStackedPlans:
     def test_rows_match_one_row_calls(self, stacked):
         a, b, x = stacked
         plans = _plans(a, b)
-        w2 = _plans_w2(plans, x)
+        cost = _plans_cost(plans, x)
         src, dst, seg = plans
         assert seg.shape == (len(a), 2 * a.shape[1]) and seg.min() >= 0.0
         for k in range(len(a)):
             one = _plans(a[k : k + 1], b[k : k + 1])
             for rows, row in zip(plans, one):
                 assert np.array_equal(rows[k], row[0])
-            assert np.float64(w2[k]).tobytes() == np.float64(_plans_w2(one, x)[0]).tobytes()
+            assert cost[k].tobytes() == _plans_cost(one, x)[0].tobytes()
             # the zero-length pads carry no mass
             left = np.bincount(src[k], seg[k], minlength=a.shape[1])
             right = np.bincount(dst[k], seg[k], minlength=a.shape[1])
             np.testing.assert_allclose(left, a[k], rtol=0.0, atol=1e-15)
             np.testing.assert_allclose(right, b[k], rtol=0.0, atol=1e-15)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_batched_cost_rows_match_one_row_calls(self, seed):
+        # long rows, so the pairwise summation splits them into blocks, with zero runs
+        rng = np.random.default_rng(seed)
+        n_rows, n = int(rng.integers(2, 9)), int(rng.integers(2, 300))
+        a, b = rng.uniform(size=(2, n_rows, n)) * (rng.uniform(size=(2, n_rows, n)) < 0.7)
+        for row in (a, b):
+            lo = int(rng.integers(0, n))
+            row[:, lo : lo + int(rng.integers(1, n // 2 + 2))] = 0.0
+            row[:, int(rng.integers(0, n))] += 0.5
+            row /= row.sum(axis=1, keepdims=True)
+        x = Grid1D(n, -1.0, 2.0).centers()
+        cost = _plans_cost(_plans(a, b), x)
+        for k in range(n_rows):
+            assert cost[k].tobytes() == _plans_cost(_plans(a[k : k + 1], b[k : k + 1]), x)[0].tobytes()
 
 
 def _inverse_cdf_reference(v, m, side):
