@@ -43,14 +43,28 @@ def list_scenarios() -> str:
     return "\n".join(lines)
 
 
-def _require(cfg: dict, key: str, types, default=None):
+_ABSENT = object()  # _require's default: the key is required
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a finite number"}
+
+
+def _require(cfg: dict, key: str, kind, default=_ABSENT, low=None):
+    """cfg[key] as a kind (dict, list, str, int, float, or [kind]: a list of that kind), default when absent.
+
+    Bools and strings are no numbers, an int reads as a float, and low bounds a
+    float strictly and an int inclusively.  Errors are ConfigInvalid naming key."""
     if key not in cfg:
-        if default is not None:
-            return default
-        raise ConfigInvalid(key, "missing")
+        if default is _ABSENT:
+            raise ConfigInvalid(key, "missing")
+        return default
+    if isinstance(kind, list):  # each element is read as the key's value, so its errors name the key
+        return [_require({key: v}, key, kind[0], low=low) for v in _require(cfg, key, list)]
     value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, types):  # no key asks for a bool
-        raise ConfigInvalid(key, f"expected {types}, got {type(value).__name__}")
+    if kind is float and type(value) is int:  # beyond 2**1023 an int is not read as a finite float
+        value = float(value) if value.bit_length() <= 1023 else math.inf
+    if isinstance(value, bool) or not isinstance(value, kind) or (kind is float and not math.isfinite(value)):
+        raise ConfigInvalid(key, f"expected {_KINDS[kind]}, got {value!r}")
+    if low is not None and not (value >= low if kind is int else value > low):
+        raise ConfigInvalid(key, f"expected {_KINDS[kind]} {'>=' if kind is int else '>'} {low}, got {value!r}")
     return value
 
 
@@ -58,9 +72,9 @@ def _grid_from(cfg: dict) -> Grid1D:
     g = _require(cfg, "grid", dict)
     try:
         return Grid1D(
-            int(_require(g, "n_cells", int)),
-            float(_require(g, "x_min", (int, float), 0.0)),
-            float(_require(g, "x_max", (int, float), 1.0)),
+            _require(g, "n_cells", int),
+            _require(g, "x_min", float, 0.0),
+            _require(g, "x_max", float, 1.0),
         )
     except ValueError as exc:
         raise ConfigInvalid("grid", str(exc)) from exc
@@ -70,55 +84,53 @@ def _schedule_from(cfg: dict) -> jko.JKOSchedule:
     sched = _require(cfg, "schedule", dict)
     try:
         if "taus" in sched:
-            return jko.JKOSchedule(np.asarray(sched["taus"], dtype=float))
-        tau = float(_require(sched, "tau", (int, float)))
-        steps = int(_require(sched, "steps", int))
-        return jko.JKOSchedule.uniform(tau, steps)
+            return jko.JKOSchedule(_require(sched, "taus", [float]))
+        return jko.JKOSchedule.uniform(_require(sched, "tau", float), _require(sched, "steps", int, low=1))
     except ValueError as exc:
         raise ConfigInvalid("schedule", str(exc)) from exc
 
 
 def _coupling_from(cfg: dict) -> CouplingMatrix:
-    entries = _require(cfg, "coupling", list)
+    entries = _require(cfg, "coupling", [[float]])
     try:
-        return CouplingMatrix(np.asarray(entries, dtype=float))
-    except Exception as exc:
+        return CouplingMatrix(entries)
+    except ValueError as exc:  # ragged rows or a non-square matrix
         raise ConfigInvalid("coupling", str(exc)) from exc
 
 
 def _initial_from(cfg: dict, grid: Grid1D, n_species: int) -> DensityVector:
-    entry = _require(cfg, "initial", (dict, list))
-    entries = entry if isinstance(entry, list) else [entry] * n_species
+    entries = _require(cfg, "initial", [dict] if isinstance(cfg.get("initial"), list) else dict)
+    entries = entries if isinstance(entries, list) else [entries] * n_species
     if len(entries) != n_species:
         raise ConfigInvalid("initial", f"need {n_species} species entries, got {len(entries)}")
     species = []
     x = grid.centers()
+    middle = 0.5 * (grid.x_min + grid.x_max)
     for i, entry in enumerate(entries):
         preset = _require(entry, "preset", str)
         if preset == "barenblatt":
-            t = float(entry.get("t", fdref.barenblatt_peak_time()))
-            center = float(entry.get("center", 0.5 * (grid.x_min + grid.x_max)))
-            species.append(fdref.barenblatt(t, grid, center=center))
+            t = _require(entry, "t", float, fdref.barenblatt_peak_time(), low=0.0)
+            species.append(fdref.barenblatt(t, grid, center=_require(entry, "center", float, middle)))
         elif preset == "gaussian":
-            center = float(entry.get("center", 0.5 * (grid.x_min + grid.x_max)))
-            var = float(entry.get("var", 0.05))
+            center = _require(entry, "center", float, middle)
+            var = _require(entry, "var", float, 0.05, low=0.0)
             species.append(normalize(np.exp(-0.5 * (x - center) ** 2 / var), grid))
         elif preset == "double_bump":
-            c1 = float(entry.get("center1", grid.x_min + 0.3 * grid.length))
-            c2 = float(entry.get("center2", grid.x_min + 0.7 * grid.length))
-            var = float(entry.get("var", 0.01 * grid.length**2))
+            c1 = _require(entry, "center1", float, grid.x_min + 0.3 * grid.length)
+            c2 = _require(entry, "center2", float, grid.x_min + 0.7 * grid.length)
+            var = _require(entry, "var", float, 0.01 * grid.length**2, low=0.0)
             raw = np.exp(-0.5 * (x - c1) ** 2 / var) + np.exp(-0.5 * (x - c2) ** 2 / var)
             species.append(normalize(raw, grid))
         elif preset == "segregated":
-            lo = float(entry.get("lo", grid.x_min + (0.15 + 0.43 * i) * grid.length))
-            hi = float(entry.get("hi", lo + 0.27 * grid.length))
+            lo = _require(entry, "lo", float, grid.x_min + (0.15 + 0.43 * i) * grid.length)
+            hi = _require(entry, "hi", float, lo + 0.27 * grid.length)
             raw = np.where((x > lo) & (x < hi), 1.0, 0.0)
             if not raw.any():
                 raise ConfigInvalid("initial", f"species {i}: empty segregated block")
             species.append(normalize(raw, grid))
         elif preset == "cosine":
-            amp = float(entry.get("amplitude", 0.25))
-            mode = int(entry.get("mode", 1))
+            amp = _require(entry, "amplitude", float, 0.25)
+            mode = _require(entry, "mode", int, 1)
             sign = -1.0 if i % 2 else 1.0
             xi = (x - grid.x_min) / grid.length
             species.append(normalize(1.0 + sign * amp * np.cos(mode * np.pi * xi), grid))
@@ -167,23 +179,18 @@ def _run_parabolic(cfg: dict, out: Path) -> RunRecord:
     a = _coupling_from(cfg)
     u0 = _initial_from(cfg, grid, a.n_species)
     schedule = _schedule_from(cfg)
-    solver = cfg.get("solver", {})
-    name = solver.get("name", "lagrangian")
-    levels = solver.get("levels")
+    solver = _require(cfg, "solver", dict, {})
+    try:
+        name = _require(solver, "name", str, "lagrangian")
+        levels = _require(solver, "levels", int, None, low=1)
+        eps = _require(solver, "eps", float, 1e-3, low=0.0)
+    except ConfigInvalid as exc:
+        raise ConfigInvalid("solver", str(exc)) from exc
     if name == "entropic" and levels is not None:
         raise ConfigInvalid("solver", "levels applies to the lagrangian solver only")
-    if levels is not None and (type(levels) is not int or levels < 1):
-        raise ConfigInvalid("solver", f"levels: expected an integer of at least 1, got {levels!r}")
-    traj, record = jko.run_jko(
-        u0,
-        a,
-        schedule,
-        solver=name,
-        eps=float(solver.get("eps", 1e-3)),
-        n_levels=levels,
-        strict=False,
-    )
-    ks = [int(np.argmin(np.abs(record.times - float(t)))) for t in cfg.get("snapshots", [])]
+    snapshots = _require(cfg, "snapshots", [float], [])
+    traj, record = jko.run_jko(u0, a, schedule, solver=name, eps=eps, n_levels=levels, strict=False)
+    ks = [int(np.argmin(np.abs(record.times - t))) for t in snapshots]
     _check_snapshot_times(record.times[ks].tolist())
     _write_density_csv(out / "final_density.csv", traj[-1])
     for k in ks:
@@ -201,23 +208,11 @@ def _run_parabolic(cfg: dict, out: Path) -> RunRecord:
     return record
 
 
-def _positive_time(cfg: dict, key: str, default: float | None) -> float | None:
-    """cfg[key], or ``default`` when absent, as a finite positive time."""
-    value = cfg.get(key, default)
-    if value is None and default is None:
-        return None
-    if type(value) not in (int, float) or not (math.isfinite(value) and value > 0):
-        raise ConfigInvalid(key, f"expected a finite positive time, got {value!r}")
-    return float(value)
-
-
 def _run_hyperbolic(cfg: dict, out: Path, scheme: str) -> RunRecord:
     grid = _grid_from(cfg)
-    n_species = cfg.get("n_species", 2)
-    if type(n_species) is not int or n_species < 1:
-        raise ConfigInvalid("n_species", f"expected an integer of at least 1, got {n_species!r}")
-    t_final = _positive_time(cfg, "t_final", 0.1)
-    dt = _positive_time(cfg, "dt", None)
+    n_species = _require(cfg, "n_species", int, 2, low=1)
+    t_final = _require(cfg, "t_final", float, 0.1, low=0.0)
+    dt = _require(cfg, "dt", float, None, low=0.0)
     u0 = _initial_from(cfg, grid, n_species)
     run = hyperbolic.run_hyperbolic(u0, scheme=scheme, t_final=t_final, dt=dt, strict=False)
     _write_density_csv(out / "final_density.csv", run.trajectory[-1])
@@ -239,9 +234,7 @@ def _run_fourth_order(cfg: dict, out: Path) -> RunRecord:
     grid = _grid_from(cfg)
     a = _coupling_from(cfg)
     u0 = _initial_from(cfg, grid, a.n_species)
-    n_steps = _require(cfg, "steps", int, 100)
-    if n_steps < 1:
-        raise ConfigInvalid("steps", f"expected at least 1 step, got {n_steps}")
+    n_steps = _require(cfg, "steps", int, 100, low=1)
     u_final, energies = fdref.run_bt4_fd(u0, a, n_steps)
     record = RunRecord(times=np.arange(n_steps + 1, dtype=float), energy=energies)
     check_energy_monotone(record)
@@ -253,10 +246,14 @@ def _run_fourth_order(cfg: dict, out: Path) -> RunRecord:
 
 
 def _skt_config(cfg: dict) -> skt.SKTConfig:
-    kwargs = {f.name: cfg[f.name] for f in dataclasses.fields(skt.SKTConfig) if f.name in cfg}
-    if "center" in cfg:
-        kwargs["center"] = tuple(cfg["center"])
-    kwargs["snapshot_times"] = tuple(cfg["snapshots"]) if "snapshots" in cfg else None
+    """SKTConfig from its fields in cfg, each read as its default's kind, and ``snapshots``; it checks ranges."""
+    snapshots = _require(cfg, "snapshots", [float], None)
+    kwargs = {"snapshot_times": None if snapshots is None else tuple(snapshots)}
+    for f in dataclasses.fields(skt.SKTConfig):
+        if f.name in cfg and f.name != "snapshot_times":
+            kind = [float] if isinstance(f.default, tuple) else type(f.default)
+            value = _require(cfg, f.name, kind)
+            kwargs[f.name] = tuple(value) if isinstance(value, list) else value
     try:
         return skt.SKTConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -288,7 +285,7 @@ def _run_skt_joint(cfg: dict, out: Path) -> RunRecord:
 
 def _run_skt_decoupled(cfg: dict, out: Path) -> RunRecord:
     config = _skt_config(cfg)
-    variant = cfg.get("variant", "quadratic")
+    variant = _require(cfg, "variant", str, "quadratic")
     report = skt.compare_correlated_vs_decoupled(config, variant=variant)
     _write_csv(out / "gap.csv", ["t", "l1_gap"], [report.times, report.l1_gaps])
     record = RunRecord(times=report.times)
@@ -301,10 +298,10 @@ def _run_benchmark_closure(cfg: dict, out: Path) -> RunRecord:
     a = _coupling_from(cfg)
     u0 = _initial_from(cfg, grid, a.n_species)
     schedule = _schedule_from(cfg)
+    tolerance = _require(cfg, "closure_tol", float, 5e-2)
     traj, record = jko.run_jko(u0, a, schedule, strict=False)
     u_fd = fdref.run_bt_fd(u0, a, schedule.horizon)
-    gap = fdref.l1_error_vector(traj[-1], u_fd)
-    record.check("fd_closure_l1", gap, tolerance=float(cfg.get("closure_tol", 5e-2)))
+    record.check("fd_closure_l1", fdref.l1_error_vector(traj[-1], u_fd), tolerance=tolerance)
     _write_density_csv(out / "final_variational.csv", traj[-1])
     _write_density_csv(out / "final_fd.csv", u_fd)
     _write_csv(
@@ -324,10 +321,6 @@ _RUNNERS = {
     "skt_decoupled": _run_skt_decoupled,
     "benchmark_closure": _run_benchmark_closure,
 }
-
-
-def _echo_params(cfg: dict) -> dict:
-    return {k: v for k, v in cfg.items() if k != "out_dir"}
 
 
 def _apply_override(cfg: dict, spec: str):
@@ -361,10 +354,11 @@ def run(config_path: str, overrides=(), out_dir: str | None = None) -> int:
         scenario = _require(cfg, "scenario", str)
         if scenario not in _RUNNERS:
             raise ConfigInvalid("scenario", f"unknown scenario {scenario!r}")
-        out = Path(out_dir or cfg.get("out_dir", "out"))
+        cfg_out = _require(cfg, "out_dir", str, "out")
+        out = Path(out_dir or cfg_out)
         out.mkdir(parents=True, exist_ok=True)
         record = _RUNNERS[scenario](cfg, out)
-        report = record.to_json(scenario=scenario, params=_echo_params(cfg))
+        report = record.to_json(scenario=scenario, params={k: v for k, v in cfg.items() if k != "out_dir"})
         (out / "report.json").write_text(report + "\n")
     except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import RunRecord, check_metric_speed, check_tv_monotone
-from .errors import CFLViolation, DimensionMismatch, EstimateFailed, InvalidDensity, NonpositiveTime
-from .measures import MASS_TOL_1D, Density, DensityVector, Grid1D
+from .errors import CFLViolation, DimensionMismatch, EstimateFailed, InvalidDensity
+from .measures import MASS_TOL_1D, Density, DensityVector, Grid1D, _require_positive
 from .transport1d import _plans, _plans_cost
 
 SUPPORT_EPS = 1e-12
@@ -289,10 +289,11 @@ def run_hyperbolic(
     ``pressure_transport`` (species pushed by the pressure's optimal plans;
     the pressure trajectory itself always comes from the splitting p-step).
     ``t_final`` and ``dt`` (an upper bound on the automatic step) must be
-    finite and positive.  Records per step: TV(p), TV(r_i), W2 increments of
-    u and p; ``meta`` carries the step count and the smallest and largest
-    step.  Asserts TV monotonicity for both fields and, for the transport
-    scheme, the sqrt(N)-metric-speed bound, when ``strict``.  The TV(r_i)
+    finite and positive, ``snapshot_every`` an integer of at least 0.
+    Records per step: TV(p), TV(r_i), W2 increments of u and p; ``meta``
+    carries the step count and the smallest and largest step.  Asserts TV
+    monotonicity for both fields and, for the transport scheme, the
+    sqrt(N)-metric-speed bound, when ``strict``.  The TV(r_i)
     series of both schemes read the fractions of the splitting flux, which
     the transported species match within about 1e-11 in L1.  Their own
     u_i / (N p) is plan rounding where p is near 1e-12 (0.86 for a pure
@@ -304,10 +305,11 @@ def run_hyperbolic(
     """
     if scheme not in ("splitting", "pressure_transport"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if not (np.isfinite(t_final) and t_final > 0.0):
-        raise NonpositiveTime(f"t_final must be finite and positive, got {t_final!r}")
-    if dt is not None and not (np.isfinite(dt) and dt > 0.0):
-        raise NonpositiveTime(f"dt must be finite and positive, got {dt!r}")
+    _require_positive("t_final", t_final)
+    if dt is not None:
+        _require_positive("dt", dt)
+    if isinstance(snapshot_every, bool) or not isinstance(snapshot_every, (int, np.integer)) or snapshot_every < 0:
+        raise ValueError(f"snapshot_every must be an integer of at least 0, got {snapshot_every!r}")
     n_species = u0.n_species
     grid = u0.grid
     h = grid.h

@@ -55,11 +55,10 @@ from .errors import (
     EstimateFailed,
     InfiniteInitialEntropy,
     KernelUnderflow,
-    NonpositiveTime,
     NotPositiveDefinite,
     ScalingOverflow,
 )
-from .measures import DensityVector, Grid1D, _deposit_all, to_quantiles
+from .measures import DensityVector, Grid1D, _deposit_all, _require_positive, to_quantiles
 from .transport1d import kantorovich_potential_1d, w2_product
 
 STEP_FLOOR = 2.0**-60  # the descent gives up when its step falls below this * tau * L
@@ -84,7 +83,7 @@ class JKOSchedule:
         taus = np.atleast_1d(np.asarray(self.taus, dtype=float))
         if taus.size == 0:
             raise ValueError("a schedule needs at least one step")
-        _require_finite_positive("all step sizes", taus, NonpositiveTime)
+        _require_positive("all step sizes", taus)
         object.__setattr__(self, "taus", taus)
 
     @staticmethod
@@ -138,11 +137,6 @@ class ResidualReport:
     @property
     def worst(self) -> float:
         return float(self.values.max())
-
-
-def _require_finite_positive(name: str, value, error=ValueError):
-    if not np.all(np.isfinite(value) & (np.asarray(value) > 0.0)):
-        raise error(f"{name} must be finite and positive")
 
 
 def _require_positive_definite(a: CouplingMatrix):
@@ -638,7 +632,7 @@ def jko_step_lagrangian(
 ) -> tuple[DensityVector, JKOStepReport]:
     """One minimizing-movement step via the quantile-map descent."""
     _require_positive_definite(a)
-    _require_finite_positive("tau", tau, NonpositiveTime)
+    _require_positive("tau", tau)
     # energies under the solver's own quadrature: monotone by construction
     x_prev, quad, e_before = _lagrangian_start(u_prev, a, opts, n_levels)
     _, u_next, report = _lagrangian_step(u_prev, x_prev, e_before, tau, a, quad, opts)
@@ -727,8 +721,8 @@ def jko_step_entropic(
     iterations the step returns with ``converged=False``.
     """
     _require_positive_definite(a)
-    _require_finite_positive("tau", tau, NonpositiveTime)
-    _require_finite_positive("eps", eps)
+    _require_positive("tau", tau)
+    _require_positive("eps", eps, ValueError)
     grid = u_prev.grid
     h = grid.h
     if np.exp(-(h * h) / eps) == 0.0:

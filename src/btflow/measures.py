@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllZero, DimensionMismatch, InvalidDensity, NonMonotoneMap, OutOfDomain
+from .errors import AllZero, DimensionMismatch, InvalidDensity, NonMonotoneMap, NonpositiveTime, OutOfDomain
 
 MASS_TOL_1D = 1e-12
 MASS_TOL_2D = 1e-10
@@ -83,6 +83,13 @@ class Grid2D:
         c1 = self.x1_min + (np.arange(self.n1) + 0.5) * self.h1
         c2 = self.x2_min + (np.arange(self.n2) + 0.5) * self.h2
         return c1, c2
+
+
+def _require_positive(name: str, value, error=NonpositiveTime):
+    """Raise error unless value (each entry of an array) is a finite real > 0; a bool is no number."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr) & (arr > 0)):
+        raise error(f"{name} must be finite and positive, got {value!r}")
 
 
 def _checked_unit_mass(vals: np.ndarray, h: float, mass_tol: float, what: str = "density"):

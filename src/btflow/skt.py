@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import RunRecord
-from .errors import CFLViolation, DimensionMismatch, EstimateFailed, InvalidDensity, NegativityDetected, NonpositiveTime
-from .measures import MASS_TOL_1D, MASS_TOL_2D, Density, Grid2D, JointDensity, _checked_unit_mass
+from .errors import CFLViolation, DimensionMismatch, EstimateFailed, InvalidDensity, NegativityDetected
+from .measures import MASS_TOL_1D, MASS_TOL_2D, Density, Grid2D, JointDensity, _checked_unit_mass, _require_positive
 
 CONTACT_BAND_MASS = 1e-4  # band mass that marks the first diagonal contact
 _TINY = np.finfo(float).tiny
@@ -256,9 +256,10 @@ class SKTConfig:
     probability actually reaches the diagonal band within the horizon (the
     porous-medium dynamics does not grow tails, so too small a floor or
     spread leaves the state uncorrelated forever and the scenario would be
-    vacuous).  ``t_final`` and ``dt_cap`` must be finite and positive,
-    ``cfl_safety`` must lie in (0, 1] and every snapshot time in
-    [0, t_final]; a bool is no number for any of them.
+    vacuous).  ``t_final``, ``dt_cap`` and ``variance`` must be finite and
+    positive, ``center`` two finite reals, ``cfl_safety`` must lie in (0, 1]
+    and every snapshot time in [0, t_final]; a bool is no number for any of
+    them.
     """
 
     n1: int = 128
@@ -275,10 +276,11 @@ class SKTConfig:
     snapshot_times: tuple | None = None  # None: one snapshot at t_final
 
     def __post_init__(self):
-        for key in ("t_final", "dt_cap"):
-            value = getattr(self, key)
-            if not (_is_real(value) and np.isfinite(value) and value > 0):
-                raise NonpositiveTime(f"{key} must be finite and positive, got {value!r}")
+        _require_positive("t_final", self.t_final)
+        _require_positive("dt_cap", self.dt_cap)
+        _require_positive("variance", self.variance, ValueError)
+        if not (np.shape(self.center) == (2,) and all(_is_real(c) and np.isfinite(c) for c in self.center)):
+            raise ValueError(f"center must be two finite reals, got {self.center!r}")
         if not (_is_real(self.cfl_safety) and 0.0 < self.cfl_safety <= 1.0):
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety!r}")
         if self.snapshot_times is None:

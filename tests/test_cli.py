@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -152,7 +153,14 @@ class TestRun:
 
     def test_skt_degenerate_config_exit_code(self, tmp_path, capsys):
         base = {"scenario": "skt_joint", "n1": 32, "n2": 32, "t_final": 0.2}
-        for extra in ({"t_final": 0}, {"snapshots": [0.1, 0.3]}):
+        for extra in (
+            {"t_final": 0},
+            {"snapshots": [0.1, 0.3]},
+            {"variance": -0.45},
+            {"variance": 0},
+            {"center": [1.0]},
+            {"center": [1.0, 2.0, 3.0]},
+        ):
             cfg = write_config(tmp_path, **(base | extra))
             assert run(str(cfg)) == 1
             assert "config key 'skt'" in capsys.readouterr().err
@@ -315,6 +323,66 @@ class TestRun:
         cfg = write_config(tmp_path)
         code = main(["run", str(cfg), str(cfg), "--out", str(tmp_path / "multi")])
         assert code == 0
+
+
+SKT_BASE = {"scenario": "skt_joint", "n1": 32, "n2": 32, "t_final": 0.2, "dt_cap": 1e-2}
+TWO_SPECIES = {"coupling": [[2.0, 1.0], [1.0, 2.0]], "initial": {"preset": "cosine"}}
+
+# id: (config entries over write_config's parabolic_jko run, overrides, key or block the error names)
+WRONG_VALUES = {
+    "bool_tau": ({"schedule": {"taus": [True, 1e-3]}}, [], "schedule"),
+    "bool_eps": ({"solver": {"eps": True}}, [], "solver"),
+    "string_var": ({"initial": {"preset": "gaussian", "var": "0.01"}}, [], "var"),
+    "bool_center": ({"initial": {"preset": "gaussian", "center": True}}, [], "center"),
+    "bool_coupling": ({"coupling": [[2, True], [True, 2]], "initial": {"preset": "cosine"}}, [], "coupling"),
+    "bool_snapshot": ({"snapshots": [True]}, [], "snapshots"),
+    "bool_closure_tol": ({"scenario": "benchmark_closure", "closure_tol": True} | TWO_SPECIES, [], "closure_tol"),
+    "float_mode": (TWO_SPECIES | {"initial": {"preset": "cosine", "mode": 1.7}}, [], "mode"),
+    "skt_bool_sigma": (SKT_BASE | {"sigma": True}, [], "sigma"),
+    "skt_bool_center": (SKT_BASE | {"center": [True, 2.0]}, [], "center"),
+    "override_string_coupling": ({}, ['coupling=[["1"]]'], "coupling"),
+    "number_solver": ({"solver": 3}, [], "solver"),
+    "skt_string_variance": (SKT_BASE | {"variance": "0.45"}, [], "variance"),
+    "skt_float_n1": (SKT_BASE | {"n1": 16.5}, [], "n1"),
+    "number_out_dir": ({"out_dir": 3}, [], "out_dir"),
+    "number_initial": ({"initial": [3]}, [], "initial"),
+    "int_beyond_float": ({"scenario": "hyperbolic_split", "t_final": 10**400}, [], "t_final"),
+}
+
+
+@pytest.mark.parametrize("entries, overrides, key", WRONG_VALUES.values(), ids=WRONG_VALUES.keys())
+def test_wrong_value_exits_naming_its_key(tmp_path, capsys, monkeypatch, entries, overrides, key):
+    # each must fail before any output, with an error that names the key at fault
+    monkeypatch.chdir(tmp_path)  # a default out_dir lands in tmp_path
+    cfg = write_config(tmp_path, **entries)
+    assert run(str(cfg), overrides=overrides) == 1
+    assert f"config key '{key}'" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("report.json"))
+
+
+def test_int_valued_floats_run_as_floats(tmp_path):
+    grid = {"n_cells": 32, "x_min": -5, "x_max": 5}
+    pairs = {
+        "gaussian": ({"grid": grid, "initial": {"preset": "gaussian", "center": 0}},
+                     {"grid": grid | {"x_min": -5.0, "x_max": 5.0}, "initial": {"preset": "gaussian", "center": 0.0}}),
+        "skt": (SKT_BASE | {"variance": 1}, SKT_BASE | {"variance": 1.0}),
+    }
+    for case, configs in pairs.items():
+        outs = [tmp_path / case / kind for kind in ("ints", "floats")]
+        codes = [run(str(write_config(tmp_path, **cfg)), out_dir=str(out)) for cfg, out in zip(configs, outs)]
+        assert codes[0] == codes[1] != 1  # the wide skt Gaussian fails a check, alike in both runs
+        names = sorted(f.name for f in outs[0].glob("*.csv"))
+        assert names and names == sorted(f.name for f in outs[1].glob("*.csv"))
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (case, name)
+
+
+def test_readme_example_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("Example config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "example.json").write_text(example)
+    assert run(str(tmp_path / "example.json"), overrides=["schedule.steps=3"], out_dir=str(tmp_path / "out")) == 0
+    assert read_report(tmp_path / "out")["scenario"] == json.loads(example)["scenario"]
 
 
 def per_value_csv(path, header, columns):

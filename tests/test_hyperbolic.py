@@ -293,6 +293,8 @@ class TestRunHyperbolic:
             {"dt": -1e-4},
             {"dt": np.nan},
             {"dt": np.inf},
+            {"t_final": True},
+            {"dt": True},
         ],
     )
     def test_degenerate_times_rejected(self, times, monkeypatch):
@@ -302,6 +304,13 @@ class TestRunHyperbolic:
         name = next(iter(times))
         with pytest.raises(NonpositiveTime, match=name):
             run_hyperbolic(pair, "pressure_transport", **({"t_final": 0.01} | times))
+
+    @pytest.mark.parametrize("every", [-1, True, 2.5, "2"])
+    def test_snapshot_every_must_be_a_count(self, every, monkeypatch):
+        # -1 and True would keep every step, and 2.5 no step count at all
+        monkeypatch.setattr(hyperbolic, "MAX_STEPS", 10)
+        with pytest.raises(ValueError, match="^snapshot_every must be an integer of at least 0"):
+            run_hyperbolic(segregated_pair(32), "splitting", t_final=0.01, snapshot_every=every)
 
 
 def step_by_hand(u0, scheme, t_final, states=None):

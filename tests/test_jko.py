@@ -209,6 +209,10 @@ BAD_STEP_ARGUMENTS = [
     ("lagrangian", 0.0, None, NonpositiveTime, "tau"),
     ("lagrangian", np.nan, None, NonpositiveTime, "tau"),
     ("lagrangian", np.inf, None, NonpositiveTime, "tau"),
+    # a bool is no number: True would pass as 1
+    ("entropic", 1e-3, True, ValueError, "eps"),
+    ("entropic", True, 1e-3, NonpositiveTime, "tau"),
+    ("lagrangian", True, None, NonpositiveTime, "tau"),
 ]
 
 

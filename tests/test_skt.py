@@ -272,6 +272,15 @@ class TestSKTConfig:
             ({"dt_cap": True}, NonpositiveTime),
             ({"cfl_safety": True}, ValueError),
             ({"snapshot_times": (True,)}, ValueError),
+            ({"variance": -0.45}, ValueError),  # would run a U-shaped "Gaussian"
+            ({"variance": 0.0}, ValueError),
+            ({"variance": math.nan}, ValueError),
+            ({"variance": True}, ValueError),
+            ({"center": (1.0,)}, ValueError),  # would raise IndexError only once run
+            ({"center": (1.0, 2.0, 3.0)}, ValueError),
+            ({"center": (True, 2.0)}, ValueError),
+            ({"center": (math.inf, 2.0)}, ValueError),
+            ({"center": "ab"}, ValueError),
         ],
     )
     def test_invalid_config_rejected(self, kwargs, error):
