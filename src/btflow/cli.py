@@ -26,23 +26,7 @@ from .energies import CouplingMatrix
 from .errors import ConfigInvalid
 from .measures import DensityVector, Grid1D, normalize
 
-SCENARIOS = {
-    "parabolic_jko": "minimizing-movement run for the positive definite system, estimate checks included",
-    "hyperbolic_split": "rank-deficient system via pressure diffusion + fraction transport, TV checks",
-    "hyperbolic_transport": "rank-deficient system via optimal-plan species transport, metric-speed check",
-    "fourth_order": "explicit fourth-order reference run, mass and energy-decay checks",
-    "skt_joint": "correlated joint-density simulation with relative-entropy monitoring",
-    "skt_decoupled": "nonlocally coupled marginal system (quadratic or entropy variant)",
-    "benchmark_closure": "cross-validation: variational vs finite-difference trajectories at matched times",
-}
 CSV_BLOCK_ROWS = 1024  # rows formatted per write
-
-
-def list_scenarios() -> str:
-    lines = [f"{name}: {desc}" for name, desc in SCENARIOS.items()]
-    return "\n".join(lines)
-
-
 _ABSENT = object()  # _require's default: the key is required
 _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a finite number"}
 
@@ -136,6 +120,8 @@ def _initial_from(cfg: dict, grid: Grid1D, n_species: int) -> DensityVector:
             species.append(normalize(1.0 + sign * amp * np.cos(mode * np.pi * xi), grid))
         else:
             raise ConfigInvalid("initial", f"unknown preset {preset!r}")
+        if species[-1].clamped:
+            raise ConfigInvalid("initial", f"species {i}: the {preset} profile goes negative")
     return DensityVector.from_species(species)
 
 
@@ -186,6 +172,8 @@ def _run_parabolic(cfg: dict, out: Path) -> RunRecord:
         eps = _require(solver, "eps", float, 1e-3, low=0.0)
     except ConfigInvalid as exc:
         raise ConfigInvalid("solver", str(exc)) from exc
+    if name not in ("lagrangian", "entropic"):
+        raise ConfigInvalid("solver", f"unknown solver {name!r}")
     if name == "entropic" and levels is not None:
         raise ConfigInvalid("solver", "levels applies to the lagrangian solver only")
     snapshots = _require(cfg, "snapshots", [float], [])
@@ -286,6 +274,10 @@ def _run_skt_joint(cfg: dict, out: Path) -> RunRecord:
 def _run_skt_decoupled(cfg: dict, out: Path) -> RunRecord:
     config = _skt_config(cfg)
     variant = _require(cfg, "variant", str, "quadratic")
+    try:
+        skt._is_quadratic(variant)
+    except ValueError as exc:
+        raise ConfigInvalid("variant", str(exc)) from exc
     report = skt.compare_correlated_vs_decoupled(config, variant=variant)
     _write_csv(out / "gap.csv", ["t", "l1_gap"], [report.times, report.l1_gaps])
     record = RunRecord(times=report.times)
@@ -312,15 +304,31 @@ def _run_benchmark_closure(cfg: dict, out: Path) -> RunRecord:
     return record
 
 
-_RUNNERS = {
-    "parabolic_jko": _run_parabolic,
-    "hyperbolic_split": lambda cfg, out: _run_hyperbolic(cfg, out, "splitting"),
-    "hyperbolic_transport": lambda cfg, out: _run_hyperbolic(cfg, out, "pressure_transport"),
-    "fourth_order": _run_fourth_order,
-    "skt_joint": _run_skt_joint,
-    "skt_decoupled": _run_skt_decoupled,
-    "benchmark_closure": _run_benchmark_closure,
+SCENARIOS = {  # name: (description, runner(cfg, out) -> RunRecord)
+    "parabolic_jko": (
+        "minimizing-movement run for the positive definite system, estimate checks included",
+        _run_parabolic,
+    ),
+    "hyperbolic_split": (
+        "rank-deficient system via pressure diffusion + fraction transport, TV checks",
+        lambda cfg, out: _run_hyperbolic(cfg, out, "splitting"),
+    ),
+    "hyperbolic_transport": (
+        "rank-deficient system via optimal-plan species transport, metric-speed check",
+        lambda cfg, out: _run_hyperbolic(cfg, out, "pressure_transport"),
+    ),
+    "fourth_order": ("explicit fourth-order reference run, mass and energy-decay checks", _run_fourth_order),
+    "skt_joint": ("correlated joint-density simulation with relative-entropy monitoring", _run_skt_joint),
+    "skt_decoupled": ("nonlocally coupled marginal system (quadratic or entropy variant)", _run_skt_decoupled),
+    "benchmark_closure": (
+        "cross-validation: variational vs finite-difference trajectories at matched times",
+        _run_benchmark_closure,
+    ),
 }
+
+
+def list_scenarios() -> str:
+    return "\n".join(f"{name}: {desc}" for name, (desc, _) in SCENARIOS.items())
 
 
 def _apply_override(cfg: dict, spec: str):
@@ -352,12 +360,12 @@ def run(config_path: str, overrides=(), out_dir: str | None = None) -> int:
         for spec in overrides:
             _apply_override(cfg, spec)
         scenario = _require(cfg, "scenario", str)
-        if scenario not in _RUNNERS:
+        if scenario not in SCENARIOS:
             raise ConfigInvalid("scenario", f"unknown scenario {scenario!r}")
         cfg_out = _require(cfg, "out_dir", str, "out")
         out = Path(out_dir or cfg_out)
         out.mkdir(parents=True, exist_ok=True)
-        record = _RUNNERS[scenario](cfg, out)
+        record = SCENARIOS[scenario][1](cfg, out)
         report = record.to_json(scenario=scenario, params={k: v for k, v in cfg.items() if k != "out_dir"})
         (out / "report.json").write_text(report + "\n")
     except ConfigInvalid as exc:

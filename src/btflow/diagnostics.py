@@ -85,27 +85,28 @@ class RunRecord:
             raise EstimateFailed(f"estimate checks failed: {failed}")
         return self
 
-    def to_report(self, **extra) -> dict:
+    def to_json(self, **extra) -> str:
+        """The checks, the scalar ``meta`` entries and ``extra`` as sorted, indented JSON."""
+        scalars = (str, int, float, bool, type(None))
         report = {
             "checks": [c.to_dict() for c in self.checks],
-            "meta": {k: v for k, v in self.meta.items() if _jsonable(v)},
+            "meta": {k: v for k, v in self.meta.items() if isinstance(v, scalars)},
         }
         report.update(extra)
-        return report
-
-    def to_json(self, **extra) -> str:
-        return json.dumps(self.to_report(**extra), indent=2, sort_keys=True)
+        return json.dumps(report, indent=2, sort_keys=True)
 
 
-def _jsonable(v) -> bool:
-    return isinstance(v, (str, int, float, bool, type(None)))
+def _check_nonincreasing(record: RunRecord, name: str, series) -> CheckResult:
+    """Record that series never rises by more than MONOTONE_TOL_REL * |series[0]| in one step."""
+    series = np.asarray(series, dtype=float)
+    tol = MONOTONE_TOL_REL * abs(float(series[0])) if series.size else 0.0
+    rise = float(np.diff(series).max()) if series.size > 1 else -np.inf
+    return record.check(name, rise, tolerance=tol)
 
 
 def check_energy_monotone(record: RunRecord) -> CheckResult:
     """E(k+1) <= E(k) + tol with tol = MONOTONE_TOL_REL * |E(0)|."""
-    e = np.asarray(record.energy, dtype=float)
-    rise = float(np.diff(e).max()) if e.size > 1 else -np.inf
-    return record.check("energy_monotone", rise, tolerance=MONOTONE_TOL_REL * abs(float(e[0])))
+    return _check_nonincreasing(record, "energy_monotone", record.energy)
 
 
 def check_telescoped_w2(record: RunRecord, e0: float | None = None) -> CheckResult:
@@ -167,10 +168,7 @@ def check_tv_monotone(record: RunRecord, field_name: str) -> CheckResult:
     """The named TV series is nonincreasing within MONOTONE_TOL_REL * TV(0)."""
     if field_name not in record.tv:
         raise UnknownField(field_name)
-    series = np.asarray(record.tv[field_name], dtype=float)
-    tol = MONOTONE_TOL_REL * abs(float(series[0])) if series.size else 0.0
-    rise = float(np.diff(series).max()) if series.size > 1 else -np.inf
-    return record.check(f"tv_monotone[{field_name}]", rise, tolerance=tol)
+    return _check_nonincreasing(record, f"tv_monotone[{field_name}]", record.tv[field_name])
 
 
 def check_metric_speed(

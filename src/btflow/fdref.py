@@ -15,7 +15,7 @@ import numpy as np
 
 from .energies import CouplingMatrix, pressure
 from .errors import CFLViolation, DimensionMismatch, NonpositiveTime
-from .measures import Density, DensityVector, Grid1D
+from .measures import Density, DensityVector, Grid1D, _require_count
 
 SAFETY = 0.9  # the references step at this fraction of their stability bound
 MAX_STEPS = 10_000_000
@@ -44,16 +44,17 @@ def l1_error_vector(a: DensityVector, b: DensityVector) -> float:
 # mass normalization  int u dx = (8/sqrt(3)) C^(3/2),  so C = (sqrt(3) M / 8)^(2/3).
 
 
+def _barenblatt_c(mass: float) -> float:
+    return (np.sqrt(3.0) * mass / 8.0) ** (2.0 / 3.0)
+
+
 def barenblatt_peak_time(mass: float = 1.0) -> float:
     """Time at which the profile's maximum equals 1 (max u = C s^(-1/3))."""
-    c = (np.sqrt(3.0) * mass / 8.0) ** (2.0 / 3.0)
-    return 2.0 * c**3
+    return 2.0 * _barenblatt_c(mass) ** 3
 
 
 def barenblatt_support_halfwidth(t: float, mass: float = 1.0) -> float:
-    c = (np.sqrt(3.0) * mass / 8.0) ** (2.0 / 3.0)
-    s = 0.5 * t
-    return float(np.sqrt(12.0 * c) * s ** (1.0 / 3.0))
+    return float(np.sqrt(12.0 * _barenblatt_c(mass)) * (0.5 * t) ** (1.0 / 3.0))
 
 
 def barenblatt(t: float, grid: Grid1D, mass: float = 1.0, center: float = 0.0) -> Density:
@@ -65,10 +66,9 @@ def barenblatt(t: float, grid: Grid1D, mass: float = 1.0, center: float = 0.0) -
     """
     if t <= 0.0:
         raise NonpositiveTime("the self-similar profile needs t > 0")
-    c = (np.sqrt(3.0) * mass / 8.0) ** (2.0 / 3.0)
     s = 0.5 * t
-    height = c * s ** (-1.0 / 3.0)
-    halfwidth = np.sqrt(12.0 * c) * s ** (1.0 / 3.0)
+    height = _barenblatt_c(mass) * s ** (-1.0 / 3.0)
+    halfwidth = barenblatt_support_halfwidth(t, mass)
 
     def antiderivative(x):
         # integral of (height - x^2/(12 s)) dx on the support, clipped outside
@@ -190,8 +190,7 @@ def run_bt4_fd(u0: DensityVector, a: CouplingMatrix, n_steps: int) -> tuple[Dens
     """Advance the fourth-order reference n_steps >= 1; returns (state, energy series)."""
     from .energies import energy_dirichlet, energy_quadratic
 
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")
+    _require_count("n_steps", n_steps, 1)
     u = u0
     energies = np.empty(n_steps + 1)
     energies[0] = energy_quadratic(u, a) + energy_dirichlet(u)

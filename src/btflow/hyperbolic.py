@@ -45,7 +45,7 @@ import numpy as np
 
 from .diagnostics import RunRecord, check_metric_speed, check_tv_monotone
 from .errors import CFLViolation, DimensionMismatch, EstimateFailed, InvalidDensity
-from .measures import MASS_TOL_1D, Density, DensityVector, Grid1D, _require_positive
+from .measures import MASS_TOL_1D, Density, DensityVector, Grid1D, _clamped_sign, _require_count, _require_positive
 from .transport1d import _plans, _plans_cost
 
 SUPPORT_EPS = 1e-12
@@ -70,10 +70,6 @@ class PressureFraction:
             raise InvalidDensity(f"fractions must be finite, found {np.unique(r[~np.isfinite(r)])}")
         if np.any(r < -1e-12) or np.any(r.sum(axis=0) > 1.0 + 1e-12):
             raise InvalidDensity("fractions must lie in [0, 1] and sum to at most 1")
-
-    @property
-    def n_species(self) -> int:
-        return self.fractions.shape[0] + 1
 
     @property
     def grid(self) -> Grid1D:
@@ -105,10 +101,13 @@ def recover_species(pf: PressureFraction) -> DensityVector:
     return DensityVector(pf.grid, _recover(pf.pressure.values, pf.fractions))
 
 
-def tv(field: np.ndarray) -> float:
-    """Discrete total variation: sum of absolute cell-to-cell increments."""
-    field = np.asarray(field, dtype=float)
-    return float(np.abs(np.diff(field)).sum())
+def tv(field: np.ndarray) -> float | np.ndarray:
+    """Discrete total variation: sum of absolute cell-to-cell increments.
+
+    A float for one field; an array of one total per field for stacked fields (..., n).
+    """
+    total = np.abs(np.diff(np.asarray(field, dtype=float))).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def _off_support_fill(support: np.ndarray):
@@ -189,11 +188,7 @@ def _split(p: np.ndarray, r: np.ndarray, dt: float, slope: np.ndarray, h: float)
     p_new = p.copy()
     p_new[:-1] += moved
     p_new[1:] -= moved
-    low = p_new.min()
-    if not low >= -1e-13:  # also rejects NaN
-        raise InvalidDensity(f"pressure values must be nonnegative, found {low!r}")
-    if low < 0.0:
-        p_new = np.maximum(p_new, 0.0)
+    p_new = _clamped_sign(p_new, "pressure")
 
     # donor-cell fractions; a p_new = 0 cell receives nothing (the floor only avoids
     # 0/0), and a symmetric stagnation interface moves 0 exactly, so halves never mix
@@ -308,8 +303,7 @@ def run_hyperbolic(
     _require_positive("t_final", t_final)
     if dt is not None:
         _require_positive("dt", dt)
-    if isinstance(snapshot_every, bool) or not isinstance(snapshot_every, (int, np.integer)) or snapshot_every < 0:
-        raise ValueError(f"snapshot_every must be an integer of at least 0, got {snapshot_every!r}")
+    _require_count("snapshot_every", snapshot_every, 0)
     n_species = u0.n_species
     grid = u0.grid
     h = grid.h
@@ -317,13 +311,13 @@ def run_hyperbolic(
     pf = split_state(u0)
     support = pf.pressure.values > SUPPORT_EPS
     fill = _off_support_fill(support)
-    pf = PressureFraction(pf.pressure, pf.fractions[:, fill])
-    state_u = recover_species(pf) if scheme == "splitting" else u0
-    p, r, u = pf.pressure.values, pf.fractions, state_u.values
+    p, r = pf.pressure.values, pf.fractions[:, fill]  # the fill copies valid fractions
+    state_u = DensityVector(grid, _recover(p, r)) if scheme == "splitting" else u0
+    u = state_u.values
 
     times = [0.0]
     tvs_p = [tv(p)]
-    tvs_r = [[tv(ri) for ri in r]]
+    tvs_r = [tv(r).tolist()]
     w2_u = []
     w2_p = []
     dts = []
@@ -367,8 +361,8 @@ def run_hyperbolic(
         costs = _plans_cost(_plans(rows[:-n_species], rows[n_species:]), x)
         w2_u += np.sqrt(costs.reshape(-1, n_species).sum(axis=1)).tolist()
         w2_p += np.sqrt(_plans_cost(plans, x)).tolist()
-        tvs_p += np.abs(np.diff(pressure[1:])).sum(axis=-1).tolist()
-        tvs_r += np.abs(np.diff(fractions[1:])).sum(axis=-1).tolist()
+        tvs_p += tv(pressure[1:]).tolist()
+        tvs_r += tv(fractions[1:]).tolist()
         u = species[-1]
         for k in range(1, len(ps)):
             if snapshot_every and (first - 1 + k) % snapshot_every == 0:

@@ -58,7 +58,7 @@ from .errors import (
     NotPositiveDefinite,
     ScalingOverflow,
 )
-from .measures import DensityVector, Grid1D, _deposit_all, _require_positive, to_quantiles
+from .measures import DensityVector, Grid1D, _deposit_all, _require_count, _require_positive, to_quantiles
 from .transport1d import kantorovich_potential_1d, w2_product
 
 STEP_FLOOR = 2.0**-60  # the descent gives up when its step falls below this * tau * L
@@ -594,11 +594,8 @@ def _quantile_state(u: DensityVector, n_levels: int) -> np.ndarray:
 def _lagrangian_start(u: DensityVector, a: CouplingMatrix, opts: JKOOptions, n_levels: int | None):
     """The quantile state x of u at n_levels levels (by default the cell
     count), the run's quadrature and E(x)."""
-    if n_levels is None:
-        n_levels = u.grid.n_cells
-    elif isinstance(n_levels, bool) or not isinstance(n_levels, (int, np.integer)) or n_levels < 1:
-        raise ValueError(f"n_levels must be an integer of at least 1, got {n_levels!r}")
-    x = _quantile_state(u, int(n_levels))
+    n_levels = u.grid.n_cells if n_levels is None else _require_count("n_levels", n_levels, 1)
+    x = _quantile_state(u, n_levels)
     quad = _Quadrature(a, u.grid, _quadrature_grid(x, u.grid), opts.include_dirichlet)
     return x, quad, quad.energy(quad.densities(x))
 

@@ -92,15 +92,27 @@ def _require_positive(name: str, value, error=NonpositiveTime):
         raise error(f"{name} must be finite and positive, got {value!r}")
 
 
+def _require_count(name: str, value, low: int) -> int:
+    """value as an int; ValueError unless it is an integer of at least low (a bool is no count)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+    return int(value)
+
+
+def _clamped_sign(vals: np.ndarray, what: str = "density") -> np.ndarray:
+    """vals with the cells in [-1e-13, 0) set to zero; a cell below -1e-13 or NaN raises InvalidDensity."""
+    low = vals.min()
+    if not low >= -1e-13:  # also rejects NaN
+        raise InvalidDensity(f"{what} values must be nonnegative, found {low!r}")
+    return np.maximum(vals, 0.0) if low < 0.0 else vals
+
+
 def _checked_unit_mass(vals: np.ndarray, h: float, mass_tol: float, what: str = "density"):
     """Check every row of vals for cells >= -1e-13 and unit mass within mass_tol.
 
     Returns vals with the cells in [-1e-13, 0) set to zero.
     """
-    low = vals.min()
-    if not low >= -1e-13:  # also rejects NaN
-        raise InvalidDensity(f"{what} values must be nonnegative, found {low!r}")
-    vals = np.maximum(vals, 0.0) if low < 0.0 else vals
+    vals = _clamped_sign(vals, what)
     drift = float(np.abs(h * vals.sum(axis=-1) - 1.0).max())
     if not drift <= mass_tol:
         raise InvalidDensity(f"{what} mass deviates from 1 by {drift!r}, beyond {mass_tol}")
@@ -236,9 +248,7 @@ def to_quantiles(density: Density, n_levels: int | None = None) -> QuantileMap:
     left endpoint.
     """
     grid = density.grid
-    L = grid.n_cells if n_levels is None else int(n_levels)
-    if L < 1:
-        raise ValueError("n_levels must be positive")
+    L = grid.n_cells if n_levels is None else _require_count("n_levels", n_levels, 1)
     cum = _cdf_at_edges(density)
     m = (np.arange(L) + 0.5) / L * cum[-1]
     return QuantileMap(_inverse_cdf(density, cum, m, "left"), grid.x_min, grid.x_max)
@@ -322,7 +332,8 @@ def pushforward_1d(density: Density, displacement: np.ndarray) -> Density:
     The displacement is given per cell (at cell centers).  Each cell's mass
     is transported as a block: the map is extended linearly to the cell
     edges and the block is deposited uniformly over its image interval, so
-    the output mass equals the input mass exactly.
+    the output mass equals the input mass exactly.  A block collapsed onto an
+    interior grid edge may land in either cell next to that edge.
     """
     grid = density.grid
     d = np.asarray(displacement, dtype=float)
@@ -337,17 +348,8 @@ def pushforward_1d(density: Density, displacement: np.ndarray) -> Density:
     if np.any(np.diff(t_edges) < -1e-12 * grid.length):
         raise NonMonotoneMap("transported cell order inverts")
     t_edges = np.maximum.accumulate(np.clip(t_edges, grid.x_min, grid.x_max))
-
-    new_mass = np.zeros(grid.n_cells)
-    cell_mass = density.values * grid.h
-    edges = grid.edges()
-    active = cell_mass > 0.0
-    for c in np.nonzero(active)[0]:
-        a, b = t_edges[c], t_edges[c + 1]
-        if b - a <= 1e-14 * max(1.0, grid.length):
-            k = min(int((0.5 * (a + b) - grid.x_min) / grid.h), grid.n_cells - 1)
-            new_mass[max(k, 0)] += cell_mass[c]
-            continue
-        frac = np.clip((edges - a) / (b - a), 0.0, 1.0)
-        new_mass += cell_mass[c] * np.diff(frac)
-    return Density(grid, new_mass / grid.h)
+    # the cumulative mass reaches cum[c] at the image of edge c, as in _deposit_all
+    cum = _cdf_at_edges(density)
+    cdf = np.interp(grid.edges(), t_edges, cum)
+    cdf[0], cdf[-1] = 0.0, cum[-1]
+    return Density(grid, (cdf[1:] - cdf[:-1]) / grid.h)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btflow.cli import CSV_BLOCK_ROWS, SCENARIOS, _write_csv, list_scenarios, main, run
+from btflow.cli import CSV_BLOCK_ROWS, SCENARIOS, _initial_from, _write_csv, list_scenarios, main, run
+from btflow.measures import Grid1D, normalize
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -216,6 +217,36 @@ class TestRun:
             meta = report["meta"]
             assert meta["steps"] >= 1 and 0.0 < meta["dt_min"] <= meta["dt_max"]
 
+    def test_hyperbolic_dt_caps_every_step(self, tmp_path):
+        base = {
+            "scenario": "hyperbolic_split",
+            "grid": {"n_cells": 32, "x_min": 0.0, "x_max": 1.0},
+            "initial": {"preset": "segregated"},
+            "t_final": 0.003,
+        }
+        assert run(str(write_config(tmp_path, **base)), out_dir=str(tmp_path / "auto")) == 0
+        auto = read_report(tmp_path / "auto")["meta"]
+        cap = 0.5 * auto["dt_min"]  # below every automatic step
+        assert run(str(write_config(tmp_path, **base, dt=cap)), out_dir=str(tmp_path / "capped")) == 0
+        meta = read_report(tmp_path / "capped")["meta"]
+        assert meta["dt_max"] <= cap and meta["steps"] > auto["steps"]
+        times = np.loadtxt(tmp_path / "capped" / "series.csv", delimiter=",", skiprows=1)[:, 0]
+        assert times[-1] == 0.003 and np.all(np.diff(times) <= cap)
+
+    def test_double_bump_preset(self, tmp_path):
+        # defaults: two equal Gaussians at 30% and 70% of the interval, variance 1% of its squared length
+        grid = Grid1D(64, -2.0, 2.0)
+        x = grid.centers()
+        raw = np.exp(-0.5 * (x + 0.8) ** 2 / 0.16) + np.exp(-0.5 * (x - 0.8) ** 2 / 0.16)
+        u0 = _initial_from({"initial": {"preset": "double_bump"}}, grid, 1)
+        np.testing.assert_allclose(u0.values[0], normalize(raw, grid).values, rtol=1e-12)
+        cfg = write_config(tmp_path, initial={"preset": "double_bump", "center1": -1.0, "var": 0.05})
+        assert run(str(cfg)) == 0
+        final = np.loadtxt(tmp_path / "out" / "final_density.csv", delimiter=",", skiprows=1)
+        left, right = final[:32], final[32:]
+        assert abs(left[left[:, 1].argmax(), 0] - (-1.0)) <= 2 * grid.h
+        assert abs(right[right[:, 1].argmax(), 0] - 0.8) <= 2 * grid.h
+
     def test_n_species_must_be_a_positive_integer(self, tmp_path, capsys):
         base = {
             "scenario": "hyperbolic_split",
@@ -347,6 +378,11 @@ WRONG_VALUES = {
     "number_out_dir": ({"out_dir": 3}, [], "out_dir"),
     "number_initial": ({"initial": [3]}, [], "initial"),
     "int_beyond_float": ({"scenario": "hyperbolic_split", "t_final": 10**400}, [], "t_final"),
+    "unknown_solver": ({"solver": {"name": "sinkhorn"}}, [], "solver"),
+    "unknown_variant": (SKT_BASE | {"scenario": "skt_decoupled", "variant": "cubic"}, [], "variant"),
+    "clamped_cosine": ({"initial": {"preset": "cosine", "amplitude": 1.5}}, [], "initial"),
+    "ragged_coupling": ({"coupling": [[2.0, 1.0], [1.0]]}, [], "coupling"),
+    "non_square_coupling": ({"coupling": [[2.0, 1.0]]}, [], "coupling"),
 }
 
 

@@ -31,7 +31,7 @@ from btflow.jko import (
     pool_adjacent_violators,
     run_jko,
 )
-from btflow.measures import DensityVector, Grid1D, _deposit_all, normalize
+from btflow.measures import DensityVector, Grid1D, _deposit_all, normalize, to_quantiles
 from btflow.transport1d import w2_exact, w2_product
 from conftest import smooth_pair
 
@@ -310,13 +310,19 @@ class TestRunJKO:
         with pytest.raises(ValueError, match="n_levels"):
             run_jko(smooth_pair(32), pd_matrix, JKOSchedule.uniform(1e-3, 1), solver="entropic", n_levels=32)
 
-    @pytest.mark.parametrize("n_levels", [2.5, True, 0, -3, "8"])
+    @pytest.mark.parametrize("n_levels", [2.5, 2.7, True, 0, -3, "8"])
     def test_level_count_must_be_a_positive_integer(self, pd_matrix, n_levels):
+        # one count rule; through int(), to_quantiles ran True as 1 level and 2.7 as 2
         u0 = smooth_pair(32)
-        with pytest.raises(ValueError, match="^n_levels must be an integer of at least 1"):
-            run_jko(u0, pd_matrix, JKOSchedule.uniform(1e-3, 1), n_levels=n_levels)
-        with pytest.raises(ValueError, match="^n_levels must be an integer of at least 1"):
-            jko_step_lagrangian(u0, pd_matrix, 1e-3, n_levels=n_levels)
+        u = u0.species(0)
+        for call in (
+            lambda: run_jko(u0, pd_matrix, JKOSchedule.uniform(1e-3, 1), n_levels=n_levels),
+            lambda: jko_step_lagrangian(u0, pd_matrix, 1e-3, n_levels=n_levels),
+            lambda: to_quantiles(u, n_levels),
+            lambda: w2_exact(u, u, n_levels=n_levels),
+        ):
+            with pytest.raises(ValueError, match="^n_levels must be an integer of at least 1"):
+                call()
 
     def test_numpy_level_count_accepted(self, pd_matrix):
         _, record = run_jko(smooth_pair(32), pd_matrix, JKOSchedule.uniform(1e-3, 1), n_levels=np.int64(24))
