@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energies import CouplingMatrix, pressure
-from .errors import CFLViolation, DimensionMismatch, NonpositiveTime
-from .measures import Density, DensityVector, Grid1D, _require_count
+from .errors import CFLViolation, DimensionMismatch
+from .measures import Density, DensityVector, Grid1D, _require_count, _require_positive
 
 SAFETY = 0.9  # the references step at this fraction of their stability bound
 MAX_STEPS = 10_000_000
@@ -64,8 +64,7 @@ def barenblatt(t: float, grid: Grid1D, mass: float = 1.0, center: float = 0.0) -
     so the discrete profile is second-order accurate and its mass is exact up
     to the support clipping at the domain boundary.
     """
-    if t <= 0.0:
-        raise NonpositiveTime("the self-similar profile needs t > 0")
+    _require_positive("t", t)
     s = 0.5 * t
     height = _barenblatt_c(mass) * s ** (-1.0 / 3.0)
     halfwidth = barenblatt_support_halfwidth(t, mass)
@@ -100,8 +99,7 @@ class OracleProfile:
             return barenblatt(t, grid, self.mass, self.center)
         if self.kind == "heat_kernel":
             var = self.variance0 + 2.0 * self.diffusivity * t
-            if var <= 0.0:
-                raise NonpositiveTime("heat kernel needs positive variance")
+            _require_positive("heat kernel variance", var)
             x = grid.centers() - self.center
             vals = np.exp(-0.5 * x * x / var) / np.sqrt(2.0 * np.pi * var)
             vals *= self.mass / (grid.h * vals.sum())

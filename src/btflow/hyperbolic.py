@@ -315,9 +315,7 @@ def run_hyperbolic(
     state_u = DensityVector(grid, _recover(p, r)) if scheme == "splitting" else u0
     u = state_u.values
 
-    times = [0.0]
-    tvs_p = [tv(p)]
-    tvs_r = [tv(r).tolist()]
+    tvs = [tv(np.concatenate([p[None], r]))]  # per state: TV(p), then each TV(r_i)
     w2_u = []
     w2_p = []
     dts = []
@@ -343,7 +341,6 @@ def run_hyperbolic(
             rs.append(r)
             dts.append(dt_k)
             t += dt_k
-            times.append(t)
             step += 1
         # ... then the chunk's checks, plans, species, W2 increments and TV at once
         first = step + 2 - len(ps)
@@ -361,8 +358,7 @@ def run_hyperbolic(
         costs = _plans_cost(_plans(rows[:-n_species], rows[n_species:]), x)
         w2_u += np.sqrt(costs.reshape(-1, n_species).sum(axis=1)).tolist()
         w2_p += np.sqrt(_plans_cost(plans, x)).tolist()
-        tvs_p += tv(pressure[1:]).tolist()
-        tvs_r += tv(fractions[1:]).tolist()
+        tvs.append(tv(np.concatenate([pressure[1:, None], fractions[1:]], axis=1)))
         u = species[-1]
         for k in range(1, len(ps)):
             if snapshot_every and (first - 1 + k) % snapshot_every == 0:
@@ -375,11 +371,11 @@ def run_hyperbolic(
         trajectory.append(DensityVector(grid, u))
         pressures.append(Density(grid, p))
 
+    tvs = np.vstack(tvs)
     record = RunRecord(
-        times=np.asarray(times),
+        times=np.concatenate(([0.0], np.cumsum(dts))),
         w2_increments=np.asarray(w2_u),
-        tv={"p": np.asarray(tvs_p)}
-        | {f"r_{i + 1}": np.asarray(tvs_i) for i, tvs_i in enumerate(zip(*tvs_r))},
+        tv={"p": tvs[:, 0]} | {f"r_{i}": tvs[:, i] for i in range(1, n_species)},
         meta={
             "h": h,
             "scheme": scheme,

@@ -847,58 +847,45 @@ def run_jko(
     if not (np.isfinite(e0) and np.isfinite(h0)):
         raise InfiniteInitialEntropy("initial energy or entropy is not finite")
 
-    m = schedule.n_steps
     if solver == "lagrangian":
-        x, quad, e_state = _lagrangian_start(u0, a, opts, n_levels)
+        x, quad, e_start = _lagrangian_start(u0, a, opts, n_levels)
         L = x.shape[1]
         state = DensityVector(grid, quad.deposit(x))
     elif solver == "entropic":
         if n_levels is not None:
             raise ValueError("n_levels applies to the lagrangian solver only")
-        L = None
-        state = u0
-        e_state = energy_quadratic(state, a)
+        L, state, e_start = None, u0, e0
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
     trajectory = [state]
-    energies = [e_state]
-    entropies = [entropy_boltzmann(state)]
-    grads = [gradient_norm_sq(state)]
-    increments = np.empty(m)
-    residuals = np.empty(m)
-    inner_max, unconverged = 0, 0
-
-    for k in range(m):
-        tau = float(schedule.taus[k])
+    reports = []
+    for tau in schedule.taus:
         if solver == "lagrangian":
-            x, state, report = _lagrangian_step(trajectory[-1], x, energies[-1], tau, a, quad, opts)
+            e_before = reports[-1].energy_after if reports else e_start
+            x, state, report = _lagrangian_step(state, x, e_before, float(tau), a, quad, opts)
         else:
-            state, report = jko_step_entropic(trajectory[-1], a, tau, eps)
-        increments[k] = report.w2_increment
-        residuals[k] = report.optimality_residual
-        inner_max = max(inner_max, report.inner_iterations)
-        unconverged += not report.converged
+            state, report = jko_step_entropic(state, a, float(tau), eps)
         trajectory.append(state)
-        energies.append(report.energy_after)
-        entropies.append(entropy_boltzmann(state))
-        grads.append(gradient_norm_sq(state))
+        reports.append(report)
 
+    entropies = [entropy_boltzmann(s) for s in trajectory]
+    unconverged = sum(not r.converged for r in reports)
     record = RunRecord(
         times=schedule.times(),
-        energy=np.array(energies),
+        energy=np.array([e_start] + [r.energy_after for r in reports]),
         entropy=np.array(entropies),
-        w2_increments=increments,
-        grad_norm_sq=np.array(grads),
-        residuals=residuals,
+        w2_increments=np.array([r.w2_increment for r in reports]),
+        grad_norm_sq=np.array([gradient_norm_sq(s) for s in trajectory]),
+        residuals=np.array([r.optimality_residual for r in reports]),
         meta={
             "h": grid.h,
             "L": L,
             "lambda_min": a.lambda_min,
             "solver": solver,
-            "E0": energies[0],
+            "E0": e_start,
             "H0": entropies[0],
-            "inner_iterations_max": inner_max,
+            "inner_iterations_max": max(r.inner_iterations for r in reports),
             "inner_converged": unconverged == 0,
         },
     )

@@ -28,10 +28,8 @@ class Grid1D:
     x_max: float = 1.0
 
     def __post_init__(self):
-        if self.n_cells < 2:
-            raise ValueError("n_cells must be at least 2")
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
+        _require_count("n_cells", self.n_cells, 2)
+        _require_positive("x_max - x_min", self.x_max - self.x_min, ValueError)
 
     @property
     def h(self) -> float:
@@ -60,10 +58,10 @@ class Grid2D:
     x2_max: float = 1.0
 
     def __post_init__(self):
-        if self.n1 < 2 or self.n2 < 2:
-            raise ValueError("n1 and n2 must be at least 2")
-        if not (self.x1_max > self.x1_min and self.x2_max > self.x2_min):
-            raise ValueError("upper bounds must exceed lower bounds")
+        _require_count("n1", self.n1, 2)
+        _require_count("n2", self.n2, 2)
+        _require_positive("x1_max - x1_min", self.x1_max - self.x1_min, ValueError)
+        _require_positive("x2_max - x2_min", self.x2_max - self.x2_min, ValueError)
 
     @property
     def h1(self) -> float:

@@ -15,9 +15,13 @@ checks the new state with one min and one sum (cells >= -1e-13 max(1, max p),
 else NegativityDetected; smaller undershoots clamped; mass within 1e-10 of
 one, else InvalidDensity); the relative entropy checks the marginals as
 arrays.  JointDensity and MarginalPair objects are built only for snapshots.
-The comparison with the decoupled system steps its species on arrays as well,
-with one pair of nonlocal coefficients per step and each species' unit mass
-checked per step.
+The decoupled pair steps through one kernel, ``_Decoupled``, built once per
+mobility field and variant: it checks the variant and the square grid, and
+per step gives the two frozen nonlocal coefficients with their step bound
+(``rates``) and the explicit flux step of each species (``advance``).
+``decoupled_stable_dt``, ``step_decoupled_fd`` and the comparison loop call
+it; the loop steps both systems on arrays and checks each species' unit mass
+per step.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ class MobilityField:
         object.__setattr__(self, "values", vals)
         if vals.shape != (self.grid.n1, self.grid.n2):
             raise DimensionMismatch("mobility shape does not match the grid")
-        if vals.min() <= 0.0:
-            raise ValueError("mobility must be strictly positive")
+        if not vals.min() > 0.0:  # also rejects NaN
+            raise ValueError(f"mobility must be strictly positive, found {float(vals.min())!r}")
 
     @property
     def lower_bound(self) -> float:
@@ -72,8 +76,8 @@ def build_mobility(grid: Grid2D, sigma: float, c_floor: float) -> MobilityField:
     so the 1D integral of M - c_floor is one (delta normalization); halving
     sigma doubles the peak.
     """
-    if sigma <= 0.0 or c_floor <= 0.0:
-        raise ValueError("sigma and c_floor must be positive")
+    _require_positive("sigma", sigma, ValueError)
+    _require_positive("c_floor", c_floor, ValueError)
     c1, c2 = grid.centers()
     s = c1[:, None] - c2[None, :]
     z = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
@@ -318,7 +322,6 @@ def run_skt_scenario(config: SKTConfig = SKTConfig(), strict: bool = True) -> SK
     stencil = _Stencil(mob)
     v = p.values
 
-    times = [0.0]
     entropies = [_relative_entropy(v, float(v.min()), grid, stencil.work)]
     masses = [cell_area * float(v.sum())]
     dts = []
@@ -334,7 +337,6 @@ def run_skt_scenario(config: SKTConfig = SKTConfig(), strict: bool = True) -> SK
             v, low, total = stencil.step(v, dt)
             t += dt
             dts.append(dt)
-            times.append(t)
             entropies.append(_relative_entropy(v, low, grid, stencil.work))
             masses.append(cell_area * total)
             if contact_time is None and cell_area * float(v[band].sum()) > CONTACT_BAND_MASS:
@@ -344,7 +346,7 @@ def run_skt_scenario(config: SKTConfig = SKTConfig(), strict: bool = True) -> SK
             snapshots.append((t, snap))
             marginal_snapshots.append((t, marginals(snap)))
 
-    times = np.asarray(times)
+    times = np.concatenate(([0.0], np.cumsum(dts)))
     entropies = np.asarray(entropies)
     masses = np.asarray(masses)
     record = RunRecord(
@@ -389,49 +391,49 @@ def _is_quadratic(variant: str) -> bool:
     return variant == "quadratic"
 
 
-def _nonlocal_coefficients(
-    m: np.ndarray, m_t: np.ndarray, u1: np.ndarray, u2: np.ndarray, power: int, h1: float, h2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients h2 M u2^power of species 1 and h1 M^T u1^power of species 2.
+class _Decoupled:
+    """The explicit step of the decoupled pair for one mobility field and variant.
 
-    Each sum runs over the other species' axis, so it takes that axis' spacing.
+    Checks the variant and the square grid once.  ``rates`` gives the frozen
+    nonlocal coefficients h2 M u2^power of species 1 and h1 M^T u1^power of
+    species 2 (each sum runs over the other species' axis, so it takes that
+    axis' spacing) and the step bound min(h1, h2)^2 / (4 max c), where c is
+    the coefficient times the species (quadratic) or the coefficient itself
+    (entropy); ``advance`` steps one species by its coefficient.
     """
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch("the decoupled species need a square grid (n1 == n2)")
-    return h2 * (m @ (u2**power)), h1 * (m_t @ (u1**power))
 
+    def __init__(self, mob: MobilityField, variant: str):
+        self.quadratic = _is_quadratic(variant)
+        if mob.values.shape[0] != mob.values.shape[1]:
+            raise DimensionMismatch("the decoupled species need a square grid (n1 == n2)")
+        self.m = mob.values
+        self.grid = mob.grid
 
-def _decoupled_dt(
-    a1: np.ndarray, a2: np.ndarray, u1: np.ndarray, u2: np.ndarray, quadratic: bool, h: float
-) -> float:
-    if quadratic:
-        coef = max(float((a1 * u1).max()), float((a2 * u2).max()))
-    else:
-        coef = max(float(a1.max()), float(a2.max()))
-    if coef <= 0.0:
-        return np.inf
-    return 0.25 * h * h / coef
+    def rates(self, u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        power = 2 if self.quadratic else 1
+        a1 = self.grid.h2 * (self.m @ (u2**power))
+        a2 = self.grid.h1 * (self.m.T @ (u1**power))
+        if self.quadratic:
+            coef = max(float((a1 * u1).max()), float((a2 * u2).max()))
+        else:
+            coef = max(float(a1.max()), float(a2.max()))
+        h = min(self.grid.h1, self.grid.h2)
+        return a1, a2, np.inf if coef <= 0.0 else 0.25 * h * h / coef
 
-
-def _advance(v: np.ndarray, coef: np.ndarray, h: float, dt: float, quadratic: bool) -> np.ndarray:
-    """One explicit flux step of one decoupled species, clamped at zero."""
-    cbar = 0.5 * (coef[1:] + coef[:-1])
-    if quadratic:
-        cbar = cbar * 0.5 * (v[1:] + v[:-1])
-    flux = cbar * (v[1:] - v[:-1]) / h
-    new = v.copy()
-    new[:-1] += (dt / h) * flux
-    new[1:] -= (dt / h) * flux
-    return np.maximum(new, 0.0)
+    def advance(self, v: np.ndarray, coef: np.ndarray, h: float, dt: float) -> np.ndarray:
+        """One explicit flux step of one species, clamped at zero."""
+        cbar = 0.5 * (coef[1:] + coef[:-1])
+        if self.quadratic:
+            cbar = cbar * 0.5 * (v[1:] + v[:-1])
+        flux = cbar * (v[1:] - v[:-1]) / h
+        new = v.copy()
+        new[:-1] += (dt / h) * flux
+        new[1:] -= (dt / h) * flux
+        return np.maximum(new, 0.0)
 
 
 def decoupled_stable_dt(u: MarginalPair, mob: MobilityField, variant: str) -> float:
-    quadratic = _is_quadratic(variant)
-    u1, u2 = u.u1.values, u.u2.values
-    a1, a2 = _nonlocal_coefficients(
-        mob.values, mob.values.T, u1, u2, 2 if quadratic else 1, mob.grid.h1, mob.grid.h2
-    )
-    return _decoupled_dt(a1, a2, u1, u2, quadratic, min(mob.grid.h1, mob.grid.h2))
+    return _Decoupled(mob, variant).rates(u.u1.values, u.u2.values)[2]
 
 
 def step_decoupled_fd(
@@ -445,16 +447,13 @@ def step_decoupled_fd(
     The nonlocal coefficient is frozen during the step and recomputed from
     the partner species each call.
     """
-    quadratic = _is_quadratic(variant)
-    g = mob.grid
-    u1, u2 = u.u1.values, u.u2.values
-    a1, a2 = _nonlocal_coefficients(mob.values, mob.values.T, u1, u2, 2 if quadratic else 1, g.h1, g.h2)
-    dt_max = _decoupled_dt(a1, a2, u1, u2, quadratic, min(g.h1, g.h2))
+    pair = _Decoupled(mob, variant)
+    a1, a2, dt_max = pair.rates(u.u1.values, u.u2.values)
     if dt > dt_max:
         raise CFLViolation(dt, dt_max)
     return MarginalPair(
-        Density(u.u1.grid, _advance(u1, a1, g.h1, dt, quadratic)),
-        Density(u.u2.grid, _advance(u2, a2, g.h2, dt, quadratic)),
+        Density(u.u1.grid, pair.advance(u.u1.values, a1, mob.grid.h1, dt)),
+        Density(u.u2.grid, pair.advance(u.u2.values, a2, mob.grid.h2, dt)),
     )
 
 
@@ -476,33 +475,24 @@ def compare_correlated_vs_decoupled(
     The loop steps both systems on arrays, with the kernels that
     ``step_decoupled_fd`` wraps and one pair of nonlocal coefficients per step.
     """
-    quadratic = _is_quadratic(variant)
     grid = config.grid()
     mob = build_mobility(grid, config.sigma, config.c_floor)
+    pair = _Decoupled(mob, variant)
     p = product_gaussian(grid, config.center, config.variance)
-    pair = marginals(p)
     compare_times = np.linspace(0.0, config.t_final, n_compare)
     stencil = _Stencil(mob)
     v = p.values
-    m, m_t = mob.values, mob.values.T
-    power = 2 if quadratic else 1
-    h_min = min(grid.h1, grid.h2)
-    d1, d2 = pair.u1.values, pair.u2.values
+    d1, d2 = _marginals(v, grid)
 
     gaps = []
     t = 0.0
     for target in compare_times:
         while t < target:
-            a1, a2 = _nonlocal_coefficients(m, m_t, d1, d2, power, grid.h1, grid.h2)
-            dt = min(
-                config.cfl_safety * stencil.stable_dt(v),
-                config.cfl_safety * _decoupled_dt(a1, a2, d1, d2, quadratic, h_min),
-                config.dt_cap,
-                target - t,
-            )
+            a1, a2, bound = pair.rates(d1, d2)
+            dt = min(config.cfl_safety * min(stencil.stable_dt(v), bound), config.dt_cap, target - t)
             v, _, _ = stencil.step(v, dt)
-            d1 = _checked_unit_mass(_advance(d1, a1, grid.h1, dt, quadratic), grid.h1, MASS_TOL_1D)
-            d2 = _checked_unit_mass(_advance(d2, a2, grid.h2, dt, quadratic), grid.h2, MASS_TOL_1D)
+            d1 = _checked_unit_mass(pair.advance(d1, a1, grid.h1, dt), grid.h1, MASS_TOL_1D)
+            d2 = _checked_unit_mass(pair.advance(d2, a2, grid.h2, dt), grid.h2, MASS_TOL_1D)
             t += dt
         u1, u2 = _marginals(v, grid)
         gap = grid.h1 * float(np.abs(u1 - d1).sum())

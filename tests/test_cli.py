@@ -33,6 +33,23 @@ def read_report(out: Path) -> dict:
     return report
 
 
+PAIR = {
+    "grid": {"n_cells": 32, "x_min": 0.0, "x_max": 1.0},
+    "coupling": [[2.0, 1.0], [1.0, 2.0]],
+    "initial": {"preset": "cosine"},
+}
+HYPERBOLIC = {"grid": {"n_cells": 32, "x_min": 0.0, "x_max": 1.0}, "t_final": 0.004, "initial": {"preset": "cosine"}}
+TINY_CONFIGS = {  # one small passing config per scenario, on top of write_config's defaults
+    "parabolic_jko": {"snapshots": [0.002]},
+    "hyperbolic_split": HYPERBOLIC | {"scenario": "hyperbolic_split", "n_species": 3},
+    "hyperbolic_transport": HYPERBOLIC | {"scenario": "hyperbolic_transport"},
+    "fourth_order": PAIR | {"scenario": "fourth_order", "steps": 20},
+    "skt_joint": {"scenario": "skt_joint", "n1": 24, "n2": 24, "t_final": 0.2, "dt_cap": 1e-2, "snapshots": [0.0, 0.037]},
+    "skt_decoupled": {"scenario": "skt_decoupled", "n1": 24, "n2": 24, "t_final": 0.05, "variant": "entropy"},
+    "benchmark_closure": PAIR | {"scenario": "benchmark_closure", "schedule": {"tau": 1e-3, "steps": 3}},
+}
+
+
 class TestListScenarios:
     def test_contains_expected_ids(self):
         text = list_scenarios()
@@ -65,12 +82,17 @@ class TestRun:
         header = (out / "final_density.csv").read_text().splitlines()[0]
         assert header == "x,u_1"
 
-    def test_deterministic_outputs(self, tmp_path):
-        cfg = write_config(tmp_path)
-        assert run(str(cfg), out_dir=str(tmp_path / "a")) == 0
-        assert run(str(cfg), out_dir=str(tmp_path / "b")) == 0
-        for name in ("final_density.csv", "series.csv", "increments.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_deterministic_outputs(self, tmp_path, scenario):
+        cfg = write_config(tmp_path, **TINY_CONFIGS[scenario])
+        outs = [tmp_path / side for side in "ab"]
+        for out in outs:
+            assert run(str(cfg), out_dir=str(out)) == 0
+        names = sorted(f.name for f in outs[0].iterdir())
+        assert names == sorted(f.name for f in outs[1].iterdir())
+        assert "report.json" in names and len(names) >= 2  # a CSV output besides the report
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_hyperbolic_outputs_are_deterministic(self, tmp_path):
         hyp = {"grid": {"n_cells": 48, "x_min": 0.0, "x_max": 1.0}, "t_final": 0.004}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,22 @@ class TestBarenblatt:
     def test_nonpositive_time(self):
         with pytest.raises(NonpositiveTime):
             barenblatt(0.0, Grid1D(32, -1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "evaluate, value",
+        [
+            (lambda g: barenblatt(math.nan, g), "t .*nan"),
+            (lambda g: barenblatt(math.inf, g), "t .*inf"),
+            (lambda g: OracleProfile("barenblatt").evaluate(math.nan, g), "t .*nan"),
+            (lambda g: OracleProfile("heat_kernel", variance0=math.nan).evaluate(0.01, g), "variance .*nan"),
+            (lambda g: OracleProfile("heat_kernel").evaluate(math.inf, g), "variance .*inf"),
+            (lambda g: OracleProfile("heat_kernel").evaluate(math.nan, g), "variance .*nan"),
+        ],
+    )
+    def test_non_finite_time_or_variance(self, evaluate, value):
+        # NaN raised InvalidDensity for a negative density, t = inf an empty support
+        with pytest.raises(NonpositiveTime, match=value):
+            evaluate(Grid1D(32, -1.0, 1.0))
 
     def test_oracle_profile_dispatch(self):
         g = Grid1D(128, -3.0, 3.0)

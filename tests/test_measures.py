@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,25 @@ class TestGrids:
             Grid1D(1, 0.0, 1.0)
         with pytest.raises(ValueError):
             Grid1D(4, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "build, args, name, value",
+        [
+            (Grid1D, (16.5, 0.0, 1.0), "n_cells", "16.5"),
+            (Grid1D, (True, 0.0, 1.0), "n_cells", "True"),
+            (Grid1D, (4, 0.0, math.inf), "x_max - x_min", "inf"),
+            (Grid1D, (4, -math.inf, 0.0), "x_max - x_min", "inf"),
+            (Grid1D, (4, 0.0, math.nan), "x_max - x_min", "nan"),
+            (Grid2D, (4.5, 4), "n1", "4.5"),
+            (Grid2D, (4, 4.5), "n2", "4.5"),
+            (Grid2D, (4, 4, 0.0, math.inf), "x1_max - x1_min", "inf"),
+            (Grid2D, (4, 4, 0.0, 1.0, math.nan, 1.0), "x2_max - x2_min", "nan"),
+        ],
+    )
+    def test_counts_and_lengths_rejected_naming_the_value(self, build, args, name, value):
+        # a fractional count built h = 1/16.5 with 17 centers; an infinite bound built h = inf or NaN centers
+        with pytest.raises(ValueError, match=f"{re.escape(name)} .*{value}"):
+            build(*args)
 
     def test_grid2d_axes(self):
         g = Grid2D(4, 8, 0.0, 1.0, -1.0, 1.0)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from btflow.errors import CFLViolation, EstimateFailed, NonpositiveTime
+from btflow.errors import CFLViolation, DimensionMismatch, EstimateFailed, NonpositiveTime
 from btflow.fdref import OracleProfile, l1_error
 from btflow.measures import Grid2D, JointDensity, normalize
 from btflow.skt import (
     CONTACT_BAND_MASS,
     MarginalPair,
+    MobilityField,
     SKTConfig,
     _relative_entropy,
     _Stencil,
@@ -63,6 +64,21 @@ class TestMobility:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_mobility(square_grid(8), sigma=-1.0, c_floor=0.1)
+
+    @pytest.mark.parametrize(
+        "build, value",
+        [
+            (lambda g: build_mobility(g, sigma=math.nan, c_floor=0.1), "sigma .*nan"),
+            (lambda g: build_mobility(g, sigma=0.3, c_floor=math.nan), "c_floor .*nan"),
+            (lambda g: build_mobility(g, sigma=True, c_floor=0.1), "sigma .*True"),
+            (lambda g: constant_mobility(g, math.nan), "found nan"),
+            (lambda g: MobilityField(g, np.where(np.eye(8) > 0, np.nan, 1.0)), "found nan"),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, build, value):
+        # each built an all-NaN mobility, and sigma=True ran as 1
+        with pytest.raises(ValueError, match=value):
+            build(square_grid(8))
 
 
 class TestStepJointFd:
@@ -511,6 +527,20 @@ class TestDecoupled:
             step_decoupled_fd(MarginalPair(u, u), constant_mobility(g), 1e-6, "cubic")
         with pytest.raises(ValueError):
             decoupled_stable_dt(MarginalPair(u, u), constant_mobility(g), "bogus")
+
+
+    def test_non_square_grid_rejected(self):
+        g = Grid2D(16, 24, -5.0, 5.0, -5.0, 5.0)
+        pair = MarginalPair(normalize(np.ones(16), g.axis1()), normalize(np.ones(24), g.axis2()))
+        for variant in ("quadratic", "entropy"):
+            with pytest.raises(DimensionMismatch, match="square grid"):
+                decoupled_stable_dt(pair, constant_mobility(g), variant)
+            with pytest.raises(DimensionMismatch, match="square grid"):
+                step_decoupled_fd(pair, constant_mobility(g), 1e-6, variant)
+        with pytest.raises(DimensionMismatch, match="square grid"):
+            compare_correlated_vs_decoupled(SKTConfig(n1=16, n2=24, t_final=0.01), n_compare=2)
+        with pytest.raises(ValueError, match="cubic"):
+            compare_correlated_vs_decoupled(SKTConfig(n1=16, n2=16, t_final=0.01), "cubic", n_compare=2)
 
 
 class TestComparison:
