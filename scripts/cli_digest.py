@@ -75,6 +75,13 @@ def tree_env(source: Path) -> dict:
     return env
 
 
+def archive_source(rev: str, dest: str) -> Path:
+    """Extract ``git archive REV src`` into the directory dest; returns its source tree."""
+    archive = subprocess.run(["git", "archive", rev, SOURCE], check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+    return Path(dest) / SOURCE
+
+
 def digest(env: dict, config: dict) -> str:
     """SHA-256 over the exit code, stdout, stderr and output files of one CLI run in the environment env."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -101,9 +108,7 @@ def main(argv=None) -> int:
         print(f"{sha}  {label}")
     if args.base:
         with tempfile.TemporaryDirectory() as tmp:
-            archive = subprocess.run(["git", "archive", args.base, SOURCE], check=True, capture_output=True).stdout
-            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-            env = tree_env(Path(tmp) / SOURCE)
+            env = tree_env(archive_source(args.base, tmp))
             differ = [label for label, config in CASES.items() if digest(env, config) != digests[label]]
         print(f"{len(CASES) - len(differ)} of {len(CASES)} cases match {args.base}; differ: {', '.join(differ) or 'none'}")
     return 0

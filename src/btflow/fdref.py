@@ -57,6 +57,13 @@ def barenblatt_support_halfwidth(t: float, mass: float = 1.0) -> float:
     return float(np.sqrt(12.0 * _barenblatt_c(mass)) * (0.5 * t) ** (1.0 / 3.0))
 
 
+def _require_mass_center(mass: float, center: float):
+    """ValueError unless mass is finite and positive and center is finite, naming the value."""
+    _require_positive("mass", mass, ValueError)
+    if not np.isfinite(center):
+        raise ValueError(f"center must be finite, got {center!r}")
+
+
 def barenblatt(t: float, grid: Grid1D, mass: float = 1.0, center: float = 0.0) -> Density:
     """Cell-averaged Barenblatt profile at time t, normalized to ``mass``.
 
@@ -65,6 +72,7 @@ def barenblatt(t: float, grid: Grid1D, mass: float = 1.0, center: float = 0.0) -
     to the support clipping at the domain boundary.
     """
     _require_positive("t", t)
+    _require_mass_center(mass, center)
     s = 0.5 * t
     height = _barenblatt_c(mass) * s ** (-1.0 / 3.0)
     halfwidth = barenblatt_support_halfwidth(t, mass)
@@ -100,6 +108,7 @@ class OracleProfile:
         if self.kind == "heat_kernel":
             var = self.variance0 + 2.0 * self.diffusivity * t
             _require_positive("heat kernel variance", var)
+            _require_mass_center(self.mass, self.center)
             x = grid.centers() - self.center
             vals = np.exp(-0.5 * x * x / var) / np.sqrt(2.0 * np.pi * var)
             vals *= self.mass / (grid.h * vals.sum())

@@ -21,10 +21,17 @@ independent inner solvers:
   Eulerian grid by Sinkhorn-type scaling against the Gibbs kernel, with a
   pointwise relative-entropy prox of the frozen-coefficient energy density
   (safeguarded Newton) for the second marginal.  One loop updates all
-  species, each once per iteration against the others' current marginals,
-  and each Newton solve starts from the log of the species' previous
-  marginal.  A step reports ``converged=False`` when the loop hit
-  SINKHORN_INNER_CAP.
+  species, each once per pass against the others' current marginals, and
+  each Newton solve starts from the log of the species' previous marginal.
+  After each pass, Anderson mixing over the last ANDERSON_DEPTH changes of
+  the log scaling vectors extrapolates the plain fixed-point iteration,
+  which contracts by only about 0.8 per pass; a mix that would raise the
+  step's entropic objective is dropped and the mixing restarts.  The smooth
+  benchmark pair takes about 33 passes per step instead of 122, and the
+  stiffest fixed-point test case about 750 instead of 7,530.  The loop
+  stops only when a pass leaves the marginals in place, so the fixed point
+  is the plain loop's.  A step reports ``converged=False`` when the loop
+  hit SINKHORN_INNER_CAP.
 
 The two solvers share no machinery, which is what makes their agreement a
 meaningful cross-check.
@@ -69,7 +76,8 @@ METRIC_ITERATIONS = 100  # Hessian-metric iterations before the Euclidean restar
 QUADRATURE_REFINE = 4.0  # inner quadrature cells per smallest level gap
 QUADRATURE_CAP = 32768
 SINKHORN_INNER_TOL = 1e-12
-SINKHORN_INNER_CAP = 100_000  # joint iterations; a 64-200 cell stress grid needs <= 7,530
+ANDERSON_DEPTH = 5  # residual differences in the scaling loop's least-squares mix
+SINKHORN_INNER_CAP = 100_000  # joint passes; the stiffest test step needs about 750 (7,530 unmixed)
 SUPPORT_THRESHOLD_SCALE = 1e-8  # residual support cut at scale / h
 
 
@@ -713,9 +721,19 @@ def jko_step_entropic(
     reads the other species' current exact-mass marginals
     b_j K(mu_j / K b_j) / h, and each species keeps xi_i = K(mu_i / K b_i)
     from its update for the next one, so an update costs two kernel products.
-    The loop stops when the second marginals move by less than
-    SINKHORN_INNER_TOL in L1 over one iteration; after SINKHORN_INNER_CAP
-    iterations the step returns with ``converged=False``.
+    From the second pass on, each pass that does not stop the loop is
+    followed by a type-II Anderson mix of the log scaling vectors over the
+    last ANDERSON_DEPTH differences (Walker and Ni 2011), from which every
+    xi_i and marginal is recomputed.  The mix is kept only if it does not
+    raise the step's objective at the plans diag(mu / K b) K diag(b), which
+    meet the first marginals; otherwise the history restarts.  Unguarded,
+    stiff steps (tau / eps near 100, nearly empty cells) could be carried
+    to states where passes creep by less than SINKHORN_INNER_TOL short of
+    the minimizer.  A zero or non-finite scaling clears the history and
+    skips the mix, so the kernel-side checks still name it.  The loop stops
+    when a pass moves the second marginals by less than SINKHORN_INNER_TOL
+    in L1; after SINKHORN_INNER_CAP passes the step returns with
+    ``converged=False``.
     """
     _require_positive_definite(a)
     _require_positive("tau", tau)
@@ -739,9 +757,20 @@ def jko_step_entropic(
     xi = np.stack([_source_marginal(kernel, mu[i], scaling[i], i, eps) for i in range(n_species)])
     dens = xi / h  # the exact-mass second marginals at b = 1
 
+    def objective(b):
+        """The step's objective over eps, up to a constant, at the plans diag(mu / K b) K diag(b),
+        which meet the first marginals; and xi = K (mu / K b).  Not finite where b is 0 or not finite."""
+        kb = b @ kernel  # the kernel is symmetric
+        xi = (mu / kb) @ kernel
+        nu = b * xi
+        kl = np.sum(mu * np.log(np.where(mu > 0.0, mu / kb, 1.0))) + np.sum(nu * np.log(b))
+        return kl + tau / (eps * h) * np.sum(nu * (a.entries @ nu)), xi
+
     converged = False
+    history = []  # (log b after a pass, its change over the pass), oldest first
+    log_b = np.zeros_like(mu)
     # an overflowing prox solve is reported by _source_marginal, not by warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for iterations in range(1, SINKHORN_INNER_CAP + 1):
             delta = 0.0
             for i in range(n_species):
@@ -758,6 +787,24 @@ def jko_step_entropic(
             if delta < SINKHORN_INNER_TOL:
                 converged = True
                 break
+            # Anderson mixing (type II) of log b over the last ANDERSON_DEPTH changes
+            log_b, change = np.log(scaling), np.log(scaling) - log_b
+            if not np.isfinite(change).all():
+                history.clear()  # a zero or overflowed scaling: no mixing
+                continue
+            history = history[-ANDERSON_DEPTH:] + [(log_b, change)]
+            if len(history) > 1:
+                g, f = (np.reshape(column, (len(history), -1)) for column in zip(*history))
+                gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
+                mixed = log_b - (gamma @ np.diff(g, axis=0)).reshape(log_b.shape)
+                value, mixed_xi = objective(np.exp(mixed))
+                if not (-np.inf < value <= objective(scaling)[0] and mixed_xi.min() > 0.0):
+                    history.clear()  # restart: the mix would raise the step's objective
+                    continue
+                log_b, scaling, xi = mixed, np.exp(mixed), mixed_xi
+                # the next pass's change is measured from the mixed state's own marginals
+                marginal = scaling * xi
+                dens = marginal / h
 
     masses = h * dens.sum(axis=1)
     drift = float(np.abs(masses - 1.0).max())

@@ -36,6 +36,7 @@ from .errors import CFLViolation, DimensionMismatch, EstimateFailed, InvalidDens
 from .measures import MASS_TOL_1D, MASS_TOL_2D, Density, Grid2D, JointDensity, _checked_unit_mass, _require_positive
 
 CONTACT_BAND_MASS = 1e-4  # band mass that marks the first diagonal contact
+MAX_STEPS = 1_000_000  # a run or comparison that needs more steps raises RuntimeError
 _TINY = np.finfo(float).tiny
 
 
@@ -258,10 +259,10 @@ class SKTConfig:
     probability actually reaches the diagonal band within the horizon (the
     porous-medium dynamics does not grow tails, so too small a floor or
     spread leaves the state uncorrelated forever and the scenario would be
-    vacuous).  ``t_final``, ``dt_cap`` and ``variance`` must be finite and
-    positive, ``center`` two finite reals, ``cfl_safety`` must lie in (0, 1]
-    and every snapshot time in [0, t_final]; a bool is no number for any of
-    them.
+    vacuous).  ``t_final``, ``dt_cap``, ``variance``, ``sigma`` and
+    ``c_floor`` must be finite and positive, ``center`` two finite reals,
+    ``cfl_safety`` must lie in (0, 1] and every snapshot time in
+    [0, t_final]; a bool is no number for any of them.
     """
 
     n1: int = 128
@@ -280,7 +281,8 @@ class SKTConfig:
     def __post_init__(self):
         _require_positive("t_final", self.t_final)
         _require_positive("dt_cap", self.dt_cap)
-        _require_positive("variance", self.variance, ValueError)
+        for name in ("variance", "sigma", "c_floor"):
+            _require_positive(name, getattr(self, name), ValueError)
         if not (np.shape(self.center) == (2,) and all(_is_real(c) and np.isfinite(c) for c in self.center)):
             raise ValueError(f"center must be two finite reals, got {self.center!r}")
         if not (_is_real(self.cfl_safety) and 0.0 < self.cfl_safety <= 1.0):
@@ -312,6 +314,7 @@ def run_skt_scenario(config: SKTConfig = SKTConfig(), strict: bool = True) -> SK
     the entropy starts below 1e-6, ends at or above ten times the larger of its
     start and 1e-6, is nondecreasing within 1e-9 per step after first
     diagonal contact, and that mass stays within 1e-10 of one throughout.
+    A run that needs more than MAX_STEPS steps raises RuntimeError.
     """
     grid = config.grid()
     mob = build_mobility(grid, config.sigma, config.c_floor)
@@ -333,6 +336,8 @@ def run_skt_scenario(config: SKTConfig = SKTConfig(), strict: bool = True) -> SK
     snapshot_times = set(config.snapshot_times)
     for target in sorted(snapshot_times | {config.t_final}):
         while t < target:
+            if len(dts) == MAX_STEPS:
+                raise RuntimeError("skt run exceeded the step budget")
             dt = min(config.cfl_safety * stencil.stable_dt(v), config.dt_cap, target - t)
             v, low, total = stencil.step(v, dt)
             t += dt
@@ -473,7 +478,8 @@ def compare_correlated_vs_decoupled(
     Both runs start from the same product data; the gap is zero at t = 0 and
     its growth is reported, not asserted (no closed-form magnitude exists).
     The loop steps both systems on arrays, with the kernels that
-    ``step_decoupled_fd`` wraps and one pair of nonlocal coefficients per step.
+    ``step_decoupled_fd`` wraps and one pair of nonlocal coefficients per step,
+    and raises RuntimeError past MAX_STEPS steps.
     """
     grid = config.grid()
     mob = build_mobility(grid, config.sigma, config.c_floor)
@@ -486,8 +492,12 @@ def compare_correlated_vs_decoupled(
 
     gaps = []
     t = 0.0
+    steps = 0
     for target in compare_times:
         while t < target:
+            if steps == MAX_STEPS:
+                raise RuntimeError("skt run exceeded the step budget")
+            steps += 1
             a1, a2, bound = pair.rates(d1, d2)
             dt = min(config.cfl_safety * min(stencil.stable_dt(v), bound), config.dt_cap, target - t)
             v, _, _ = stencil.step(v, dt)

@@ -181,6 +181,8 @@ class TestRun:
             {"snapshots": [0.1, 0.3]},
             {"variance": -0.45},
             {"variance": 0},
+            {"sigma": -0.3},  # an untyped ValueError from build_mobility once
+            {"c_floor": 0},
             {"center": [1.0]},
             {"center": [1.0, 2.0, 3.0]},
         ):

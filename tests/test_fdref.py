@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,28 @@ class TestBarenblatt:
         # NaN raised InvalidDensity for a negative density, t = inf an empty support
         with pytest.raises(NonpositiveTime, match=value):
             evaluate(Grid1D(32, -1.0, 1.0))
+
+    @pytest.mark.parametrize("kind", ["barenblatt", "heat_kernel"])
+    @pytest.mark.parametrize(
+        "kwargs, value",
+        [
+            ({"mass": math.nan}, "mass .*nan"),
+            ({"mass": -1.0}, "mass .*-1.0"),
+            ({"mass": math.inf}, "mass .*inf"),
+            ({"center": math.nan}, "center .*nan"),
+        ],
+    )
+    def test_mass_and_center_name_their_cause(self, kind, kwargs, value):
+        # NaN raised InvalidDensity for a negative density, and mass -1 warned in a power
+        g = Grid1D(32, -1.0, 1.0)
+        evaluations = [lambda: OracleProfile(kind, variance0=0.04, **kwargs).evaluate(T0, g)]
+        if kind == "barenblatt":
+            evaluations.append(lambda: barenblatt(T0, g, **kwargs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for evaluate in evaluations:
+                with pytest.raises(ValueError, match=value):
+                    evaluate()
 
     def test_oracle_profile_dispatch(self):
         g = Grid1D(128, -3.0, 3.0)

@@ -993,13 +993,8 @@ class TestJointScaling:
         [(2, 1e-3, 1e-3), (2, 1e-2, 5e-4), (2, 5e-2, 5e-4), (3, 5e-3, 2e-3), (3, 2e-2, 1e-3)],
     )
     def test_returned_state_is_a_fixed_point_of_a_sweep(self, n_species, tau, eps):
-        grid = Grid1D(96, 0.0, 1.0)
-        x = grid.centers()
-        u0 = DensityVector.from_species(
-            [normalize(1.0 + 0.25 * np.cos(np.pi * x + 2.0 * np.pi * i / n_species), grid)
-             for i in range(n_species)]
-        )
-        a = CouplingMatrix(np.eye(n_species) + np.ones((n_species, n_species)))
+        u0, a = _shifted_cosines(n_species)
+        grid = u0.grid
         out, report = jko_step_entropic(u0, a, tau, eps)
         assert report.converged
         dens = out.values.copy()
@@ -1009,3 +1004,47 @@ class TestJointScaling:
         assert not _sweep_reference(u0, a, tau, eps, dens, *start, cap=20000)
         # 1e-9 is the sweeps' own stopping tolerance
         assert grid.h * np.abs(dens - out.values).sum() < 1e-9
+
+    def test_mixing_cuts_the_passes_of_a_stiff_step(self):
+        # the plain joint loop took 7,530 passes on this fixed-point case
+        u0, a = _shifted_cosines(2)
+        _, report = jko_step_entropic(u0, a, 5e-2, 5e-4)
+        assert report.converged and report.inner_iterations <= 1500
+
+    def test_a_mix_that_raises_the_objective_is_dropped(self):
+        # with every mix kept, this stiff triple (tau / eps = 86) was carried to a state where
+        # passes crept by less than 1e-12, 0.13 in L1 from the fixed point of the sweeps
+        grid = Grid1D(93, 0.0, 1.0)
+        x = grid.centers()
+        bumps = [
+            (0.37852650257401244, 0.03908753427737696, 0.001389597177586275),
+            (0.38577224830370904, 0.038924972305969724, 0.11727796533775454),
+            (0.46616195954175266, 0.024746395949243355, 0.0037219479865215448),
+        ]
+        u0 = DensityVector.from_species(
+            [normalize(np.exp(-((x - c) ** 2) / (2.0 * var)) + floor, grid) for c, var, floor in bumps]
+        )
+        w = np.array([0.2476784, 0.92773846, 0.70163633])
+        a = CouplingMatrix(0.1238956852466354 * np.eye(3) + np.outer(w, w))
+        tau, eps = 0.03240654431965732, 0.000377844647137751
+        out, report = jko_step_entropic(u0, a, tau, eps)
+        assert report.converged
+        dens = out.values.copy()
+        assert not _sweep_reference(u0, a, tau, eps, dens, np.ones_like(dens), u0.values * grid.h, cap=20000)
+        assert grid.h * np.abs(dens - out.values).sum() < 1e-9
+
+    def test_mixing_cuts_the_passes_per_step_of_a_smooth_run(self, pd_matrix):
+        # the parabolic_cross benchmark's pair: 124 plain passes per step
+        schedule = JKOSchedule.uniform(1e-3, 4)
+        _, record = run_jko(smooth_pair(128), pd_matrix, schedule, solver="entropic", eps=1e-3)
+        assert record.meta["inner_converged"] and record.meta["inner_iterations_max"] <= 60
+
+
+def _shifted_cosines(n_species):
+    """Cosine bumps shifted by 2 pi / N on 96 cells, and the coupling I + 1 1^T."""
+    grid = Grid1D(96, 0.0, 1.0)
+    x = grid.centers()
+    u0 = DensityVector.from_species(
+        [normalize(1.0 + 0.25 * np.cos(np.pi * x + 2.0 * np.pi * i / n_species), grid) for i in range(n_species)]
+    )
+    return u0, CouplingMatrix(np.eye(n_species) + np.ones((n_species, n_species)))

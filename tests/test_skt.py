@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import btflow.skt as skt_module
 from btflow.errors import CFLViolation, DimensionMismatch, EstimateFailed, NonpositiveTime
 from btflow.fdref import OracleProfile, l1_error
 from btflow.measures import Grid2D, JointDensity, normalize
@@ -217,6 +218,14 @@ class TestScenario:
         after = ent[t >= run.contact_time]
         assert np.diff(after).min() >= -1e-9
 
+    def test_step_budget(self, monkeypatch):
+        # the first step is 1.5e-10: some 6.7e8 steps to t_final, which ran without end
+        cfg = SKTConfig(n1=16, n2=16, t_final=0.1, c_floor=1e9)
+        monkeypatch.setattr(skt_module, "MAX_STEPS", 50)
+        for run in (run_skt_scenario, compare_correlated_vs_decoupled):
+            with pytest.raises(RuntimeError, match="skt run exceeded the step budget"):
+                run(cfg)
+
     def test_entropy_growth_check_not_vacuous(self):
         # the product start has H0 of order 1e-16, so "ten times H0" alone
         # would pass for any entropy build-up, however small
@@ -292,6 +301,10 @@ class TestSKTConfig:
             ({"variance": 0.0}, ValueError),
             ({"variance": math.nan}, ValueError),
             ({"variance": True}, ValueError),
+            ({"sigma": math.nan}, ValueError),  # built an all-NaN mobility once run
+            ({"sigma": True}, ValueError),
+            ({"c_floor": math.nan}, ValueError),
+            ({"c_floor": True}, ValueError),
             ({"center": (1.0,)}, ValueError),  # would raise IndexError only once run
             ({"center": (1.0, 2.0, 3.0)}, ValueError),
             ({"center": (True, 2.0)}, ValueError),
