@@ -16,7 +16,7 @@ from btflow.skt import SKTConfig, compare_correlated_vs_decoupled, run_skt_scena
 config = SKTConfig()  # 128^2 cells on [-5, 5]^2, pair centered at (-2, 2)
 print("running the joint simulation to t = 1 ...")
 run = run_skt_scenario(config)
-entropy = run.record.tv["relative_entropy"]
+entropy = run.record.entropy
 times = run.record.times
 print(f"  steps: {len(times) - 1}")
 print(f"  relative entropy: {entropy[0]:.2e} -> {entropy[-1]:.4e}")
@@ -31,6 +31,6 @@ print(f"\nmarginals at t = {t_snap:g}: peaks at "
       f"x2 = {pair.u2.grid.centers()[np.argmax(pair.u2.values)]:+.2f}")
 
 print("\ncomparing against the decoupled marginal system ...")
-report = compare_correlated_vs_decoupled(SKTConfig(n1=64, n2=64), n_compare=6)
+report = compare_correlated_vs_decoupled(SKTConfig(n1=64, n2=64))
 for t, gap in zip(report.times, report.l1_gaps):
     print(f"  t = {t:4.2f}: L1 gap between joint marginals and decoupled species = {gap:.4f}")

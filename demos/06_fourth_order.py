@@ -11,7 +11,7 @@ import numpy as np
 from btflow import DensityVector, Grid1D
 from btflow.energies import CouplingMatrix, energy_dirichlet, energy_quadratic
 from btflow.fdref import run_bt4_fd
-from btflow.jko import JKOOptions, JKOSchedule, run_jko
+from btflow.jko import JKOSchedule, run_jko
 
 grid = Grid1D(64, 0.0, 1.0)
 x = grid.centers()
@@ -38,8 +38,8 @@ _, record = run_jko(
     u0,
     coupling,
     JKOSchedule.uniform(1e-5, 10),
-    opts=JKOOptions(include_dirichlet=True),
     strict=False,
+    dirichlet=True,
 )
 print(f"  energy series: {record.energy[0]:.6f} -> {record.energy[-1]:.6f}")
 print(f"  monotone decay: {bool(np.all(np.diff(record.energy) <= 1e-12))}")

@@ -1,9 +1,14 @@
-"""Code lines of the modules of src/btflow.
+"""Code lines and public settable values of the modules of src/btflow.
 
 A code line holds a token other than a comment and is not part of a
 docstring, so blank lines, comments and docstring edits do not move the
-count.  Prints one line per module and the total; with ``--base REV`` also
-the total of the same modules at git revision REV and the change against it.
+count.  A settable value is a defaulted parameter of a public function or
+method, or a defaulted field of a public dataclass (``init=False`` fields
+excluded); public means a module-level name, or a method name, without a
+leading underscore.  Prints one line per module, the total code lines and
+the settable-value count; with ``--base REV`` also both totals at git
+revision REV, the changes against them, and the settable values added or
+removed.
 
     python scripts/code_lines.py
     python scripts/code_lines.py --base origin/main
@@ -36,6 +41,50 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
+def _dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _defaulted(fn) -> list[str]:
+    """Names of the parameters of fn that have a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    names = [a.arg for a in positional[len(positional) - len(args.defaults) :]]
+    return names + [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def _init_false(value) -> bool:
+    return isinstance(value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False for k in value.keywords
+    )
+
+
+def settable_values(source: str, module: str) -> list[str]:
+    """Public settable values of one module, as ``module.function(param)`` or ``module.Class.field``."""
+    found = []
+    for node in ast.parse(source).body:
+        public = not getattr(node, "name", "_").startswith("_")
+        if public and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"{module}.{node.name}({p})" for p in _defaulted(node)]
+        elif public and isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    found += [f"{module}.{node.name}.{item.name}({p})" for p in _defaulted(item)]
+                elif (
+                    _dataclass(node)
+                    and isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and item.value is not None
+                    and not _init_false(item.value)
+                ):
+                    found.append(f"{module}.{node.name}.{item.target.id}")
+    return found
+
+
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], check=True, capture_output=True, text=True).stdout
 
@@ -44,16 +93,26 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", help="git revision to compare the total with")
     args = parser.parse_args(argv)
-    total = 0
+    total, knobs = 0, []
     for path in sorted(Path(PACKAGE).glob("*.py")):
-        count = code_lines(path.read_text())
+        source = path.read_text()
+        count = code_lines(source)
         total += count
+        knobs += settable_values(source, path.stem)
         print(f"{count:6d} {path}")
     print(f"{total:6d} code lines in {PACKAGE}")
+    print(f"{len(knobs):6d} public settable values in {PACKAGE}")
     if args.base:
         paths = [p for p in _git("ls-tree", "--name-only", f"{args.base}:{PACKAGE}").split() if p.endswith(".py")]
-        base = sum(code_lines(_git("show", f"{args.base}:{PACKAGE}/{p}")) for p in paths)
+        sources = {p: _git("show", f"{args.base}:{PACKAGE}/{p}") for p in paths}
+        base = sum(code_lines(source) for source in sources.values())
+        base_knobs = [k for p, source in sources.items() for k in settable_values(source, p[: -len(".py")])]
         print(f"{base:6d} code lines at {args.base}; change {total - base:+d}")
+        print(f"{len(base_knobs):6d} public settable values at {args.base}; change {len(knobs) - len(base_knobs):+d}")
+        for name in sorted(set(base_knobs) - set(knobs)):
+            print(f"  - {name}")
+        for name in sorted(set(knobs) - set(base_knobs)):
+            print(f"  + {name}")
     return 0
 
 

@@ -226,8 +226,6 @@ def _run_fourth_order(cfg: dict, out: Path) -> RunRecord:
     u_final, energies = fdref.run_bt4_fd(u0, a, n_steps)
     record = RunRecord(times=np.arange(n_steps + 1, dtype=float), energy=energies)
     check_energy_monotone(record)
-    drift = abs(grid.h * float(u_final.values.sum()) - a.n_species)
-    record.check("mass_conserved", drift, tolerance=1e-12 * a.n_species)
     _write_density_csv(out / "final_density.csv", u_final)
     _write_csv(out / "series.csv", ["step", "energy"], [record.times, energies])
     return record
@@ -266,7 +264,7 @@ def _run_skt_joint(cfg: dict, out: Path) -> RunRecord:
     _write_csv(
         out / "entropy.csv",
         ["t", "H_rel"],
-        [run.record.times, run.record.tv["relative_entropy"]],
+        [run.record.times, run.record.entropy],
     )
     return run.record
 
@@ -317,11 +315,11 @@ SCENARIOS = {  # name: (description, runner(cfg, out) -> RunRecord)
         "rank-deficient system via optimal-plan species transport, metric-speed check",
         lambda cfg, out: _run_hyperbolic(cfg, out, "pressure_transport"),
     ),
-    "fourth_order": ("explicit fourth-order reference run, mass and energy-decay checks", _run_fourth_order),
+    "fourth_order": ("explicit fourth-order reference run, energy-decay check", _run_fourth_order),
     "skt_joint": ("correlated joint-density simulation with relative-entropy monitoring", _run_skt_joint),
     "skt_decoupled": ("nonlocally coupled marginal system (quadratic or entropy variant)", _run_skt_decoupled),
     "benchmark_closure": (
-        "cross-validation: variational vs finite-difference trajectories at matched times",
+        "cross-validation: variational vs finite-difference final states",
         _run_benchmark_closure,
     ),
 }

@@ -109,10 +109,9 @@ def check_energy_monotone(record: RunRecord) -> CheckResult:
     return _check_nonincreasing(record, "energy_monotone", record.energy)
 
 
-def check_telescoped_w2(record: RunRecord, e0: float | None = None) -> CheckResult:
+def check_telescoped_w2(record: RunRecord) -> CheckResult:
     """sum_k W2(u^k, u^{k+1})^2 / (2 tau_k) <= E(u^0) + tol."""
-    if e0 is None:
-        e0 = float(record.energy[0])
+    e0 = float(record.energy[0])
     w2 = np.asarray(record.w2_increments, dtype=float)
     lhs = float(np.sum(w2**2 / (2.0 * record.taus)))
     return record.check("telescoped_w2", lhs, e0, 1e-8 * max(1.0, abs(e0)))
@@ -124,7 +123,7 @@ def _quantile_error(record: RunRecord) -> float:
     return float(record.meta.get("h", 0.0)) + (1.0 / float(levels) if levels else 0.0)
 
 
-def check_hoelder(record: RunRecord, pairwise_w2=None) -> CheckResult:
+def check_hoelder(record: RunRecord, pairwise_w2) -> CheckResult:
     """W2(u(s), u(t)) <= sqrt(2 E(u^0)) sqrt(t - s) + tol on sampled pairs.
 
     ``pairwise_w2(i, j)`` must return the true distance between recorded
@@ -133,8 +132,6 @@ def check_hoelder(record: RunRecord, pairwise_w2=None) -> CheckResult:
     recomputed on a deterministic subsample of HOELDER_MAX_PAIRS index pairs.
     """
     e0 = float(record.energy[0])
-    if pairwise_w2 is None:
-        raise ValueError("check_hoelder needs a pairwise_w2 callback")
     tol = 1e-6 + 2.0 * _quantile_error(record)
 
     m = record.times.size

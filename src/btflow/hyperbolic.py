@@ -392,6 +392,4 @@ def run_hyperbolic(
         check_tv_monotone(record, f"r_{i + 1}")
     if scheme == "pressure_transport":
         check_metric_speed(record, np.asarray(w2_p), n_species)
-    mass_drift = float(np.abs(h * u.sum(axis=1) - 1.0).max())
-    record.check("species_mass_conserved", mass_drift, tolerance=1e-9)
     return HyperbolicRun(trajectory, pressures, record.finish(strict))

@@ -13,9 +13,11 @@ independent inner solvers:
   plus the prox curvature.  Where that model fails, the step restarts once
   in the Euclidean metric.  Its accepted iterates never raise the objective,
   so the per-step energy inequality holds, and it reports convergence only
-  when the Euclidean projected-gradient mapping is small relative to the
-  energy gradient at the step's start.  Grid edges and the split of the
-  coupling matrix are computed once per run.
+  when the Euclidean projected-gradient mapping falls to TOL_STATIONARITY
+  times the energy gradient at the step's start, within MAX_ITERATIONS
+  iterations.  Both are module constants, read at each call.  Grid edges
+  and the split of the coupling matrix are computed once per run; the
+  keyword ``dirichlet`` adds the gradient term to the energy.
 
 * ``jko_step_entropic`` solves the epsilon-regularized problem on the
   Eulerian grid by Sinkhorn-type scaling against the Gibbs kernel, with a
@@ -39,7 +41,7 @@ meaningful cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,6 +81,8 @@ SINKHORN_INNER_TOL = 1e-12
 ANDERSON_DEPTH = 5  # residual differences in the scaling loop's least-squares mix
 SINKHORN_INNER_CAP = 100_000  # joint passes; the stiffest test step needs about 750 (7,530 unmixed)
 SUPPORT_THRESHOLD_SCALE = 1e-8  # residual support cut at scale / h
+TOL_STATIONARITY = 1e-5  # descent stop, relative to |grad E| at the step's start
+MAX_ITERATIONS = 5000  # descent iterations per Lagrangian step
 
 
 @dataclass(frozen=True)
@@ -112,18 +116,6 @@ class JKOSchedule:
 
     def times(self) -> np.ndarray:
         return np.concatenate(([0.0], np.cumsum(self.taus)))
-
-
-@dataclass(frozen=True)
-class JKOOptions:
-    """Settings of the Lagrangian descent."""
-
-    tol_stationarity: float = 1e-5  # relative to |grad E| at the step's start
-    max_iterations: int = 5000
-    include_dirichlet: bool = False  # augment the energy with the gradient term
-
-
-DEFAULT_OPTIONS = JKOOptions()
 
 
 @dataclass(frozen=True)
@@ -454,7 +446,6 @@ def _lagrangian_minimize(
     x_prev: np.ndarray,
     tau: float,
     quad: _Quadrature,
-    opts: JKOOptions,
 ) -> _LagrangianResult:
     """Minimize f(x) = |x - x_prev|^2 / (2 tau L) + E(x) by ``_descend`` in
     the step's Hessian metric, which brings the Laplacian-like conditioning of
@@ -463,19 +454,19 @@ def _lagrangian_minimize(
     When that model fails (an accepted step below METRIC_MIN_STEP, a stall,
     or no convergence in METRIC_ITERATIONS), the descent restarts once from
     x_prev in the Euclidean metric M = I / (tau L), with what is left of
-    ``max_iterations``; the reported iterations include the metric's.  A map
+    MAX_ITERATIONS; the reported iterations include the metric's.  A map
     without a positive gap has no metric and descends in the Euclidean one.
     """
     base = quad.densities(x_prev)
     grad_e = quad.gradient(x_prev, base)
+    budget = MAX_ITERATIONS
     if not np.any(np.diff(x_prev, axis=1) > 0.0):
-        return _descend(x_prev, tau, quad, opts, base, grad_e)[0]
+        return _descend(x_prev, tau, quad, budget, base, grad_e)[0]
     metric = _HessianMetric(x_prev, grad_e, tau, quad)
-    result, failed = _descend(x_prev, tau, quad, opts, base, grad_e, metric)
+    result, failed = _descend(x_prev, tau, quad, budget, base, grad_e, metric)
     if not failed:
         return result
-    rest = replace(opts, max_iterations=opts.max_iterations - result.iterations)
-    fallback, _ = _descend(x_prev, tau, quad, rest, base, grad_e)
+    fallback, _ = _descend(x_prev, tau, quad, budget - result.iterations, base, grad_e)
     fallback.iterations += result.iterations
     return fallback
 
@@ -484,7 +475,7 @@ def _descend(
     x_prev: np.ndarray,
     tau: float,
     quad: _Quadrature,
-    opts: JKOOptions,
+    max_iterations: int,
     base: tuple,
     grad_e: np.ndarray,
     metric: _HessianMetric | None = None,
@@ -504,7 +495,7 @@ def _descend(
     restarts when <y - z, z - x> > 0 (O'Donoghue and Candes 2015).
 
     Converged means the Euclidean ||x - P(x - s grad f(x))|| / s <=
-    tol_stationarity * |grad E(x_prev)|, with s the longest accepted step in
+    TOL_STATIONARITY * |grad E(x_prev)|, with s the longest accepted step in
     the Euclidean metric (tau * L itself would make the measure lax, and a
     collapsed step would round the move away) and 1 / (largest row sum of M)
     <= tau * L in the Hessian one; the mapping's norm does not grow as s
@@ -519,10 +510,10 @@ def _descend(
     lo, hi = quad.grid.x_min, quad.grid.x_max
     max_step = tau * n_levels  # the step is held in Euclidean units, s * tau * L
     if metric is None:
-        solve, norm_sq, budget = (lambda g: g), (lambda d: _dot(d, d)), opts.max_iterations
+        solve, norm_sq, budget = (lambda g: g), (lambda d: _dot(d, d)), max_iterations
     else:
         solve, norm_sq = metric.solve, metric.norm_sq
-        budget = min(opts.max_iterations, METRIC_ITERATIONS)
+        budget = min(max_iterations, METRIC_ITERATIONS)
 
     def objective(x):
         d = x - x_prev
@@ -533,7 +524,7 @@ def _descend(
         return prox_weight * (x - x_prev) + quad.gradient(x, state)
 
     x, obj, state_x, grad = x_prev, 0.0, base, grad_e
-    target = opts.tol_stationarity * np.sqrt(_dot(grad, grad))  # |grad E(x_prev)|
+    target = TOL_STATIONARITY * np.sqrt(_dot(grad, grad))  # |grad E(x_prev)|
     y, obj_y, grad_y = x, obj, grad
     t, step, test_step = 1.0, max_step, 0.0
     converged = failed = False
@@ -589,7 +580,7 @@ def _descend(
             obj_y, state_y = objective(y)
             grad_y = gradient(y, state_y)
     else:
-        failed = metric is not None and budget < opts.max_iterations
+        failed = metric is not None and budget < max_iterations
     return _LagrangianResult(x, iterations, converged, quad.energy(state_x), test_step), failed
 
 
@@ -599,23 +590,24 @@ def _quantile_state(u: DensityVector, n_levels: int) -> np.ndarray:
     )
 
 
-def _lagrangian_start(u: DensityVector, a: CouplingMatrix, opts: JKOOptions, n_levels: int | None):
+def _lagrangian_start(u: DensityVector, a: CouplingMatrix, dirichlet: bool, n_levels: int | None = None):
     """The quantile state x of u at n_levels levels (by default the cell
-    count), the run's quadrature and E(x)."""
+    count), the run's quadrature, with the Dirichlet term when ``dirichlet``,
+    and E(x)."""
     n_levels = u.grid.n_cells if n_levels is None else _require_count("n_levels", n_levels, 1)
     x = _quantile_state(u, n_levels)
-    quad = _Quadrature(a, u.grid, _quadrature_grid(x, u.grid), opts.include_dirichlet)
+    quad = _Quadrature(a, u.grid, _quadrature_grid(x, u.grid), dirichlet)
     return x, quad, quad.energy(quad.densities(x))
 
 
 def _lagrangian_step(
-    u_prev: DensityVector, x: np.ndarray, e_before: float, tau: float, a: CouplingMatrix, quad: _Quadrature, opts
+    u_prev: DensityVector, x: np.ndarray, e_before: float, tau: float, a: CouplingMatrix, quad: _Quadrature
 ):
     """One descent from the quantile state x of u_prev, whose energy is e_before.
 
     Returns the next quantile state, the deposited state and the step's report.
     """
-    result = _lagrangian_minimize(x, tau, quad, opts)
+    result = _lagrangian_minimize(x, tau, quad)
     u_next = DensityVector(quad.grid, quad.deposit(result.positions))
     report = JKOStepReport(
         w2_increment=float(np.sqrt(np.sum((result.positions - x) ** 2) / x.shape[1])),
@@ -632,15 +624,17 @@ def jko_step_lagrangian(
     u_prev: DensityVector,
     a: CouplingMatrix,
     tau: float,
-    opts: JKOOptions = DEFAULT_OPTIONS,
-    n_levels: int | None = None,
+    *,
+    dirichlet: bool = False,
 ) -> tuple[DensityVector, JKOStepReport]:
-    """One minimizing-movement step via the quantile-map descent."""
+    """One minimizing-movement step via the quantile-map descent, on one
+    quantile level per cell.  With ``dirichlet`` the energy also holds the
+    gradient term sum_i |grad u_i|^2 / 2."""
     _require_positive_definite(a)
     _require_positive("tau", tau)
     # energies under the solver's own quadrature: monotone by construction
-    x_prev, quad, e_before = _lagrangian_start(u_prev, a, opts, n_levels)
-    _, u_next, report = _lagrangian_step(u_prev, x_prev, e_before, tau, a, quad, opts)
+    x_prev, quad, e_before = _lagrangian_start(u_prev, a, dirichlet)
+    _, u_next, report = _lagrangian_step(u_prev, x_prev, e_before, tau, a, quad)
     if report.energy_after > e_before + 1e-12 * max(1.0, abs(e_before)):
         raise EstimateFailed("energy increased across a Lagrangian JKO step")
     return u_next, report
@@ -859,10 +853,11 @@ def run_jko(
     a: CouplingMatrix,
     schedule: JKOSchedule,
     solver: str = "lagrangian",
-    opts: JKOOptions = DEFAULT_OPTIONS,
     eps: float = 1e-3,
     n_levels: int | None = None,
     strict: bool = True,
+    *,
+    dirichlet: bool = False,
 ) -> tuple[list[DensityVector], RunRecord]:
     """Iterate JKO steps and verify the a-priori estimates on the record.
 
@@ -880,7 +875,10 @@ def run_jko(
     telescoped estimates exact by construction.  Its level count L is
     ``n_levels``, by default the cell count.  The entropic solver has no
     quantile levels: it rejects ``n_levels`` and records L as None, so the
-    Hoelder and entropy-dissipation tolerances carry no 1/L term.
+    Hoelder and entropy-dissipation tolerances carry no 1/L term.  Only the
+    Lagrangian solver takes ``dirichlet``, which adds the gradient term
+    sum_i |grad u_i|^2 / 2 to the energy it descends and records; the
+    entropic solver rejects it.
 
     ``meta`` records the inner solver's largest per-step iteration count
     (descent iterations, or joint entropic scaling iterations) as
@@ -895,12 +893,14 @@ def run_jko(
         raise InfiniteInitialEntropy("initial energy or entropy is not finite")
 
     if solver == "lagrangian":
-        x, quad, e_start = _lagrangian_start(u0, a, opts, n_levels)
+        x, quad, e_start = _lagrangian_start(u0, a, dirichlet, n_levels)
         L = x.shape[1]
         state = DensityVector(grid, quad.deposit(x))
     elif solver == "entropic":
         if n_levels is not None:
             raise ValueError("n_levels applies to the lagrangian solver only")
+        if dirichlet:
+            raise ValueError("dirichlet applies to the lagrangian solver only")
         L, state, e_start = None, u0, e0
     else:
         raise ValueError(f"unknown solver {solver!r}")
@@ -910,7 +910,7 @@ def run_jko(
     for tau in schedule.taus:
         if solver == "lagrangian":
             e_before = reports[-1].energy_after if reports else e_start
-            x, state, report = _lagrangian_step(state, x, e_before, float(tau), a, quad, opts)
+            x, state, report = _lagrangian_step(state, x, e_before, float(tau), a, quad)
         else:
             state, report = jko_step_entropic(state, a, float(tau), eps)
         trajectory.append(state)

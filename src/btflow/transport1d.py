@@ -7,9 +7,7 @@ from cumulative distributions -- no regularization, no linear programming.
 `monotone_plan` treats each cell's mass as sitting at the cell center and
 couples the two step quantile functions over the merged mass breakpoints;
 `w2_exact` is the cost of that plan, which reproduces the transport LP built
-on the cell-center cost matrix to machine precision.  Passing an explicit level
-count instead evaluates the midpoint-level quadrature of the piecewise-linear
-quantile functions (the metric used by the Lagrangian JKO solver).
+on the cell-center cost matrix to machine precision.
 
 Every plan comes from one row-wise primitive, `_plans`, and every plan cost
 from `_plans_cost`, which sums each row on its own; a single coupling is their
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSupport, DimensionMismatch
-from .measures import Density, DensityVector, Grid1D, _cdf_at_edges, _inverse_cdf, to_quantiles
+from .measures import Density, DensityVector, Grid1D, _cdf_at_edges, _inverse_cdf
 
 
 @dataclass(frozen=True)
@@ -98,19 +96,11 @@ def monotone_plan(p_prev: Density, p_next: Density):
     return src[keep], dst[keep], seg[keep]
 
 
-def w2_exact(u: Density, v: Density, n_levels: int | None = None) -> float:
-    """Quadratic Wasserstein distance between two unit-mass densities.
-
-    With ``n_levels=None`` the value is exact for the cell-center atomic
-    representation.  With an explicit level count it is the root mean square
-    of the quantile differences at the midpoint levels.
-    """
+def w2_exact(u: Density, v: Density) -> float:
+    """Quadratic Wasserstein distance between two unit-mass densities, exact
+    for their cell-center atomic representation."""
     if u.grid != v.grid:
         raise DimensionMismatch("densities live on different grids")
-    if n_levels is not None:
-        qu = to_quantiles(u, n_levels).positions
-        qv = to_quantiles(v, n_levels).positions
-        return float(np.sqrt(np.mean((qu - qv) ** 2)))
     h = u.grid.h
     return float(np.sqrt(_plans_cost(_plans(u.values[None] * h, v.values[None] * h), u.grid.centers())[0]))
 

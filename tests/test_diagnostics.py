@@ -55,14 +55,14 @@ class TestTelescoped:
         taus = np.full(10, 0.01)
         e0 = 1.0
         w2 = np.sqrt(2 * taus * e0 / 10)  # increments that exactly use up E0
-        rec = simple_record(w2_increments=w2)
-        result = check_telescoped_w2(rec, e0=e0)
+        rec = simple_record(energy=np.linspace(e0, 0.5, 11), w2_increments=w2)
+        result = check_telescoped_w2(rec)
         assert result.passed
         assert result.margin == pytest.approx(result.tolerance, abs=1e-12)
 
     def test_violation_fails(self):
-        rec = simple_record(w2_increments=np.full(10, 1.0))
-        assert not check_telescoped_w2(rec, e0=0.1).passed
+        rec = simple_record(energy=np.linspace(0.1, 0.05, 11), w2_increments=np.full(10, 1.0))
+        assert not check_telescoped_w2(rec).passed
 
 
 class TestHoelder:
@@ -86,7 +86,7 @@ class TestHoelder:
         assert not check_hoelder(rec, pairwise_w2=lambda i, j: np.nan if j == 10 else 0.0).passed
 
     def test_requires_callback(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             check_hoelder(simple_record())
 
 

@@ -12,7 +12,6 @@ from btflow.fdref import barenblatt, barenblatt_peak_time, l1_error, l1_error_ve
 from btflow.jko import (
     STEP_FLOOR,
     STEP_GROWTH,
-    JKOOptions,
     JKOSchedule,
     _dot,
     _energy_position_gradient,
@@ -132,10 +131,7 @@ class TestLagrangianStep:
 
     def test_fourth_order_option_decays_augmented_energy(self, pd_matrix):
         u0 = smooth_pair(64)
-        opts = JKOOptions(include_dirichlet=True)
-        _, record = run_jko(
-            u0, pd_matrix, JKOSchedule.uniform(1e-5, 5), opts=opts, strict=False
-        )
+        _, record = run_jko(u0, pd_matrix, JKOSchedule.uniform(1e-5, 5), strict=False, dirichlet=True)
         assert np.all(np.diff(record.energy) <= 1e-12)
 
 
@@ -236,13 +232,13 @@ class TestOptimalityResidual:
         res = optimality_residual(u0, out, pd_matrix, 1e6)
         assert res.worst <= 0.02
 
-    def test_minimizer_residual_refines(self, pd_matrix):
+    def test_minimizer_residual_refines(self, pd_matrix, monkeypatch):
+        monkeypatch.setattr(jko_module, "TOL_STATIONARITY", 1e-6)
+        monkeypatch.setattr(jko_module, "MAX_ITERATIONS", 20000)
         prev = None
         for n in (32, 64):
             u0 = smooth_pair(n)
-            out, report = jko_step_lagrangian(
-                u0, pd_matrix, 1e-3, JKOOptions(tol_stationarity=1e-6, max_iterations=20000)
-            )
+            out, report = jko_step_lagrangian(u0, pd_matrix, 1e-3)
             assert report.converged
             worst = optimality_residual(u0, out, pd_matrix, 1e-3).worst
             if prev is not None:
@@ -310,6 +306,11 @@ class TestRunJKO:
         with pytest.raises(ValueError, match="n_levels"):
             run_jko(smooth_pair(32), pd_matrix, JKOSchedule.uniform(1e-3, 1), solver="entropic", n_levels=32)
 
+    def test_entropic_solver_rejects_dirichlet(self, pd_matrix):
+        # the entropic step descends the quadratic energy alone
+        with pytest.raises(ValueError, match="dirichlet"):
+            run_jko(smooth_pair(32), pd_matrix, JKOSchedule.uniform(1e-3, 1), solver="entropic", dirichlet=True)
+
     @pytest.mark.parametrize("n_levels", [2.5, 2.7, True, 0, -3, "8"])
     def test_level_count_must_be_a_positive_integer(self, pd_matrix, n_levels):
         # one count rule; through int(), to_quantiles ran True as 1 level and 2.7 as 2
@@ -317,9 +318,7 @@ class TestRunJKO:
         u = u0.species(0)
         for call in (
             lambda: run_jko(u0, pd_matrix, JKOSchedule.uniform(1e-3, 1), n_levels=n_levels),
-            lambda: jko_step_lagrangian(u0, pd_matrix, 1e-3, n_levels=n_levels),
             lambda: to_quantiles(u, n_levels),
-            lambda: w2_exact(u, u, n_levels=n_levels),
         ):
             with pytest.raises(ValueError, match="^n_levels must be an integer of at least 1"):
                 call()
@@ -641,10 +640,11 @@ def descent_problems(draw):
     return DensityVector.from_species(rows), a, tau
 
 
-def _fista_reference(x_prev, tau, quad, opts):
+def _fista_reference(x_prev, tau, quad):
     """Reference: the descent in the Euclidean metric alone, as it ran before
     the Hessian metric (monotone FISTA with adaptive restart, stationarity
-    stop at the longest accepted step)."""
+    stop at the longest accepted step), under the solver's current
+    TOL_STATIONARITY and MAX_ITERATIONS."""
     n_levels = x_prev.shape[1]
     prox_weight = 1.0 / (tau * n_levels)
     lo, hi = quad.grid.x_min, quad.grid.x_max
@@ -661,12 +661,12 @@ def _fista_reference(x_prev, tau, quad, opts):
 
     x, obj, state_x = x_prev, 0.0, base
     grad = quad.gradient(x, base)
-    target = opts.tol_stationarity * np.sqrt(_dot(grad, grad))
+    target = jko_module.TOL_STATIONARITY * np.sqrt(_dot(grad, grad))
     y, obj_y, grad_y = x, obj, grad
     t, step, test_step = 1.0, max_step, 0.0
     converged = False
     iterations = 0
-    while iterations < opts.max_iterations:
+    while iterations < jko_module.MAX_ITERATIONS:
         iterations += 1
         while step >= STEP_FLOOR * max_step:
             z = _project_monotone(y - step * grad_y, lo, hi)
@@ -737,7 +737,8 @@ def stress_density(kind, grid, rng):
 @st.composite
 def stress_problems(draw):
     """Descent problems over four input kinds: 16-200 cells, 1-3 species, a
-    random SPD coupling, tau in [1e-4, 1e-1] and tolerance 1e-5 or 1e-6."""
+    random SPD coupling, tau in [1e-4, 1e-1] and a stationarity tolerance of
+    1e-5 or 1e-6."""
     kind = draw(st.sampled_from(STRESS_KINDS))
     # sizes from the seed, so the examples spread over the ranges instead of
     # gathering at the smallest sizes
@@ -748,7 +749,7 @@ def stress_problems(draw):
     b = rng.uniform(-1.0, 1.0, (n_species, n_species))
     a = CouplingMatrix(b @ b.T + rng.uniform(0.05, 1.0) * np.eye(n_species))
     tau = float(10.0 ** rng.uniform(-4.0, -1.0))
-    return u0, a, tau, JKOOptions(tol_stationarity=float(rng.choice([1e-5, 1e-6])))
+    return u0, a, tau, float(rng.choice([1e-5, 1e-6]))
 
 
 def descent_setup(u0, a):
@@ -764,8 +765,7 @@ class TestDescent:
         grid = u0.grid
         x_prev = _quantile_state(u0, grid.n_cells)
         quad = _Quadrature(a, grid, _quadrature_grid(x_prev, grid), False)
-        opts = JKOOptions()
-        result = _lagrangian_minimize(x_prev, tau, quad, opts)
+        result = _lagrangian_minimize(x_prev, tau, quad)
         x = result.positions
         assert np.all(np.diff(x, axis=1) >= 0.0)
         assert x.min() >= grid.x_min and x.max() <= grid.x_max
@@ -779,9 +779,9 @@ class TestDescent:
             grad = (x - x_prev) / (tau * grid.n_cells) + quad.gradient(x, state)
             measure = _stationarity(x, grad, result.step, grid.x_min, grid.x_max)
             scale = np.sqrt(np.sum(g_prev * g_prev, axis=-1).sum())  # summed as the solver does
-            assert measure <= opts.tol_stationarity * scale
+            assert measure <= jko_module.TOL_STATIONARITY * scale
 
-    def test_iterates_never_raise_the_objective(self, pd_matrix):
+    def test_iterates_never_raise_the_objective(self, pd_matrix, monkeypatch):
         # the descent is deterministic, so capping it after k iterations
         # returns its k-th iterate (without the monotone guard, two of the
         # first 60 raise the objective on this problem)
@@ -791,19 +791,18 @@ class TestDescent:
         base = quad.densities(x_prev)
         previous = 0.0
         for k in range(1, 60):
-            x = _lagrangian_minimize(x_prev, 1e-3, quad, JKOOptions(max_iterations=k)).positions
+            monkeypatch.setattr(jko_module, "MAX_ITERATIONS", k)
+            x = _lagrangian_minimize(x_prev, 1e-3, quad).positions
             value = np.sum((x - x_prev) ** 2) / (2e-3 * 64) + quad.energy(quad.densities(x), base)
             assert value <= previous
             previous = value
 
-    def test_iteration_cap_is_not_convergence(self, pd_matrix):
+    def test_iteration_cap_is_not_convergence(self, pd_matrix, monkeypatch):
+        monkeypatch.setattr(jko_module, "MAX_ITERATIONS", 1)
         u0 = smooth_pair(32)
-        _, report = jko_step_lagrangian(u0, pd_matrix, 1e-3, JKOOptions(max_iterations=1))
+        _, report = jko_step_lagrangian(u0, pd_matrix, 1e-3)
         assert report.converged is False
-        _, record = run_jko(
-            u0, pd_matrix, JKOSchedule.uniform(1e-3, 2), opts=JKOOptions(max_iterations=1),
-            strict=False,
-        )
+        _, record = run_jko(u0, pd_matrix, JKOSchedule.uniform(1e-3, 2), strict=False)
         assert record.meta["inner_converged"] is False
         check = next(c for c in record.checks if c.name == "inner_solver_converged")
         assert not check.passed and check.margin == -2.0
@@ -832,20 +831,22 @@ class TestMetricDescent:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(stress_problems())
     def test_converges_wherever_the_reference_does(self, problem):
-        u0, a, tau, opts = problem
+        u0, a, tau, tol = problem
         x_prev, quad = descent_setup(u0, a)
-        result = _lagrangian_minimize(x_prev, tau, quad, opts)
-        base = quad.densities(x_prev)
-        d = result.positions - x_prev
-        assert np.sum(d * d) / (2.0 * tau * x_prev.shape[1]) + quad.energy(quad.densities(result.positions), base) <= 0.0
-        if not result.converged:
-            assert not _fista_reference(x_prev, tau, quad, opts).converged
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jko_module, "TOL_STATIONARITY", tol)
+            result = _lagrangian_minimize(x_prev, tau, quad)
+            base = quad.densities(x_prev)
+            d = result.positions - x_prev
+            assert np.sum(d * d) / (2.0 * tau * x_prev.shape[1]) + quad.energy(quad.densities(result.positions), base) <= 0.0
+            if not result.converged:
+                assert not _fista_reference(x_prev, tau, quad).converged
 
     def test_iteration_budget(self, pd_matrix):
         x_prev, quad = descent_setup(smooth_pair(128), pd_matrix)
-        result = _lagrangian_minimize(x_prev, 1e-3, quad, JKOOptions())
+        result = _lagrangian_minimize(x_prev, 1e-3, quad)
         assert result.converged and result.iterations <= 30
-        reference = _fista_reference(x_prev, 1e-3, quad, JKOOptions())
+        reference = _fista_reference(x_prev, 1e-3, quad)
         assert reference.iterations > 100  # what the Euclidean metric needs
         h = quad.grid.h
         assert h * np.abs(quad.deposit(result.positions) - quad.deposit(reference.positions)).sum() <= 1e-6
@@ -855,7 +856,7 @@ class TestMetricDescent:
     )  # out of metric iterations; every accepted step too short
     def test_restart_is_the_reference_descent(self, pd_matrix, monkeypatch, name, value):
         x_prev, quad = descent_setup(smooth_pair(64), pd_matrix)
-        reference = _fista_reference(x_prev, 1e-3, quad, JKOOptions())
+        reference = _fista_reference(x_prev, 1e-3, quad)
         spent = []
         descend = jko_module._descend
 
@@ -866,7 +867,7 @@ class TestMetricDescent:
 
         monkeypatch.setattr(jko_module, name, value)
         monkeypatch.setattr(jko_module, "_descend", tapped)
-        result = _lagrangian_minimize(x_prev, 1e-3, quad, JKOOptions())
+        result = _lagrangian_minimize(x_prev, 1e-3, quad)
         assert len(spent) == 2  # the metric descent, then the restart
         assert np.array_equal(result.positions, reference.positions)
         assert result.converged and reference.converged
@@ -889,8 +890,8 @@ class TestMetricDescent:
         # a single level has no gap to probe: the descent runs in the Euclidean metric
         u0 = smooth_pair(32)
         monkeypatch.setattr(jko_module, "_HessianMetric", None)
-        _, report = jko_step_lagrangian(u0, pd_matrix, 1e-3, n_levels=1)
-        assert report.converged
+        _, record = run_jko(u0, pd_matrix, JKOSchedule.uniform(1e-3, 1), n_levels=1, strict=False)
+        assert record.meta["inner_converged"]
 
 
 class TestInnerConvergedCheck:

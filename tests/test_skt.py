@@ -14,6 +14,7 @@ from btflow.skt import (
     MarginalPair,
     MobilityField,
     SKTConfig,
+    _Decoupled,
     _relative_entropy,
     _Stencil,
     build_mobility,
@@ -22,7 +23,6 @@ from btflow.skt import (
     decoupled_stable_dt,
     joint_stable_dt,
     marginals,
-    nonlocal_coefficient,
     product_gaussian,
     relative_entropy,
     run_skt_scenario,
@@ -200,7 +200,7 @@ class TestScenario:
         cfg = SKTConfig(n1=64, n2=64, t_final=0.5, dt_cap=1e-2, snapshot_times=(0.5,))
         run = run_skt_scenario(cfg)
         assert run.record.all_passed()
-        ent = run.record.tv["relative_entropy"]
+        ent = run.record.entropy
         assert ent[0] <= 1e-6
         assert ent[-1] > 10 * max(ent[0], 0.0)
         assert run.contact_time is not None
@@ -214,16 +214,31 @@ class TestScenario:
         cfg = SKTConfig(n1=64, n2=64, t_final=0.4, dt_cap=1e-2)
         run = run_skt_scenario(cfg)
         t = run.record.times
-        ent = run.record.tv["relative_entropy"]
+        ent = run.record.entropy
         after = ent[t >= run.contact_time]
         assert np.diff(after).min() >= -1e-9
 
     def test_step_budget(self, monkeypatch):
-        # the first step is 1.5e-10: some 6.7e8 steps to t_final, which ran without end
-        cfg = SKTConfig(n1=16, n2=16, t_final=0.1, c_floor=1e9)
+        # the first step is 1.5e-10: some 6.7e8 steps to t_final, which ran without end;
+        # with c_floor 100 the config alone asks for 10.2 steps and the run takes 71
         monkeypatch.setattr(skt_module, "MAX_STEPS", 50)
+        for cfg in (
+            SKTConfig(n1=16, n2=16, t_final=0.1, c_floor=1e9),
+            SKTConfig(n1=16, n2=16, t_final=0.5, c_floor=100.0, dt_cap=1.0),
+        ):
+            for run in (run_skt_scenario, compare_correlated_vs_decoupled):
+                with pytest.raises(RuntimeError, match="skt run exceeded the step budget"):
+                    run(cfg)
+
+    def test_step_budget_checked_before_the_first_step(self, monkeypatch):
+        # no step is longer than CFL_SAFETY min(h)^2 area / (4 c_floor) = 4.9e-9
+        def step(self, v, dt):
+            raise AssertionError("stepped a run that cannot fit the step budget")
+
+        monkeypatch.setattr(_Stencil, "step", step)
+        cfg = SKTConfig(n1=16, n2=16, t_final=0.1, c_floor=1e9)
         for run in (run_skt_scenario, compare_correlated_vs_decoupled):
-            with pytest.raises(RuntimeError, match="skt run exceeded the step budget"):
+            with pytest.raises(RuntimeError, match=r"needs at least 2\.05e\+07 steps"):
                 run(cfg)
 
     def test_entropy_growth_check_not_vacuous(self):
@@ -232,7 +247,7 @@ class TestScenario:
         cfg = SKTConfig(n1=48, n2=48, t_final=1e-3)
         run = run_skt_scenario(cfg, strict=False)
         growth = next(c for c in run.record.checks if c.name == "entropy_grows_tenfold")
-        assert 0.0 < run.record.tv["relative_entropy"][-1] < 1e-5
+        assert 0.0 < run.record.entropy[-1] < 1e-5
         assert not growth.passed and growth.tolerance == 0.0
         with pytest.raises(EstimateFailed):
             run_skt_scenario(cfg)
@@ -249,7 +264,7 @@ class TestScenario:
         times, entropies, masses, snapshots = [0.0], [relative_entropy(p)], [area * p.values.sum()], []
         contact, pending, t = None, list(cfg.snapshot_times), 0.0
         while t < cfg.t_final:
-            dt = min(cfg.cfl_safety * joint_stable_dt(p, mob), cfg.dt_cap, cfg.t_final - t)
+            dt = min(skt_module.CFL_SAFETY * joint_stable_dt(p, mob), cfg.dt_cap, cfg.t_final - t)
             if pending and t + dt > pending[0] - 1e-12:
                 dt = max(pending[0] - t, 1e-12)
             p = step_joint_fd(p, mob, dt)
@@ -263,7 +278,7 @@ class TestScenario:
                 snapshots.append((t, p))
                 pending.pop(0)
         np.testing.assert_array_equal(run.record.times, times)
-        np.testing.assert_array_equal(run.record.tv["relative_entropy"], entropies)
+        np.testing.assert_array_equal(run.record.entropy, entropies)
         assert run.contact_time == contact
         assert run.record.meta["mass_series_max_drift"] == np.abs(np.asarray(masses) - 1.0).max()
         assert len(run.snapshots) == len(run.marginal_snapshots) == len(snapshots) == 2
@@ -288,14 +303,10 @@ class TestSKTConfig:
             ({"t_final": "1"}, NonpositiveTime),
             ({"dt_cap": 0.0}, NonpositiveTime),
             ({"dt_cap": math.nan}, NonpositiveTime),
-            ({"cfl_safety": 0.0}, ValueError),
-            ({"cfl_safety": 1.5}, ValueError),
-            ({"cfl_safety": math.nan}, ValueError),
             ({"snapshot_times": (-0.1,)}, ValueError),
             ({"t_final": 0.5, "snapshot_times": (0.25, 1.0)}, ValueError),
             ({"t_final": True}, NonpositiveTime),
             ({"dt_cap": True}, NonpositiveTime),
-            ({"cfl_safety": True}, ValueError),
             ({"snapshot_times": (True,)}, ValueError),
             ({"variance": -0.45}, ValueError),  # would run a U-shaped "Gaussian"
             ({"variance": 0.0}, ValueError),
@@ -515,7 +526,7 @@ class TestDecoupled:
         u1 = normalize(np.exp(-0.5 * (gx.centers() + 3.0) ** 2 / 0.1), gx)
         u2 = normalize(np.exp(-0.5 * (gx.centers() - 3.0) ** 2 / 0.1), gx)
         mob = build_mobility(g, 0.2, 0.1)
-        coef = nonlocal_coefficient(mob, u2, 2)
+        coef, _, _ = _Decoupled(mob, "quadratic").rates(u1.values, u2.values)
         expected = 0.1 * g.h2 * float((u2.values**2).sum())
         support1 = u1.values > 1e-6 * u1.values.max()
         np.testing.assert_allclose(coef[support1], expected, rtol=1e-6)
@@ -542,7 +553,7 @@ class TestDecoupled:
             decoupled_stable_dt(MarginalPair(u, u), constant_mobility(g), "bogus")
 
 
-    def test_non_square_grid_rejected(self):
+    def test_non_square_grid_rejected(self, monkeypatch):
         g = Grid2D(16, 24, -5.0, 5.0, -5.0, 5.0)
         pair = MarginalPair(normalize(np.ones(16), g.axis1()), normalize(np.ones(24), g.axis2()))
         for variant in ("quadratic", "entropy"):
@@ -550,29 +561,33 @@ class TestDecoupled:
                 decoupled_stable_dt(pair, constant_mobility(g), variant)
             with pytest.raises(DimensionMismatch, match="square grid"):
                 step_decoupled_fd(pair, constant_mobility(g), 1e-6, variant)
+        monkeypatch.setattr(skt_module, "N_COMPARE", 2)
         with pytest.raises(DimensionMismatch, match="square grid"):
-            compare_correlated_vs_decoupled(SKTConfig(n1=16, n2=24, t_final=0.01), n_compare=2)
+            compare_correlated_vs_decoupled(SKTConfig(n1=16, n2=24, t_final=0.01))
         with pytest.raises(ValueError, match="cubic"):
-            compare_correlated_vs_decoupled(SKTConfig(n1=16, n2=16, t_final=0.01), "cubic", n_compare=2)
+            compare_correlated_vs_decoupled(SKTConfig(n1=16, n2=16, t_final=0.01), "cubic")
 
 
 class TestComparison:
-    def test_gap_zero_at_start_then_grows(self):
+    def test_gap_zero_at_start_then_grows(self, monkeypatch):
+        monkeypatch.setattr(skt_module, "N_COMPARE", 4)
         cfg = SKTConfig(n1=48, n2=48, t_final=0.3, dt_cap=1e-2)
-        report = compare_correlated_vs_decoupled(cfg, n_compare=4)
+        report = compare_correlated_vs_decoupled(cfg)
         assert report.l1_gaps[0] <= 1e-6
         assert report.l1_gaps[-1] > report.l1_gaps[0]
 
-    def test_far_supports_small_gap_short_horizon(self):
+    def test_far_supports_small_gap_short_horizon(self, monkeypatch):
+        monkeypatch.setattr(skt_module, "N_COMPARE", 3)
         cfg = SKTConfig(
             n1=48, n2=48, center=(-2.5, 2.5), variance=0.2, t_final=0.05, dt_cap=1e-2
         )
-        report = compare_correlated_vs_decoupled(cfg, n_compare=3)
+        report = compare_correlated_vs_decoupled(cfg)
         assert report.l1_gaps[-1] <= 1e-3
 
-    def test_gaps_match_public_steps_bit_for_bit(self):
+    def test_gaps_match_public_steps_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(skt_module, "N_COMPARE", 4)
         cfg = SKTConfig(n1=32, n2=32, t_final=0.2, dt_cap=1e-2)
-        report = compare_correlated_vs_decoupled(cfg, n_compare=4)
+        report = compare_correlated_vs_decoupled(cfg)
         g = cfg.grid()
         mob = build_mobility(g, cfg.sigma, cfg.c_floor)
         p = product_gaussian(g, cfg.center, cfg.variance)
@@ -581,8 +596,8 @@ class TestComparison:
         for target in report.times:
             while t < target:
                 dt = min(
-                    cfg.cfl_safety * joint_stable_dt(p, mob),
-                    cfg.cfl_safety * decoupled_stable_dt(pair, mob, "quadratic"),
+                    skt_module.CFL_SAFETY * joint_stable_dt(p, mob),
+                    skt_module.CFL_SAFETY * decoupled_stable_dt(pair, mob, "quadratic"),
                     cfg.dt_cap,
                     target - t,
                 )

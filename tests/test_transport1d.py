@@ -87,14 +87,6 @@ class TestW2Exact:
             u, v, w = (random_density(rng, g) for _ in range(3))
             assert w2_exact(u, w) <= w2_exact(u, v) + w2_exact(v, w) + 1e-9
 
-    def test_level_sampled_variant(self):
-        g = Grid1D(16, 0.0, 1.0)
-        a = np.zeros(16)
-        a[:4] = 4.0
-        b = np.zeros(16)
-        b[8:12] = 4.0
-        assert w2_exact(Density(g, a), Density(g, b), n_levels=64) == pytest.approx(0.5, abs=1e-12)
-
     def test_grid_mismatch(self):
         u = normalize(np.ones(8), Grid1D(8, 0.0, 1.0))
         v = normalize(np.ones(8), Grid1D(8, 0.0, 2.0))
