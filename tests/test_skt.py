@@ -303,10 +303,14 @@ class TestSKTConfig:
             ({"t_final": "1"}, NonpositiveTime),
             ({"dt_cap": 0.0}, NonpositiveTime),
             ({"dt_cap": math.nan}, NonpositiveTime),
+            ({"sigma": 0.0}, ValueError),
+            ({"c_floor": -1.0}, ValueError),
+            ({"variance": math.inf}, ValueError),
             ({"snapshot_times": (-0.1,)}, ValueError),
             ({"t_final": 0.5, "snapshot_times": (0.25, 1.0)}, ValueError),
             ({"t_final": True}, NonpositiveTime),
             ({"dt_cap": True}, NonpositiveTime),
+            ({"snapshot_times": (math.nan,)}, ValueError),
             ({"snapshot_times": (True,)}, ValueError),
             ({"variance": -0.45}, ValueError),  # would run a U-shaped "Gaussian"
             ({"variance": 0.0}, ValueError),
