@@ -233,6 +233,8 @@ def _run_fourth_order(cfg: dict, out: Path) -> RunRecord:
 
 def _skt_config(cfg: dict) -> skt.SKTConfig:
     """SKTConfig from its fields in cfg, each read as its default's kind, and ``snapshots``; it checks ranges."""
+    if "cfl_safety" in cfg:  # a settable field once; a config that names it would now run at another value
+        raise ConfigInvalid("skt", f"cfl_safety is fixed at skt.CFL_SAFETY = {skt.CFL_SAFETY}")
     snapshots = _require(cfg, "snapshots", [float], None)
     kwargs = {"snapshot_times": None if snapshots is None else tuple(snapshots)}
     for f in dataclasses.fields(skt.SKTConfig):

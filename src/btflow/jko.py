@@ -17,7 +17,7 @@ independent inner solvers:
   times the energy gradient at the step's start, within MAX_ITERATIONS
   iterations.  Both are module constants, read at each call.  Grid edges
   and the split of the coupling matrix are computed once per run; the
-  keyword ``dirichlet`` adds the gradient term to the energy.
+  ``run_jko`` keyword ``dirichlet`` adds the gradient term to the energy.
 
 * ``jko_step_entropic`` solves the epsilon-regularized problem on the
   Eulerian grid by Sinkhorn-type scaling against the Gibbs kernel, with a
@@ -624,16 +624,13 @@ def jko_step_lagrangian(
     u_prev: DensityVector,
     a: CouplingMatrix,
     tau: float,
-    *,
-    dirichlet: bool = False,
 ) -> tuple[DensityVector, JKOStepReport]:
     """One minimizing-movement step via the quantile-map descent, on one
-    quantile level per cell.  With ``dirichlet`` the energy also holds the
-    gradient term sum_i |grad u_i|^2 / 2."""
+    quantile level per cell."""
     _require_positive_definite(a)
     _require_positive("tau", tau)
     # energies under the solver's own quadrature: monotone by construction
-    x_prev, quad, e_before = _lagrangian_start(u_prev, a, dirichlet)
+    x_prev, quad, e_before = _lagrangian_start(u_prev, a, False)
     _, u_next, report = _lagrangian_step(u_prev, x_prev, e_before, tau, a, quad)
     if report.energy_after > e_before + 1e-12 * max(1.0, abs(e_before)):
         raise EstimateFailed("energy increased across a Lagrangian JKO step")

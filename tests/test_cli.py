@@ -185,6 +185,7 @@ class TestRun:
             {"c_floor": 0},
             {"center": [1.0]},
             {"center": [1.0, 2.0, 3.0]},
+            {"cfl_safety": 0.9},  # fixed at skt.CFL_SAFETY, not silently ignored
         ):
             cfg = write_config(tmp_path, **(base | extra))
             assert run(str(cfg)) == 1

@@ -219,27 +219,22 @@ class TestScenario:
         assert np.diff(after).min() >= -1e-9
 
     def test_step_budget(self, monkeypatch):
-        # the first step is 1.5e-10: some 6.7e8 steps to t_final, which ran without end;
-        # with c_floor 100 the config alone asks for 10.2 steps and the run takes 71
-        monkeypatch.setattr(skt_module, "MAX_STEPS", 50)
-        for cfg in (
-            SKTConfig(n1=16, n2=16, t_final=0.1, c_floor=1e9),
-            SKTConfig(n1=16, n2=16, t_final=0.5, c_floor=100.0, dt_cap=1.0),
-        ):
-            for run in (run_skt_scenario, compare_correlated_vs_decoupled):
-                with pytest.raises(RuntimeError, match="skt run exceeded the step budget"):
-                    run(cfg)
-
-    def test_step_budget_checked_before_the_first_step(self, monkeypatch):
-        # no step is longer than CFL_SAFETY min(h)^2 area / (4 c_floor) = 4.9e-9
+        # c_floor 1e9: no step is longer than CFL_SAFETY min(h)^2 area / (4 c_floor) = 4.9e-9,
+        # so the config alone is refused before any step (it once stepped without end);
+        # c_floor 100: the config alone asks for 10.2 steps and the run takes 71
         def step(self, v, dt):
             raise AssertionError("stepped a run that cannot fit the step budget")
 
-        monkeypatch.setattr(_Stencil, "step", step)
-        cfg = SKTConfig(n1=16, n2=16, t_final=0.1, c_floor=1e9)
-        for run in (run_skt_scenario, compare_correlated_vs_decoupled):
-            with pytest.raises(RuntimeError, match=r"needs at least 2\.05e\+07 steps"):
-                run(cfg)
+        monkeypatch.setattr(skt_module, "MAX_STEPS", 50)
+        runs = (run_skt_scenario, compare_correlated_vs_decoupled)
+        with monkeypatch.context() as m:
+            m.setattr(_Stencil, "step", step)
+            for run in runs:
+                with pytest.raises(RuntimeError, match=r"needs at least 2\.05e\+07 steps"):
+                    run(SKTConfig(n1=16, n2=16, t_final=0.1, c_floor=1e9))
+        for run in runs:
+            with pytest.raises(RuntimeError, match=r"skt run exceeded the step budget$"):
+                run(SKTConfig(n1=16, n2=16, t_final=0.5, c_floor=100.0, dt_cap=1.0))
 
     def test_entropy_growth_check_not_vacuous(self):
         # the product start has H0 of order 1e-16, so "ten times H0" alone
