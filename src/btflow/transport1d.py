@@ -12,6 +12,11 @@ on the cell-center cost matrix to machine precision.
 Every plan comes from one row-wise primitive, `_plans`, and every plan cost
 from `_plans_cost`, which sums each row on its own; a single coupling is their
 one-row case, so a batch of plans carries the bits of one plan at a time.
+`_plans` merges the cumulative masses of both sides in one sort whose keys
+carry their side, and gives each segment between consecutive breakpoints the
+cells whose cumulative intervals contain it: the number of breakpoints of
+each side below it.  The cell masses must be finite and nonnegative; the
+public functions take them from `Density` values.
 """
 
 from __future__ import annotations
@@ -47,27 +52,35 @@ class PotentialField:
 def _plans(a: np.ndarray, b: np.ndarray):
     """Monotone couplings (see monotone_plan) of the rows of the (R, n) cell masses a and b.
 
-    The distinct positive cumulative masses of either side, up to the smaller
-    total, bound the segments.  Returns (src, dst, seg) of shape (R, 2n), one
-    segment per merged breakpoint; a breakpoint that bounds no segment (a zero,
-    a repeat or one past the smaller total) becomes a zero-length pad.
+    The masses must be finite and nonnegative (-0.0 included); nothing here
+    checks it, so callers pass Density values or clamped arrays.  The
+    cumulative masses of both sides, the last of each set to the smaller
+    total, are merged in one sort whose keys carry their side.  The segment
+    (s[j-1], s[j]] between merged breakpoints goes to the cells whose
+    cumulative intervals contain it, which are the counts of a and of b
+    breakpoints before position j.  Returns (src, dst, seg) of shape (R, 2n),
+    one segment per merged breakpoint; a breakpoint that bounds no segment (a
+    zero, a repeat or one past the smaller total) becomes a zero-length pad.
     """
-    ca = np.cumsum(a, axis=1)
-    cb = np.cumsum(b, axis=1)
-    total = np.minimum(ca[:, -1], cb[:, -1])
-    ca[:, -1] = cb[:, -1] = total
-    s = np.concatenate((ca, cb), axis=1)
-    s.sort(axis=1)
-    np.clip(s, 0.0, total[:, None], out=s)
-    prev = np.zeros_like(s)
-    prev[:, 1:] = s[:, :-1]
-    seg = s - prev
-    mid = prev + 0.5 * seg
-    # row by row: a count over the merged order differs on ulp-length segments
-    src = np.array([c.searchsorted(m, side="left") for c, m in zip(ca, mid)])
-    dst = np.array([c.searchsorted(m, side="left") for c, m in zip(cb, mid)])
     n = a.shape[1]
-    return np.minimum(src, n - 1), np.minimum(dst, n - 1), seg
+    c = np.cumsum(np.concatenate((a, b), axis=1).reshape(len(a), 2, n), axis=2)
+    c[:, :, -1] = total = c[:, :, -1].min(axis=1, keepdims=True)
+    # nonnegative floats order as their bits; the shift drops the sign bit of
+    # -0.0 and frees the low bit for the side: 0 for a, 1 for b
+    keys = c.reshape(len(a), 2 * n).view(np.uint64)
+    keys <<= 1
+    keys[:, n:] |= 1
+    keys.sort(axis=1)
+    s = np.minimum((keys >> 1).view(np.float64), total)
+    seg = s.copy()
+    seg[:, 1:] -= s[:, :-1]
+    # the cells are the counts of each side's breakpoints before the segment;
+    # they reuse the buffers of the keys and of s, which are spent by now
+    from_b = np.bitwise_and(keys, 1, out=keys).view(np.intp)
+    dst = np.cumsum(from_b, axis=1, out=s.view(np.intp))
+    dst -= from_b
+    src = np.subtract(np.arange(2 * n), dst, out=from_b)
+    return np.minimum(src, n - 1, out=src), np.minimum(dst, n - 1, out=dst), seg
 
 
 def _plans_cost(plans, x: np.ndarray) -> np.ndarray:

@@ -321,6 +321,7 @@ class TestSKTConfig:
             ({"center": (math.inf, 2.0)}, ValueError),
             ({"center": "ab"}, ValueError),
         ],
+        ids=lambda v: ",".join(f"{k}={x!r}" for k, x in v.items()) if isinstance(v, dict) else None,
     )
     def test_invalid_config_rejected(self, kwargs, error):
         # configs are built, never run: a zero step would never advance time

@@ -345,6 +345,65 @@ class TestStackedPlans:
             assert cost[k].tobytes() == _plans_cost(_plans(a[k : k + 1], b[k : k + 1]), x)[0].tobytes()
 
 
+def assert_exact_attribution(a, b):
+    """Each row of _plans(a, b) has the gaps of the merged cumulative masses
+    (clipped to the smaller total) as segments, and each positive segment lies
+    inside the cumulative interval of its src cell in a and its dst cell in b."""
+    src, dst, seg = _plans(a, b)
+    n = a.shape[1]
+    assert src.min() >= 0 and dst.min() >= 0 and src.max() < n and dst.max() < n
+    for k in range(len(a)):
+        ca, cb = np.cumsum(a[k]), np.cumsum(b[k])
+        total = min(ca[-1], cb[-1])
+        ca[-1] = cb[-1] = total
+        hi = np.minimum(np.sort(np.concatenate((ca, cb))), total)
+        lo = np.concatenate(([0.0], hi[:-1]))
+        assert np.array_equal(seg[k], hi - lo)
+        pos = seg[k] > 0.0
+        for c, cells in ((ca, src[k]), (cb, dst[k])):
+            edges = np.concatenate(([0.0], c))
+            assert np.all(edges[cells[pos]] <= lo[pos]) and np.all(hi[pos] <= edges[cells[pos] + 1])
+
+
+def _hand_built_rows():
+    """(a, b) cell-mass rows at the edge cases of the merged-order attribution."""
+    ca = np.array([0.5, 0.75, 0.875, 0.9375, 0.96875, 1.0])
+    nudge = 2.0**-53 * np.array([[1.0, -1.0, 1.0, 0.0, -1.0, 0.0], [-1.0, 1.0, -1.0, 0.0, 1.0, 0.0]])
+    short = np.array([[0.25, 0.25, 0.5, 0.0, 0.0], [0.5, 0.25, 0.25, 0.0, 0.0]])
+    off = np.zeros_like(short)
+    off[:, 2] = -(2.0**-53), 2.0**-52  # totals 1 - 2^-53 and 1 + 2^-52
+    signed = np.array([[-0.0, 0.25, -0.0, 0.25, 0.5, -0.0], [0.5, -0.0, -0.0, 0.0, 0.5, -0.0]])
+    runs = np.array([[0.2, 0.0, 0.0, 0.3, 0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.4, 0.0, 0.0, 0.0, 0.6, 0.0]])
+    return {
+        # b's cumulative masses one ulp off a's at four breakpoints; dyadic, so the sums are exact
+        "ulp_segments": (np.diff(np.tile(ca, (2, 1)), prepend=0.0), np.diff(ca + nudge, prepend=0.0)),
+        # the zero last cells repeat the larger total, which exceeds the smaller one
+        "totals_an_ulp_apart": (short, short + off),
+        "negative_zeros": (signed, signed[:, ::-1].copy()),
+        "zero_runs": (runs, runs[::-1].copy()),
+        "disjoint_supports": (np.eye(2, 8, 0) + np.eye(2, 8, 1), np.eye(2, 8, 6) + np.eye(2, 8, 5)),
+    }
+
+
+HAND_BUILT_ROWS = _hand_built_rows()
+
+
+class TestExactAttribution:
+    @pytest.mark.parametrize("a, b", HAND_BUILT_ROWS.values(), ids=HAND_BUILT_ROWS.keys())
+    def test_hand_built_rows(self, a, b):
+        assert_exact_attribution(a, b)
+        assert_exact_attribution(b, a)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(stacked_histogram_pairs(), st.integers(0, 3), st.booleans())
+    def test_positive_segments_lie_in_their_cells(self, stacked, nudge, lighter):
+        a, b, _ = stacked
+        if nudge:  # b becomes a with every nudge-th cell one ulp heavier or lighter
+            b = a.copy()
+            b[:, ::nudge] = np.nextafter(b[:, ::nudge], 0.0 if lighter else np.inf)
+        assert_exact_attribution(a, b)
+
+
 def _inverse_cdf_reference(v, m, side):
     """Reference: one species' inverse CDF at the levels m, written out whole."""
     grid = v.grid
