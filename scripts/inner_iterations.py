@@ -21,30 +21,39 @@ import tempfile
 from pathlib import Path
 from statistics import fmean
 
+import numpy as np
 from cli_digest import SOURCE, archive_source, tree_env
 
-# label: (species phase shifts, cells, tau, eps, steps); coupling I + 1 1^T
+
+def _cosines(*shifts):
+    return lambda x: [1.0 + 0.25 * np.cos(np.pi * (x + s)) for s in shifts]
+
+
+def _gaussians(*centers, var=0.01):
+    return lambda x: [np.exp(-0.5 * (x - c) ** 2 / var) for c in centers]
+
+
+# label: (unnormalized species profiles at the cell centers, cells, tau, eps, steps); coupling I + 1 1^T
 CASES = {
-    "pair128": ((0.0, 1.0), 128, 1e-3, 1e-3, 3),  # the parabolic_cross pair
-    "stiff96": ((0.0, 1.0), 96, 5e-2, 5e-4, 1),
-    "triple64": ((0.0, 2.0 / 3.0, 4.0 / 3.0), 64, 5e-3, 2e-3, 2),
+    "pair128": (_cosines(0.0, 1.0), 128, 1e-3, 1e-3, 3),  # the parabolic_cross pair
+    "stiff96": (_cosines(0.0, 1.0), 96, 5e-2, 5e-4, 1),
+    "triple64": (_cosines(0.0, 2.0 / 3.0, 4.0 / 3.0), 64, 5e-3, 2e-3, 2),
+    # tails that reach the walls: the ghost-tail end rule switches along the run
+    "wall64": (_gaussians(0.35, 0.65), 64, 5e-4, 1e-3, 12),
 }
 
 
 def counts() -> dict:
     """{label: {solver: [inner iterations of each step]}} of the btflow that imports."""
-    import numpy as np
-
     from btflow.energies import CouplingMatrix
     from btflow.jko import jko_step_entropic, jko_step_lagrangian
     from btflow.measures import DensityVector, Grid1D, normalize
 
     out = {}
-    for label, (shifts, n, tau, eps, steps) in CASES.items():
+    for label, (profiles, n, tau, eps, steps) in CASES.items():
         grid = Grid1D(n, 0.0, 1.0)
-        x = grid.centers()
-        u0 = DensityVector.from_species([normalize(1.0 + 0.25 * np.cos(np.pi * (x + s)), grid) for s in shifts])
-        a = CouplingMatrix(np.eye(len(shifts)) + 1.0)
+        u0 = DensityVector.from_species([normalize(raw, grid) for raw in profiles(grid.centers())])
+        a = CouplingMatrix(np.eye(u0.n_species) + 1.0)
         solvers = {"lagrangian": lambda u: jko_step_lagrangian(u, a, tau), "entropic": lambda u: jko_step_entropic(u, a, tau, eps)}
         out[label] = {}
         for name, step in solvers.items():

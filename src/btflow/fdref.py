@@ -176,7 +176,10 @@ def step_bt4_fd(u: DensityVector, a: CouplingMatrix, dt: float) -> DensityVector
 
 
 def run_bt_fd(u0: DensityVector, a: CouplingMatrix, t_final: float) -> DensityVector:
-    """Advance the second-order reference to t_final with automatic dt."""
+    """Advance the second-order reference to t_final with automatic dt.
+
+    Raises RuntimeError when MAX_STEPS steps do not reach t_final.
+    """
     vals = u0.values.copy()
     grid = u0.grid
     t = 0.0
@@ -188,7 +191,7 @@ def run_bt_fd(u0: DensityVector, a: CouplingMatrix, t_final: float) -> DensityVe
         dt = min(SAFETY * 0.5 * grid.h**2 / max(pmax, 1e-30), t_final - t)
         vals = vals + dt * _bt_flux_divergence(vals, p, grid.h)
         t += dt
-    else:
+    if t < t_final:
         raise RuntimeError("reference run exceeded the step budget")
     return DensityVector(grid, vals)
 

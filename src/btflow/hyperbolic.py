@@ -288,7 +288,11 @@ def run_hyperbolic(
     Records per step: TV(p), TV(r_i), W2 increments of u and p; ``meta``
     carries the step count and the smallest and largest step.  Asserts TV
     monotonicity for both fields and, for the transport scheme, the
-    sqrt(N)-metric-speed bound, when ``strict``.  The TV(r_i)
+    sqrt(N)-metric-speed bound, when ``strict``.  For the transport scheme
+    that bound is an identity, W2(u^k, u^{k+1}) = sqrt(N) W2(p_k, p_{k+1}) up
+    to rounding: each species' push along the monotone pressure plan is
+    monotone, so optimal, and the pushes' costs sum to N W2(p_k, p_{k+1})^2
+    as the species average equals p_k (see check_metric_speed).  The TV(r_i)
     series of both schemes read the fractions of the splitting flux, which
     the transported species match within about 1e-11 in L1.  Their own
     u_i / (N p) is plan rounding where p is near 1e-12 (0.86 for a pure

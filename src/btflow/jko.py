@@ -6,13 +6,15 @@ independent inner solvers:
 * ``jko_step_lagrangian`` works on per-species quantile maps, where the W2
   term is a diagonal quadratic and the energy gradient is assembled through
   the exact adjoint of the deposition operator, for all species and slabs in
-  one vector pass.  The descent is monotone FISTA with adaptive restart over
-  the monotone maps in the box (pool-adjacent-violators projection), scaled
-  by a per-step metric: the per-species tridiagonal part of the energy
-  Hessian at the step's start, read from finite-difference gradient probes,
-  plus the prox curvature.  Where that model fails, the step restarts once
-  in the Euclidean metric.  Its accepted iterates never raise the objective,
-  so the per-step energy inequality holds, and it reports convergence only
+  one vector pass.  The deposition, its adjoint and their shared ghost-tail
+  end rule live in ``measures``; this module holds the descent.  It is
+  monotone FISTA with adaptive restart over the monotone maps in the box
+  (pool-adjacent-violators projection), scaled by a per-step metric: the
+  per-species tridiagonal part of the energy Hessian at the step's start,
+  read from finite-difference gradient probes, plus the prox curvature.
+  Where that model fails, the step restarts once in the Euclidean metric.
+  Its accepted iterates never raise the objective, so the per-step energy
+  inequality holds, and it reports convergence only
   when the Euclidean projected-gradient mapping falls to TOL_STATIONARITY
   times the energy gradient at the step's start, within MAX_ITERATIONS
   iterations.  Both are module constants, read at each call.  Grid edges
@@ -67,7 +69,8 @@ from .errors import (
     NotPositiveDefinite,
     ScalingOverflow,
 )
-from .measures import DensityVector, Grid1D, _deposit_all, _require_count, _require_positive, to_quantiles
+from .measures import DensityVector, Grid1D, _deposit_all, _energy_position_gradient, to_quantiles
+from .measures import _require_count, _require_positive
 from .transport1d import kantorovich_potential_1d, w2_product
 
 STEP_FLOOR = 2.0**-60  # the descent gives up when its step falls below this * tau * L
@@ -187,93 +190,6 @@ def _pressure_symmetric(values: np.ndarray, diag: np.ndarray, off: np.ndarray) -
     return diag[:, None] * values + off @ values
 
 
-def _energy_position_gradient(
-    positions: np.ndarray, sensitivity: np.ndarray, grid: Grid1D, inner_edges: np.ndarray
-) -> np.ndarray:
-    """Adjoint of the slab deposition: dE/dX for each species.
-
-    For a slab of mass q spread over (a, b), dE/da = q (A b - B) / (b - a)^2
-    and dE/db = q (B - A a) / (b - a)^2, where A and B are the sums of the
-    sensitivity jumps (and position-weighted jumps) at the grid edges strictly
-    inside the slab (``inner_edges``, the grid's edges without the two ends).
-    The two half-mass extension slabs attached at the ends of the quantile
-    map enter through the chain rule of their ghost knots.  Degenerate slabs
-    sit inside one cell and contribute a locally flat energy, hence zero
-    gradient.
-
-    The slabs of all species go through one vector pass, with each species'
-    four candidate ghost slabs appended to its row: (2X0-X1, 1.5X0-0.5X1)
-    and (1.5X0-0.5X1, X0) at the front, their mirror images at the end.  An
-    end next to the wall uses only the ghost slab that touches its end
-    position, with the ghost knot clipped to the wall.
-    """
-    n_species, n_levels = positions.shape
-    grad = np.zeros_like(positions)
-    if n_levels == 1:
-        return grad
-    q = 1.0 / n_levels
-    tiny = 1e-13 * max(1.0, grid.length)
-    x_min, x_max = grid.x_min, grid.x_max
-
-    jumps = sensitivity[:, 1:] - sensitivity[:, :-1]
-    s0 = np.zeros(sensitivity.shape)
-    s1 = np.zeros(sensitivity.shape)
-    np.cumsum(jumps, axis=1, out=s0[:, 1:])
-    np.cumsum(jumps * inner_edges, axis=1, out=s1[:, 1:])
-
-    x0, xl = positions[:, 0], positions[:, -1]
-    gap0 = positions[:, 1] - x0
-    gap1 = xl - positions[:, -2]
-    f1, f2 = x0 - gap0, x0 - 0.5 * gap0  # front ghost knots
-    e2, e1 = xl + 0.5 * gap1, xl + gap1  # end ghost knots
-    f2_wall = np.where(x_min > f2, x_min, f2)  # max(f2, x_min)
-    e2_wall = np.where(x_max < e2, x_max, e2)  # min(e2, x_max)
-    a = np.column_stack((positions[:, :-1], f1, f2_wall, xl, e2))
-    b = np.column_stack((positions[:, 1:], f2, x0, e2_wall, e1))
-
-    width = b - a
-    lo = np.searchsorted(inner_edges, a, side="right")
-    hi = np.searchsorted(inner_edges, b, side="left")
-    rows = np.arange(n_species)[:, None]
-    jump_sum = s0[rows, hi] - s0[rows, lo]
-    jump_mom = s1[rows, hi] - s1[rows, lo]
-    ok = width > tiny
-    width_sq = width**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ga = np.where(ok, (jump_sum * b - jump_mom) / width_sq, 0.0)
-        gb = np.where(ok, (jump_mom - jump_sum * a) / width_sq, 0.0)
-
-    m = n_levels - 1
-    grad[:, :-1] += q * ga[:, :m]
-    grad[:, 1:] += q * gb[:, :m]
-    ends = zip(ga[:, m:].tolist(), gb[:, m:].tolist(), f1.tolist(), f2.tolist(), e2.tolist(), e1.tolist())
-    for i, (ghost_a, ghost_b, f1_i, f2_i, e2_i, e1_i) in enumerate(ends):
-        ga1, ga2, ga3, ga4 = ghost_a
-        gb1, gb2, gb3, gb4 = ghost_b
-        if f1_i > x_min:
-            # interior front, quadratic tail: ghosts 2X0-X1 and
-            # 1.5X0-0.5X1 carrying mass q/8 and 3q/8
-            grad[i, 0] += (q / 8.0) * (2.0 * ga1 + 1.5 * gb1)
-            grad[i, 1] += (q / 8.0) * (-ga1 - 0.5 * gb1)
-            grad[i, 0] += (3.0 * q / 8.0) * (1.5 * ga2 + gb2)
-            grad[i, 1] += (3.0 * q / 8.0) * (-0.5 * ga2)
-        else:
-            # wall-adjacent, constant-density extension at half gap
-            c = 0.0 if f2_i <= x_min else 1.0  # clipped knots stop moving
-            grad[i, 0] += 0.5 * q * (1.5 * c * ga2 + gb2)
-            grad[i, 1] += 0.5 * q * (-0.5 * c * ga2)
-        if e1_i < x_max:
-            grad[i, -1] += (3.0 * q / 8.0) * (ga3 + 1.5 * gb3)
-            grad[i, -2] += (3.0 * q / 8.0) * (-0.5 * gb3)
-            grad[i, -1] += (q / 8.0) * (1.5 * ga4 + 2.0 * gb4)
-            grad[i, -2] += (q / 8.0) * (-0.5 * ga4 - gb4)
-        else:
-            c = 0.0 if e2_i >= x_max else 1.0
-            grad[i, -1] += 0.5 * q * (ga3 + 1.5 * c * gb3)
-            grad[i, -2] += 0.5 * q * (-0.5 * c * gb3)
-    return grad
-
-
 @dataclass
 class _LagrangianResult:
     positions: np.ndarray
@@ -319,13 +235,13 @@ class _Quadrature:
 
     def deposit(self, x: np.ndarray) -> np.ndarray:
         """Densities of the quantile positions x on the solution grid."""
-        return _deposit_all(x, self.edges, self.grid.h)
+        return _deposit_all(x, self.grid, self.edges)
 
     def densities(self, x: np.ndarray) -> tuple:
         """One evaluation of the positions x: fine densities and pressures, and
         the solution-grid densities when the Dirichlet term is on.  Both the
         energy and its gradient are read from it."""
-        fine = _deposit_all(x, self.fine_edges, self.fine.h)
+        fine = _deposit_all(x, self.fine, self.fine_edges)
         sens = _pressure_symmetric(fine, self.diag, self.off)
         return fine, sens, self.deposit(x) if self.dirichlet else None
 

@@ -5,6 +5,12 @@ conserve mass exactly.  The cumulative distribution of a density is piecewise
 linear; `to_quantiles` inverts it exactly at uniform mass levels, and
 `to_density` is the adjoint deposition that spreads each inter-level mass
 uniformly between consecutive quantile positions.
+
+The slab deposition of quantile rows (`_deposit_all`) and its adjoint, the
+position gradient of an energy of the deposited densities
+(`_energy_position_gradient`, which the Lagrangian JKO solver descends
+with), live here side by side.  Both take the end half-levels from one rule,
+`_ghost_ends`, and both test the walls at the grid's x_min and x_max.
 """
 
 from __future__ import annotations
@@ -272,27 +278,49 @@ def _inverse_cdf(density: Density, cum: np.ndarray, m: np.ndarray, side: str) ->
     return np.maximum.accumulate(np.clip(left + frac, grid.x_min, grid.x_max))
 
 
-def _deposit_all(positions: np.ndarray, edges: np.ndarray, h: float) -> np.ndarray:
-    """Densities (N, n) of the slab deposition of quantile positions (N, L).
+def _ghost_ends(x0: float, x1: float, x_pen: float, x_last: float, lo: float, hi: float, q: float):
+    """The ghost tails of one quantile row X_0 <= ... <= X_L on the walls [lo, hi], levels of mass q.
+
+    Each end half-level extends over the leading gap.  At an interior end,
+    whose outer ghost knot 2X_0 - X_1 (2X_L - X_{L-1}) lies inside the walls,
+    the ghost knots one gap and half a gap out bound slabs of mass q/8 and
+    3q/8, which trace the quadratic tail of a density vanishing linearly
+    and keep reconstructed fronts free of spurious cliffs.  At an end whose
+    tail would leave the domain the outer slab is empty and the inner one
+    holds q/2 at constant density, which reproduces a wall-touching uniform
+    profile exactly; its inner knot is clipped to the wall, where it stops
+    moving with the row.
+
+    Returns the knots (F1, F2, E2, E1) in row order, the masses of the slabs
+    (F1, F2), (F2, X_0), (X_L, E2), (E2, E1), and whether F2 and E2 move with
+    the row (1.0) or sit clipped at the wall (0.0).
+    """
+    gap0, gap1 = x1 - x0, x_last - x_pen
+    f1, f2 = x0 - gap0, x0 - 0.5 * gap0
+    e2, e1 = x_last + 0.5 * gap1, x_last + gap1
+    # (outer, inner) slab masses of an interior and of a wall end
+    tail, wall = (q / 8.0, 3.0 * q / 8.0), (0.0, 0.5 * q)
+    front, end = (tail if f1 > lo else wall), (tail if e1 < hi else wall)
+    return (f1, max(lo, f2), min(hi, e2), e1), front + end[::-1], (float(f2 > lo), float(e2 < hi))
+
+
+def _deposit_all(positions: np.ndarray, grid: Grid1D, edges: np.ndarray) -> np.ndarray:
+    """Densities (N, n) of the slab deposition of quantile positions (N, L)
+    on the grid, whose ``edges`` the caller holds.
 
     Mass 1/L sits between consecutive positions, spread uniformly, so the
-    cumulative mass interpolates (X_l, (l+1/2)/L) linearly.  Each end
-    half-level extends over the leading gap: at an interior support edge two
-    ghost knots trace the quadratic tail of a density vanishing linearly
-    (keeping reconstructed fronts free of spurious cliffs), while an end
-    whose tail would leave the domain extends at constant density instead,
-    which reproduces a wall-touching uniform profile exactly (its outer ghost
-    knot stays, at level 0 or 1, so every row has L + 4 knots).  Total mass
-    is exact either way.  Fully degenerate maps deposit into one cell.  The
-    rows share the knot buffer and the level ramp, so the work per row is
-    four scalar ghost knots and one ``np.interp``, whose levels 0 before the
+    cumulative mass interpolates (X_l, (l+1/2)/L) linearly, and the end
+    half-levels follow the ghost tails of _ghost_ends (an outer ghost knot
+    stays, at level 0 or 1, when its slab is empty, so every row has L + 4
+    knots).  Total mass is exact.  Fully degenerate maps deposit into one
+    cell.  The rows share the knot buffer and the level ramp, so the work per
+    row is its ghost ends and one ``np.interp``, whose levels 0 before the
     first knot and 1 from the last one on are the deposition's own.
     """
     n_species, n_levels = positions.shape
     if n_levels == 1:
         cdf = np.where(edges >= positions, 1.0, 0.0)
     else:
-        lo, hi = float(edges[0]), float(edges[-1])
         q = 1.0 / n_levels
         knots = np.empty((n_species, n_levels + 4))
         knots[:, 2:-2] = positions
@@ -300,18 +328,81 @@ def _deposit_all(positions: np.ndarray, edges: np.ndarray, h: float) -> np.ndarr
         levels[2:-2] = (np.arange(n_levels) + 0.5) / n_levels
         levels[0], levels[-1] = 0.0, 1.0
         cdf = np.empty((n_species, edges.size))
-        for i, (x0, x1, xm, xl) in enumerate(positions[:, [0, 1, -2, -1]].tolist()):
-            gap0, gap1 = x1 - x0, xl - xm
-            front, end = x0 - gap0 > lo, xl + gap1 < hi  # interior ends
-            f2, e2 = max(lo, x0 - 0.5 * gap0), min(hi, xl + 0.5 * gap1)
-            knots[i, :2] = (x0 - gap0, f2)
-            knots[i, -2:] = (e2, xl + gap1)
-            levels[1] = q / 8.0 if front else 0.0
-            levels[-2] = 1.0 - q / 8.0 if end else 1.0
+        for i, row in enumerate(positions[:, [0, 1, -2, -1]].tolist()):
+            (f1, f2, e2, e1), (m_front, _, _, m_end), _ = _ghost_ends(*row, grid.x_min, grid.x_max, q)
+            knots[i, :2] = (f1, f2)
+            knots[i, -2:] = (e2, e1)
+            levels[1], levels[-2] = m_front, 1.0 - m_end
             cdf[i] = np.interp(edges, knots[i], levels)
     cdf[:, 0] = 0.0
     cdf[:, -1] = 1.0
-    return (cdf[:, 1:] - cdf[:, :-1]) / h
+    return (cdf[:, 1:] - cdf[:, :-1]) / grid.h
+
+
+def _energy_position_gradient(
+    positions: np.ndarray, sensitivity: np.ndarray, grid: Grid1D, inner_edges: np.ndarray
+) -> np.ndarray:
+    """Adjoint of _deposit_all: dE/dX for each species, where the sensitivity
+    (N, n) is dE/du on the grid.
+
+    For a slab of mass q spread over (a, b), dE/da = q (A b - B) / (b - a)^2
+    and dE/db = q (B - A a) / (b - a)^2, where A and B are the sums of the
+    sensitivity jumps (and position-weighted jumps) at the grid edges strictly
+    inside the slab (``inner_edges``, the grid's edges without the two ends).
+    Degenerate slabs sit inside one cell and contribute a locally flat
+    energy, hence zero gradient.
+
+    The slabs of all species go through one vector pass, with each species'
+    four ghost slabs of _ghost_ends appended to its row.  Their masses and
+    the clip flags of the inner ghost knots carry the end rule into the chain
+    rule of the knots F1 = 2X_0 - X_1, F2 = 1.5X_0 - 0.5X_1 and their mirror
+    images, so every end takes the same branch-free update.
+    """
+    n_species, n_levels = positions.shape
+    grad = np.zeros_like(positions)
+    if n_levels == 1:
+        return grad
+    q = 1.0 / n_levels
+    tiny = 1e-13 * max(1.0, grid.length)
+
+    jumps = sensitivity[:, 1:] - sensitivity[:, :-1]
+    s0 = np.zeros(sensitivity.shape)
+    s1 = np.zeros(sensitivity.shape)
+    np.cumsum(jumps, axis=1, out=s0[:, 1:])
+    np.cumsum(jumps * inner_edges, axis=1, out=s1[:, 1:])
+
+    ends = [_ghost_ends(*row, grid.x_min, grid.x_max, q) for row in positions[:, [0, 1, -2, -1]].tolist()]
+    f1, f2, e2, e1 = np.array([knots for knots, _, _ in ends]).T
+    a = np.column_stack((positions[:, :-1], f1, f2, positions[:, -1], e2))
+    b = np.column_stack((positions[:, 1:], f2, positions[:, 0], e2, e1))
+
+    width = b - a
+    lo = np.searchsorted(inner_edges, a, side="right")
+    hi = np.searchsorted(inner_edges, b, side="left")
+    rows = np.arange(n_species)[:, None]
+    jump_sum = s0[rows, hi] - s0[rows, lo]
+    jump_mom = s1[rows, hi] - s1[rows, lo]
+    ok = width > tiny
+    width_sq = width**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ga = np.where(ok, (jump_sum * b - jump_mom) / width_sq, 0.0)
+        gb = np.where(ok, (jump_mom - jump_sum * a) / width_sq, 0.0)
+
+    m = n_levels - 1
+    grad[:, :-1] += q * ga[:, :m]
+    grad[:, 1:] += q * gb[:, :m]
+    ghosts = zip(ga[:, m:].tolist(), gb[:, m:].tolist(), ends)
+    for i, ((ga1, ga2, ga3, ga4), (gb1, gb2, gb3, gb4), (_, (m1, m2, m3, m4), (c0, c1))) in enumerate(ghosts):
+        # the ghost slabs add in turn (front: outer, inner; end: inner, outer), which fixes the rounding
+        g0 = grad[i, 0] + m1 * (2.0 * ga1 + 1.5 * c0 * gb1)
+        g1 = grad[i, 1] + m1 * (-ga1 - 0.5 * c0 * gb1)
+        grad[i, 0] = g0 + m2 * (1.5 * c0 * ga2 + gb2)
+        grad[i, 1] = g1 + m2 * (-0.5 * c0 * ga2)
+        g_last = grad[i, -1] + m3 * (ga3 + 1.5 * c1 * gb3)
+        g_pen = grad[i, -2] + m3 * (-0.5 * c1 * gb3)
+        grad[i, -1] = g_last + m4 * (1.5 * c1 * ga4 + 2.0 * gb4)
+        grad[i, -2] = g_pen + m4 * (-0.5 * c1 * ga4 - gb4)
+    return grad
 
 
 def to_density(q: QuantileMap, grid: Grid1D) -> Density:
@@ -321,7 +412,7 @@ def to_density(q: QuantileMap, grid: Grid1D) -> Density:
     if pos[0] < grid.x_min - slack or pos[-1] > grid.x_max + slack:
         raise OutOfDomain("quantile positions lie outside the grid interval")
     pos = np.clip(pos, grid.x_min, grid.x_max)
-    return Density(grid, _deposit_all(pos[None, :], grid.edges(), grid.h)[0])
+    return Density(grid, _deposit_all(pos[None, :], grid, grid.edges())[0])
 
 
 def pushforward_1d(density: Density, displacement: np.ndarray) -> Density:

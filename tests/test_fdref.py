@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import btflow.fdref as fdref_module
 from btflow.energies import CouplingMatrix
 from btflow.errors import CFLViolation, DimensionMismatch, NonpositiveTime
 from btflow.fdref import (
@@ -22,6 +23,7 @@ from btflow.fdref import (
     step_bt_fd,
 )
 from btflow.measures import Density, DensityVector, Grid1D, mass, normalize
+from conftest import smooth_pair
 
 T0 = barenblatt_peak_time()
 
@@ -158,6 +160,20 @@ class TestStepBtFd:
         e64, e128, e256 = err(64), err(128), err(256)
         assert e64 / e128 >= 1.8
         assert e128 / e256 >= 1.8
+
+    def test_step_budget_admits_a_run_that_needs_all_of_it(self, pd_matrix, monkeypatch):
+        u0 = smooth_pair(16)
+        steps = []
+        flux = fdref_module._bt_flux_divergence
+        monkeypatch.setattr(fdref_module, "_bt_flux_divergence", lambda *args: steps.append(1) or flux(*args))
+        full = run_bt_fd(u0, pd_matrix, 1e-2)
+        needed = len(steps)
+        assert needed > 1
+        monkeypatch.setattr(fdref_module, "MAX_STEPS", needed)
+        np.testing.assert_array_equal(run_bt_fd(u0, pd_matrix, 1e-2).values, full.values)
+        monkeypatch.setattr(fdref_module, "MAX_STEPS", needed - 1)
+        with pytest.raises(RuntimeError, match="step budget"):
+            run_bt_fd(u0, pd_matrix, 1e-2)
 
     def test_identity_coupling_decouples_exactly(self):
         rng = np.random.default_rng(1)

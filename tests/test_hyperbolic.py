@@ -248,6 +248,23 @@ class TestRunHyperbolic:
         names = {c.name for c in run.record.checks}
         assert "metric_speed" in names
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_metric_speed_is_an_identity_for_the_plan_transport(self, seed):
+        # each species' push along the monotone pressure plan is itself monotone, so
+        # optimal, and with the species average equal to p the pushes' costs sum to
+        # N W2(p)^2.  A plan segment's mass is a difference of cumulative masses near 1,
+        # off by about eps, and below the CFL bound it moves at most one cell, so the
+        # 2n segments of each of the N species' and N pressure costs bound the rounding.
+        n, n_species = 96, 3
+        g = Grid1D(n, 0.0, 1.0)
+        rng = np.random.default_rng(seed)
+        u0 = DensityVector.from_species([normalize(rng.uniform(0.0, 1.0, n), g) for _ in range(n_species)])
+        run = run_hyperbolic(u0, "pressure_transport", t_final=0.01)
+        w2_u, w2_p = run.record.w2_increments, run.record.meta["pressure_increments"]
+        assert run.record.meta["steps"] > 300
+        gap = np.abs(w2_u**2 - n_species * w2_p**2)
+        assert gap.max() <= 4 * n_species * n * np.finfo(float).eps * g.h**2
+
     def test_transported_species_hold_unit_mass_at_every_step(self):
         # two 69-cell blocks 34 cells apart on 256 cells: about 8,000 plan pushes
         g = Grid1D(256, 0.0, 1.0)

@@ -14,7 +14,6 @@ from btflow.jko import (
     STEP_GROWTH,
     JKOSchedule,
     _dot,
-    _energy_position_gradient,
     _lagrangian_minimize,
     _LagrangianResult,
     _project_monotone,
@@ -30,7 +29,7 @@ from btflow.jko import (
     pool_adjacent_violators,
     run_jko,
 )
-from btflow.measures import DensityVector, Grid1D, _deposit_all, normalize, to_quantiles
+from btflow.measures import DensityVector, Grid1D, _deposit_all, _energy_position_gradient, normalize, to_quantiles
 from btflow.transport1d import w2_exact, w2_product
 from conftest import smooth_pair
 
@@ -439,6 +438,15 @@ def _gradient_per_species(positions, sensitivity, grid):
 END_KINDS = ("interior", "wall", "clipped")
 
 
+def _last_edge_row(grid):
+    """A quantile row whose outer end ghost knot 2X_L - X_{L-1} lands exactly on the
+    grid's last edge, which on Grid1D(49, 0, 1) falls 1.1e-16 short of the wall."""
+    last = grid.edges()[-1]
+    x = np.concatenate((np.linspace(0.3, 0.6, 8), last - np.array([0.125, 0.0625])))
+    assert last < grid.x_max and x[-1] + (x[-1] - x[-2]) == last
+    return x
+
+
 @st.composite
 def slab_states(draw):
     """Quantile positions of 1-3 species, each end interior, wall-adjacent or
@@ -486,6 +494,21 @@ class TestFusedGradient:
         sens = np.random.default_rng(3).normal(size=(2, 16))
         fused = _energy_position_gradient(positions, sens, grid, grid.edges()[1:-1])
         assert np.array_equal(fused, _gradient_per_species(positions, sens, grid))
+
+    def test_end_knot_on_the_last_edge(self):
+        grid = Grid1D(49, 0.0, 1.0)
+        edges = grid.edges()
+        x = _last_edge_row(grid)
+        positions = np.stack([x, 0.5 * x + 0.25])
+        sens = np.random.default_rng(4).normal(size=(2, 49))
+        fused = _energy_position_gradient(positions, sens, grid, edges[1:-1])
+        assert np.array_equal(fused, _gradient_per_species(positions, sens, grid))
+        # the gradient is the derivative of the energy of the deposit, whose end
+        # rule is the same: moving X_L inward keeps the end interior
+        inward = positions.copy()
+        inward[0, -1] -= 1e-7
+        energy_drop = grid.h * np.sum(sens * (_deposit_all(positions, grid, edges) - _deposit_all(inward, grid, edges)))
+        assert energy_drop / 1e-7 == pytest.approx(fused[0, -1], rel=1e-4)
 
 
 class TestProxNewton:
@@ -548,11 +571,12 @@ class TestEntropicConvergence:
         assert record.meta["inner_converged"] is True
 
 
-def _deposit_cdf(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Reference: the cumulative slab deposition of one species at the edges."""
+def _deposit_cdf(positions: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Reference: the cumulative slab deposition of one species at the grid's edges."""
     L = positions.size
     mlev = (np.arange(L) + 0.5) / L
-    lo, hi = edges[0], edges[-1]
+    edges = grid.edges()
+    lo, hi = grid.x_min, grid.x_max
     if L > 1:
         q = 1.0 / L
         gap0 = positions[1] - positions[0]
@@ -615,11 +639,17 @@ class TestDepositAll:
     @given(deposit_states())
     def test_matches_per_species_deposition(self, state):
         positions, grid = state
-        edges = grid.edges()
-        cdf = np.stack([_deposit_cdf(row, edges) for row in positions])
-        # with h = 1 the deposition returns the mass between consecutive edges
-        batched = _deposit_all(positions, edges, 1.0)
+        cdf = np.stack([_deposit_cdf(row, grid) for row in positions])
+        # h times the density is the mass between consecutive edges
+        batched = grid.h * _deposit_all(positions, grid, grid.edges())
         assert np.abs(batched - (cdf[:, 1:] - cdf[:, :-1])).max() <= 1e-15
+
+    def test_end_knot_on_the_last_edge(self):
+        # the end is interior: its outer knot lies inside the wall, on the last edge
+        grid = Grid1D(49, 0.0, 1.0)
+        x = _last_edge_row(grid)
+        batched = grid.h * _deposit_all(x[None], grid, grid.edges())[0]
+        assert np.abs(batched - np.diff(_deposit_cdf(x, grid))).max() <= 1e-15
 
 
 @st.composite
