@@ -4,9 +4,10 @@ Runs ``btflow run`` on one fixed tiny config per case (every scenario, and a
 second case where a scenario has another solver, variant or preset worth
 covering) in a subprocess with ``PYTHONPATH`` set to a source tree, and
 prints one digest per case over the exit code, stdout, stderr and every
-output file.  With ``--base REV`` it also runs the same configs on
-``git archive REV src`` in a temporary directory and names each case whose
-digest differs.  It exits 0 either way: a change may alter outputs on purpose.
+output file, with the exit code beside it.  With ``--base REV`` it also runs
+the same configs on ``git archive REV src`` in a temporary directory and
+names each case whose digest differs, and each whose exit code changed.  It
+exits 0 either way: a change may alter outputs on purpose.
 
     python scripts/cli_digest.py
     python scripts/cli_digest.py --base origin/main
@@ -82,8 +83,9 @@ def archive_source(rev: str, dest: str) -> Path:
     return Path(dest) / SOURCE
 
 
-def digest(env: dict, config: dict) -> str:
-    """SHA-256 over the exit code, stdout, stderr and output files of one CLI run in the environment env."""
+def digest(env: dict, config: dict) -> tuple[int, str]:
+    """The exit code of one CLI run in the environment env, and the SHA-256 over
+    that code, stdout, stderr and the output files."""
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "config.json").write_text(json.dumps(config))
         proc = subprocess.run(
@@ -95,7 +97,7 @@ def digest(env: dict, config: dict) -> str:
         for name, data in [("stdout", proc.stdout), ("stderr", proc.stderr)] + [(p.name, p.read_bytes()) for p in files]:
             sha.update(f"{name} {len(data)}\n".encode())
             sha.update(data)
-        return sha.hexdigest()
+        return proc.returncode, sha.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -104,13 +106,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     env = tree_env(Path(SOURCE))
     digests = {label: digest(env, config) for label, config in CASES.items()}
-    for label, sha in digests.items():
-        print(f"{sha}  {label}")
+    for label, (code, sha) in digests.items():
+        print(f"{sha}  exit {code}  {label}")
     if args.base:
         with tempfile.TemporaryDirectory() as tmp:
             env = tree_env(archive_source(args.base, tmp))
-            differ = [label for label, config in CASES.items() if digest(env, config) != digests[label]]
+            base = {label: digest(env, config) for label, config in CASES.items()}
+        differ = [label for label in CASES if base[label] != digests[label]]
         print(f"{len(CASES) - len(differ)} of {len(CASES)} cases match {args.base}; differ: {', '.join(differ) or 'none'}")
+        moved = [f"{label} ({base[label][0]} -> {digests[label][0]})" for label in differ if base[label][0] != digests[label][0]]
+        print(f"exit code changed: {', '.join(moved) or 'none'}")
     return 0
 
 

@@ -166,18 +166,17 @@ def _run_parabolic(cfg: dict, out: Path) -> RunRecord:
     u0 = _initial_from(cfg, grid, a.n_species)
     schedule = _schedule_from(cfg)
     solver = _require(cfg, "solver", dict, {})
+    if "levels" in solver:  # a settable field once; a config that names it would now run at another value
+        raise ConfigInvalid("solver", "levels is fixed at one quantile level per cell")
     try:
         name = _require(solver, "name", str, "lagrangian")
-        levels = _require(solver, "levels", int, None, low=1)
         eps = _require(solver, "eps", float, 1e-3, low=0.0)
     except ConfigInvalid as exc:
         raise ConfigInvalid("solver", str(exc)) from exc
     if name not in ("lagrangian", "entropic"):
         raise ConfigInvalid("solver", f"unknown solver {name!r}")
-    if name == "entropic" and levels is not None:
-        raise ConfigInvalid("solver", "levels applies to the lagrangian solver only")
     snapshots = _require(cfg, "snapshots", [float], [])
-    traj, record = jko.run_jko(u0, a, schedule, solver=name, eps=eps, n_levels=levels, strict=False)
+    traj, record = jko.run_jko(u0, a, schedule, solver=name, eps=eps, strict=False)
     ks = [int(np.argmin(np.abs(record.times - t))) for t in snapshots]
     _check_snapshot_times(record.times[ks].tolist())
     _write_density_csv(out / "final_density.csv", traj[-1])

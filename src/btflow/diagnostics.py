@@ -61,10 +61,6 @@ class RunRecord:
     def taus(self) -> np.ndarray:
         return np.diff(self.times)
 
-    def add_check(self, result: CheckResult) -> CheckResult:
-        self.checks.append(result)
-        return result
-
     def check(self, name: str, value: float, limit: float = 0.0, tolerance: float = 0.0) -> CheckResult:
         """Record ``value <= limit + tolerance``, whose margin is ``limit + tolerance - value``.
 
@@ -72,7 +68,8 @@ class RunRecord:
         and -inf (the largest entry of an empty series) passes with margin inf.
         """
         margin = float(limit) + float(tolerance) - float(value)
-        return self.add_check(CheckResult(name, margin >= 0.0, margin, float(tolerance)))
+        self.checks.append(CheckResult(name, margin >= 0.0, margin, float(tolerance)))
+        return self.checks[-1]
 
     def all_passed(self) -> bool:
         """True when at least one check ran and every check passed."""

@@ -24,9 +24,10 @@ independent inner solvers:
 * ``jko_step_entropic`` solves the epsilon-regularized problem on the
   Eulerian grid by Sinkhorn-type scaling against the Gibbs kernel, with a
   pointwise relative-entropy prox of the frozen-coefficient energy density
-  (safeguarded Newton) for the second marginal.  One loop updates all
-  species, each once per pass against the others' current marginals, and
-  each Newton solve starts from the log of the species' previous marginal.
+  for the second marginal, one monotone Newton solve per cell.  One loop
+  updates all species, each once per pass against the others' current
+  marginals, and each Newton solve starts from the species' previous
+  marginal.
   After each pass, Anderson mixing over the last ANDERSON_DEPTH changes of
   the log scaling vectors extrapolates the plain fixed-point iteration,
   which contracts by only about 0.8 per pass; a mix that would raise the
@@ -70,7 +71,7 @@ from .errors import (
     ScalingOverflow,
 )
 from .measures import DensityVector, Grid1D, _deposit_all, _energy_position_gradient, to_quantiles
-from .measures import _require_count, _require_positive
+from .measures import _require_positive
 from .transport1d import kantorovich_potential_1d, w2_product
 
 STEP_FLOOR = 2.0**-60  # the descent gives up when its step falls below this * tau * L
@@ -84,6 +85,7 @@ SINKHORN_INNER_TOL = 1e-12
 ANDERSON_DEPTH = 5  # residual differences in the scaling loop's least-squares mix
 SINKHORN_INNER_CAP = 100_000  # joint passes; the stiffest test step needs about 750 (7,530 unmixed)
 SUPPORT_THRESHOLD_SCALE = 1e-8  # residual support cut at scale / h
+_LOG_EPS = float(np.log(np.finfo(float).eps))  # below it, log(alpha nu) = l to rounding
 TOL_STATIONARITY = 1e-5  # descent stop, relative to |grad E| at the step's start
 MAX_ITERATIONS = 5000  # descent iterations per Lagrangian step
 
@@ -129,17 +131,6 @@ class JKOStepReport:
     inner_iterations: int
     optimality_residual: float
     converged: bool
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Per-species optimality residuals of one step (see optimality_residual)."""
-
-    values: np.ndarray  # normalized std of phi_i/tau + p_i on the support
-
-    @property
-    def worst(self) -> float:
-        return float(self.values.max())
 
 
 def _require_positive_definite(a: CouplingMatrix):
@@ -208,7 +199,7 @@ def _quadrature_grid(positions: np.ndarray, grid: Grid1D) -> Grid1D:
     removes that staircase; outputs are still deposited on the caller's grid.
     """
     gaps = positions[:, 1:] - positions[:, :-1]
-    min_gap = float(gaps[gaps > 0.0].min()) if np.any(gaps > 0.0) else grid.h
+    min_gap = float(gaps[gaps > 0.0].min())
     target = max(grid.n_cells, int(np.ceil(QUADRATURE_REFINE * grid.length / min_gap)))
     n_fine = min(target, QUADRATURE_CAP)
     if n_fine <= grid.n_cells:
@@ -323,16 +314,16 @@ class _HessianMetric:
     """
 
     def __init__(self, x: np.ndarray, grad_e: np.ndarray, tau: float, quad: _Quadrature):
-        n_species, n_levels = x.shape
+        n_species, levels = x.shape
         gaps = np.diff(x, axis=1)
         delta = HESSIAN_PROBE * float(gaps[gaps > 0.0].min())
         # +delta with room to the right, -delta with room only to the left
         room_right = np.append(gaps > 0.0, x[:, -1:] < quad.grid.x_max, axis=1)
         room_left = np.insert(gaps > 0.0, 0, x[:, 0] > quad.grid.x_min, axis=1)
         move = delta * np.where(room_right, 1.0, np.where(room_left, -1.0, 0.0))
-        color = np.arange(n_levels) % 3
+        color = np.arange(levels) % 3
         # change[i, c]: how species i's gradient moves under its probe c
-        change = np.zeros((n_species, 3, n_levels))
+        change = np.zeros((n_species, 3, levels))
         for i in range(n_species):
             for c in range(3):
                 probe = x.copy()
@@ -340,11 +331,11 @@ class _HessianMetric:
                 g = quad.gradient(probe, quad.densities(probe))
                 change[i, c] = g[i] - grad_e[i]
         scale = np.divide(1.0, move, out=np.zeros_like(move), where=move != 0.0)
-        j = np.arange(n_levels - 1)
-        hess_diag = change[:, color, np.arange(n_levels)] * scale
+        j = np.arange(levels - 1)
+        hess_diag = change[:, color, np.arange(levels)] * scale
         below = change[:, color[:-1], j + 1] * scale[:, :-1]  # H[j + 1, j]
         above = change[:, color[1:], j] * scale[:, 1:]  # H[j, j + 1]
-        weight = tau * n_levels
+        weight = tau * levels
         self.off = 0.5 * weight * (below + above)
         rows = np.pad(np.abs(self.off), ((0, 0), (1, 0))) + np.pad(np.abs(self.off), ((0, 0), (0, 1)))
         self.diag = np.maximum(1.0 + weight * hess_diag, 1.0 + rows)
@@ -370,14 +361,11 @@ def _lagrangian_minimize(
     When that model fails (an accepted step below METRIC_MIN_STEP, a stall,
     or no convergence in METRIC_ITERATIONS), the descent restarts once from
     x_prev in the Euclidean metric M = I / (tau L), with what is left of
-    MAX_ITERATIONS; the reported iterations include the metric's.  A map
-    without a positive gap has no metric and descends in the Euclidean one.
+    MAX_ITERATIONS; the reported iterations include the metric's.
     """
     base = quad.densities(x_prev)
     grad_e = quad.gradient(x_prev, base)
     budget = MAX_ITERATIONS
-    if not np.any(np.diff(x_prev, axis=1) > 0.0):
-        return _descend(x_prev, tau, quad, budget, base, grad_e)[0]
     metric = _HessianMetric(x_prev, grad_e, tau, quad)
     result, failed = _descend(x_prev, tau, quad, budget, base, grad_e, metric)
     if not failed:
@@ -421,10 +409,10 @@ def _descend(
     ``max_iterations`` returns ``converged=False``.  The returned flag says
     that the Hessian metric's model failed.
     """
-    n_levels = x_prev.shape[1]
-    prox_weight = 1.0 / (tau * n_levels)
+    levels = x_prev.shape[1]
+    prox_weight = 1.0 / (tau * levels)
     lo, hi = quad.grid.x_min, quad.grid.x_max
-    max_step = tau * n_levels  # the step is held in Euclidean units, s * tau * L
+    max_step = tau * levels  # the step is held in Euclidean units, s * tau * L
     if metric is None:
         solve, norm_sq, budget = (lambda g: g), (lambda d: _dot(d, d)), max_iterations
     else:
@@ -500,18 +488,15 @@ def _descend(
     return _LagrangianResult(x, iterations, converged, quad.energy(state_x), test_step), failed
 
 
-def _quantile_state(u: DensityVector, n_levels: int) -> np.ndarray:
-    return np.stack(
-        [to_quantiles(u.species(i), n_levels).positions for i in range(u.n_species)]
-    )
+def _quantile_state(u: DensityVector) -> np.ndarray:
+    """The quantile positions of each species of u, one level per cell."""
+    return np.stack([to_quantiles(u.species(i)).positions for i in range(u.n_species)])
 
 
-def _lagrangian_start(u: DensityVector, a: CouplingMatrix, dirichlet: bool, n_levels: int | None = None):
-    """The quantile state x of u at n_levels levels (by default the cell
-    count), the run's quadrature, with the Dirichlet term when ``dirichlet``,
-    and E(x)."""
-    n_levels = u.grid.n_cells if n_levels is None else _require_count("n_levels", n_levels, 1)
-    x = _quantile_state(u, n_levels)
+def _lagrangian_start(u: DensityVector, a: CouplingMatrix, dirichlet: bool):
+    """The quantile state x of u, the run's quadrature, with the Dirichlet
+    term when ``dirichlet``, and E(x)."""
+    x = _quantile_state(u)
     quad = _Quadrature(a, u.grid, _quadrature_grid(x, u.grid), dirichlet)
     return x, quad, quad.energy(quad.densities(x))
 
@@ -530,7 +515,7 @@ def _lagrangian_step(
         energy_before=e_before,
         energy_after=result.energy,
         inner_iterations=result.iterations,
-        optimality_residual=optimality_residual(u_prev, u_next, a, tau).worst,
+        optimality_residual=optimality_residual(u_prev, u_next, a, tau),
         converged=result.converged,
     )
     return result.positions, u_next, report
@@ -556,45 +541,35 @@ def jko_step_lagrangian(
 def _prox_newton(
     xi: np.ndarray, alpha: float, beta: np.ndarray, tol: float, y0: np.ndarray
 ) -> np.ndarray:
-    """Solve log(nu/xi) + alpha*nu + beta = 0 per cell (alpha >= 0).
+    """Solve log(nu/xi) + alpha*nu + beta = 0 per cell (alpha > 0).
 
-    Solved as y + alpha*e^y = c in y = log(nu) with c = log(xi) - beta, by
-    Newton warm-started at y0 (the log of the previous scaling iterate).  The
-    function is convex and increasing, so Newton from above the root
-    decreases monotonically onto it, and from below it overshoots once and
-    then decreases monotonically.  One vectorized bisection takes the cells
-    Newton leaves above tol, which stiff steps (large tau / eps, peaked data)
-    have.
+    Solved as phi(w) = w + log w - l = 0 in w = alpha*nu, with l = c + log
+    alpha and c = log(xi) - beta; phi is the residual of y + alpha*e^y = c
+    in y = log(nu).  phi is increasing and concave, so a Newton step
+    w <- w (1 + l - log w) / (1 + w) never passes the root from below and
+    lands below it from above.  Every iterate is clamped at l - log l (for
+    l > 1) or e^(l - 1) (otherwise), both lower bounds of the root, so the
+    iterates rise monotonically onto the root until |phi| < tol.  The warm
+    start is alpha*e^y0, y0 the log of the species' previous marginal,
+    capped at max(l, 1), an upper bound of the root.  Where l < log(machine
+    eps) the root w = e^(l - w) is below eps and nu = e^(c - w) is e^c to
+    rounding: those cells return e^c, which may underflow to 0, and are
+    solved at l = log(eps), so that w stays normal.
     """
     c = np.log(np.maximum(xi, 1e-300)) - beta
-    if alpha == 0.0:
-        return np.exp(np.minimum(c, 700.0))
-    y = np.minimum(y0, 700.0)
-    ey, f, dy = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    log_alpha = np.log(alpha)
+    small = c + log_alpha < _LOG_EPS
+    ell = np.maximum(c + log_alpha, _LOG_EPS)
+    log_upper = np.log(np.maximum(ell, 1.0))
+    # l - log l >= 1 >= e^(l - 1) for l > 1, and e^(l - 1) >= l otherwise
+    lower = np.maximum(ell - log_upper, np.exp(np.minimum(ell, 1.0) - 1.0))
+    w = np.maximum(np.exp(np.minimum(y0 + log_alpha, log_upper)), lower)
     for _ in range(100):
-        np.exp(np.minimum(y, 700.0, out=ey), out=ey)
-        ey *= alpha
-        np.add(y, ey, out=f)
-        f -= c
-        ey += 1.0
-        y -= np.divide(f, ey, out=dy)
-        if abs(f).max() < tol:
+        log_w = np.log(w)
+        if np.abs(w + log_w - ell).max() < tol:
             break
-    np.exp(np.minimum(y, 700.0, out=ey), out=ey)
-    bad = np.flatnonzero(abs(y + alpha * ey - c) >= max(tol, 1e-12))
-    if bad.size == 0:
-        return ey
-    # one bisection over all the bad cells, 200 halvings of each bracket
-    cb, yb = c[bad], y[bad]
-    lo = np.minimum(cb - alpha * np.exp(np.minimum(cb, 700.0)), yb) - 1.0
-    hi = np.maximum(cb, yb) + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        above = mid + alpha * np.exp(np.minimum(mid, 700.0)) - cb > 0.0
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    y[bad] = 0.5 * (lo + hi)
-    return np.exp(np.minimum(y, 700.0))
+        w = np.maximum(w * (1.0 + ell - log_w) / (1.0 + w), lower)
+    return np.exp(c, out=w / alpha, where=small)
 
 
 def _source_marginal(kernel: np.ndarray, mu: np.ndarray, b: np.ndarray, species: int, eps: float):
@@ -604,7 +579,7 @@ def _source_marginal(kernel: np.ndarray, mu: np.ndarray, b: np.ndarray, species:
         if not np.isfinite(b).all():
             raise ScalingOverflow(
                 f"scaling vector of species {species + 1} is not finite on {int(np.sum(~np.isfinite(b)))} "
-                f"cells: the prox Newton solve overflowed (eps = {eps:g})"
+                f"cells: nu / xi overflows where the kernel side xi is tiny (eps = {eps:g})"
             )
         raise KernelUnderflow(
             f"Gibbs kernel product underflows on {int(np.sum(~(xi > 0.0)))} cells "
@@ -725,7 +700,7 @@ def jko_step_entropic(
         energy_before=e_before,
         energy_after=e_after,
         inner_iterations=iterations,
-        optimality_residual=optimality_residual(u_prev, u_next, a, tau).worst,
+        optimality_residual=optimality_residual(u_prev, u_next, a, tau),
         converged=converged,
     )
     return u_next, report
@@ -736,8 +711,9 @@ def optimality_residual(
     u_next: DensityVector,
     a: CouplingMatrix,
     tau: float,
-) -> ResidualReport:
-    """How far phi_i/tau + p_i(u_next) is from a constant on each support.
+) -> float:
+    """How far phi_i/tau + p_i(u_next) is from a constant on each support,
+    for the worst species.
 
     phi_i is the potential transporting u_next back to u_prev.  On the
     support of u_next the first-order conditions make the field constant; the
@@ -758,7 +734,7 @@ def optimality_residual(
         # backs up the mean magnitude as normalization
         scale = max(float(np.abs(on).mean()), float(np.abs(p[i][support]).mean()), 1e-30)
         values[i] = float(on.std()) / scale
-    return ResidualReport(values)
+    return float(values.max())
 
 
 def run_jko(
@@ -767,7 +743,6 @@ def run_jko(
     schedule: JKOSchedule,
     solver: str = "lagrangian",
     eps: float = 1e-3,
-    n_levels: int | None = None,
     strict: bool = True,
     *,
     dirichlet: bool = False,
@@ -782,13 +757,13 @@ def run_jko(
     ``inner_solver_converged`` fails when the inner solver of any step did
     not converge; with ``strict`` a failure raises EstimateFailed.
 
-    For the Lagrangian solver the quantile state is threaded through the
-    whole run and the trajectory starts at the quantile re-representation of
-    ``u0`` (L1-distance O(h + 1/L) from it), which makes the energy and
-    telescoped estimates exact by construction.  Its level count L is
-    ``n_levels``, by default the cell count.  The entropic solver has no
-    quantile levels: it rejects ``n_levels`` and records L as None, so the
-    Hoelder and entropy-dissipation tolerances carry no 1/L term.  Only the
+    For the Lagrangian solver the quantile state, one level per cell, is
+    threaded through the whole run and the trajectory starts at the quantile
+    re-representation of ``u0`` (L1-distance O(h + 1/L) from it), which makes
+    the energy and telescoped estimates exact by construction; it records the
+    level count L, the cell count.  The entropic solver has no quantile
+    levels and records L as None, so the Hoelder and entropy-dissipation
+    tolerances carry no 1/L term.  Only the
     Lagrangian solver takes ``dirichlet``, which adds the gradient term
     sum_i |grad u_i|^2 / 2 to the energy it descends and records; the
     entropic solver rejects it.
@@ -806,12 +781,10 @@ def run_jko(
         raise InfiniteInitialEntropy("initial energy or entropy is not finite")
 
     if solver == "lagrangian":
-        x, quad, e_start = _lagrangian_start(u0, a, dirichlet, n_levels)
+        x, quad, e_start = _lagrangian_start(u0, a, dirichlet)
         L = x.shape[1]
         state = DensityVector(grid, quad.deposit(x))
     elif solver == "entropic":
-        if n_levels is not None:
-            raise ValueError("n_levels applies to the lagrangian solver only")
         if dirichlet:
             raise ValueError("dirichlet applies to the lagrangian solver only")
         L, state, e_start = None, u0, e0

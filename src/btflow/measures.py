@@ -360,8 +360,6 @@ def _energy_position_gradient(
     """
     n_species, n_levels = positions.shape
     grad = np.zeros_like(positions)
-    if n_levels == 1:
-        return grad
     q = 1.0 / n_levels
     tiny = 1e-13 * max(1.0, grid.length)
 

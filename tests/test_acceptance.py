@@ -199,7 +199,7 @@ def test_criterion_06_estimate_suite(barenblatt_run, pd_benchmark_run):
             mp.setattr(jko_module, "TOL_STATIONARITY", 1e-6)
             mp.setattr(jko_module, "MAX_ITERATIONS", 30000)
             out, _ = jko_step_lagrangian(u0, A_PD, 1e-3)
-        worst = optimality_residual(u0, out, A_PD, 1e-3).worst
+        worst = optimality_residual(u0, out, A_PD, 1e-3)
         if prev is not None:
             ratios.append(prev / worst)
         prev = worst

@@ -299,14 +299,15 @@ class TestRun:
         assert run(str(cfg), out_dir=str(tmp_path / "levels")) == 1
         assert "config key 'solver'" in capsys.readouterr().err
 
-    def test_levels_must_be_a_positive_integer(self, tmp_path, capsys):
-        for levels in (2.5, "8", True, 0, -1):
+    def test_levels_rejected(self, tmp_path, capsys):
+        # one quantile level per cell: a config that names a count would run at another one
+        for levels in (2.5, "8", True, 0, -1, 48, 64):
             cfg = write_config(tmp_path, solver={"levels": levels})
             assert run(str(cfg)) == 1
             assert "config key 'solver'" in capsys.readouterr().err
-        cfg = write_config(tmp_path, solver={"levels": 48})
+        cfg = write_config(tmp_path)
         assert run(str(cfg)) == 0
-        assert read_report(tmp_path / "out")["meta"]["L"] == 48
+        assert read_report(tmp_path / "out")["meta"]["L"] == 64
 
     def test_entropic_kernel_underflow_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, solver={"name": "entropic"})

@@ -159,10 +159,10 @@ class TestRecord:
         assert not rec.all_passed()  # no check ran
         with pytest.raises(EstimateFailed):
             rec.finish(strict=True)
-        rec.add_check(CheckResult("a", True, 1.0, 0.0))
+        rec.check("a", -1.0)
         assert rec.all_passed()
         assert rec.finish(strict=True) is rec
-        rec.add_check(CheckResult("b", False, -1.0, 0.0))
+        rec.check("b", 1.0)
         assert not rec.all_passed()
         with pytest.raises(EstimateFailed):
             rec.finish(strict=True)
