@@ -1,9 +1,13 @@
-"""Microseconds per call of the monotone-plan kernel ``transport1d._plans``.
+"""Microseconds per call of the plan kernels and per step of a hyperbolic run.
 
-Times ``_plans`` on fixed seeded cell masses at a few (rows, cells) shapes:
-the hyperbolic chunk's pressure and species batches, and one-row calls as
-``w2_exact`` and ``monotone_plan`` make them.  Prints the median time per
-call of each shape.  With ``--base REV`` it also times ``git archive REV
+Times ``transport1d._plans`` on fixed seeded cell masses at a few (rows,
+cells) shapes: the hyperbolic chunk's pressure and species batches, and
+one-row calls as ``w2_exact`` and ``monotone_plan`` make them.  Times
+``hyperbolic._transport``, the plan-transport push, on a chunk of 16 plans
+of 2 species on 256 cells, and ``hyperbolic.run_hyperbolic`` (plan
+transport) per step on the benchmark's input shape at 256 cells: two
+69-cell blocks with a 34-cell empty gap between them.  Prints the median
+time of each row.  With ``--base REV`` it also times ``git archive REV
 src``, run in a temporary directory, and prints the ratio of the medians.
 The times depend on the machine and its load; it exits 0 either way.
 
@@ -24,24 +28,47 @@ from cli_digest import SOURCE, archive_source, tree_env
 
 SHAPES = ((16, 256), (32, 256), (1, 256), (1, 32))  # (rows, cells)
 CALLS, REPEATS = 50, 21  # calls per timed repeat, repeats per shape
+RUN_T_FINAL, RUN_REPEATS = 1e-3, 7  # about 540 steps per timed run
 
 
 def timings() -> dict:
-    """{"RxN": median microseconds per _plans call} of the btflow that imports."""
+    """{row: median microseconds per call, or per run step} of the btflow that imports."""
     import timeit
     from statistics import median
 
     import numpy as np
 
+    from btflow.hyperbolic import _transport, run_hyperbolic
+    from btflow.measures import DensityVector, Grid1D, normalize
     from btflow.transport1d import _plans
 
+    def per_call(fn) -> float:
+        return median(timeit.repeat(fn, number=CALLS, repeat=REPEATS)) / CALLS * 1e6
+
     rng = np.random.default_rng(0)
+
+    def masses(rows: int, n: int):
+        """Two (rows, n) batches of unit-mass rows, a fifth of their cells empty."""
+        a, b = rng.uniform(size=(2, rows, n)) * (rng.uniform(size=(2, rows, n)) < 0.8)
+        return a / a.sum(axis=1, keepdims=True), b / b.sum(axis=1, keepdims=True)
+
     out = {}
     for rows, n in SHAPES:
-        a, b = rng.uniform(size=(2, rows, n)) * (rng.uniform(size=(2, rows, n)) < 0.8)
-        a /= a.sum(axis=1, keepdims=True)
-        b /= b.sum(axis=1, keepdims=True)
-        out[f"{rows}x{n}"] = median(timeit.repeat(lambda: _plans(a, b), number=CALLS, repeat=REPEATS)) / CALLS * 1e6
+        a, b = masses(rows, n)
+        out[f"{rows}x{n}"] = per_call(lambda: _plans(a, b))
+    u, plans = masses(2, 256)[0], _plans(*masses(16, 256))
+    out["push 16x2x256"] = per_call(lambda: _transport(u, plans))
+    grid = Grid1D(256, 0.0, 1.0)
+    cells = np.arange(256)
+    u0 = DensityVector.from_species(
+        [normalize(((cells >= lo) & (cells < lo + 69)).astype(float), grid) for lo in (41, 144)]
+    )
+
+    def run():
+        return run_hyperbolic(u0, "pressure_transport", t_final=RUN_T_FINAL)
+
+    steps = run().record.meta["steps"]
+    out["run step 256"] = median(timeit.repeat(run, number=1, repeat=RUN_REPEATS)) / steps * 1e6
     return out
 
 
@@ -66,7 +93,7 @@ def main(argv=None) -> int:
     current = trees[SOURCE]
     for tree, result in trees.items():
         for shape, us in result.items():
-            line = f"{tree:>12} {shape:>7}: {us:8.1f} us per call"
+            line = f"{tree:>12} {shape:>13}: {us:8.1f} us per {'step' if shape.startswith('run') else 'call'}"
             if tree != SOURCE:
                 line += f"  ({SOURCE} / {tree}: {current[shape] / us:.3g})"
             print(line)

@@ -23,13 +23,17 @@ Two schemes are provided:
   mass to rounding.  On cell histograms the plan is exact, so the projection
   identity and the sqrt(N) metric-speed bound hold to machine precision.
 
-The public step functions run the array kernels of ``run_hyperbolic`` and
-check their one step as a run checks a chunk.  A run validates ``u0``,
-``t_final`` and ``dt`` once.  Per step it keeps only the guard whose result
-feeds the next step: a pressure cell below -1e-13 or NaN raises
-InvalidDensity at once, and cells in [-1e-13, 0) are clamped at 0.  The other
-invariants of every step are checked once per chunk of CHUNK_STEPS steps, on
-its stacked states: pressure mass drift per step (1e-12, EstimateFailed),
+The public step functions run the array kernels of ``run_hyperbolic`` on a
+chunk of one step and check it as a run checks a chunk.  A run validates
+``u0``, ``t_final`` and ``dt`` once.  The pressure solves its own equation,
+so only the pressure feeds the next step: per step a run computes only the
+pressure (``_pressure_step``) and keeps only the guard on its result, a
+pressure cell below -1e-13 or NaN raising InvalidDensity at once and cells in
+[-1e-13, 0) clamped at 0.  The fractions ride on the pressure's flux; once
+per chunk of CHUNK_STEPS steps ``_fractions`` computes them from the chunk's
+pressures and moved masses, with one support test for all its steps.  The
+other invariants of every step are checked once per chunk too, on its
+stacked states: pressure mass drift per step (1e-12, EstimateFailed),
 pressure unit mass, fractions summing to at most 1 + 1e-12, species unit mass
 (MASS_TOL_1D, as every 1D density) and, for the plan transport, the species
 average equal to the pressure within 1e-9 (InvalidDensity).  A failing step
@@ -146,7 +150,7 @@ def splitting_stable_dt(pf: PressureFraction) -> float:
 
 
 def _split_checks(pressure: np.ndarray, fractions: np.ndarray, h: float) -> list:
-    """Checks of the _split steps between the (K+1, n) pressures, which give the (K, N-1, n) fractions."""
+    """Checks of the splitting steps between the (K+1, n) pressures, which give the (K, N-1, n) fractions."""
     mass = pressure.sum(axis=-1)
     drift = np.abs(h * mass[1:] - 1.0)
     return [
@@ -178,27 +182,51 @@ def _raise_first(checks: list, first_step: int):
         raise error(f"{message} (step {first_step + k})")
 
 
-def _split(p: np.ndarray, r: np.ndarray, dt: float, slope: np.ndarray, h: float):
-    """(p_new, r_new) of step_splitting, given r extended and slope = diff(p) / h.
+def _pressure_step(p: np.ndarray, out: np.ndarray, moved: np.ndarray, h: float, cap: float, safety: float) -> float:
+    """Step the pressure p into out by min(cap, safety * splitting_stable_dt) and return that step.
 
-    The sign guard is the one check made here, as the next step reads its
-    result; _split_checks holds the other invariants.
+    The pressure moved leftward across each interface goes into moved, which
+    _fractions reads.  The sign guard is the one check made here, as the next
+    step reads its result; _split_checks holds the other invariants.
     """
-    moved = (dt / h) * (0.5 * (p[1:] + p[:-1]) * slope)  # pressure moved leftward across each interface
-    p_new = p.copy()
-    p_new[:-1] += moved
-    p_new[1:] -= moved
-    p_new = _clamped_sign(p_new, "pressure")
+    slope = (p[1:] - p[:-1]) / h  # np.diff(p) / h without its call overhead
+    dt = min(cap, safety * _stable_dt(p, slope, h))  # a NaN cap stays NaN and fails the sign guard
+    np.multiply(dt / h, 0.5 * (p[1:] + p[:-1]) * slope, out=moved)
+    out[:] = p
+    out[:-1] += moved
+    out[1:] -= moved
+    out[:] = _clamped_sign(out, "pressure")
+    return dt
 
+
+def _fractions(pressure: np.ndarray, moved: np.ndarray, r: np.ndarray, support: np.ndarray, fill):
+    """The (K+1, N-1, n) fractions of the K _pressure_step steps between the (K+1, n) pressures.
+
+    Row 0 is r.  The steps moved the (K, n-1) masses.  Each step first extends
+    its fractions constant off the support of the pressure it starts from with
+    _off_support_fill, given the support and fill of the step before it.
+    Returns the fractions and the support and fill of the last step.
+    """
+    on = pressure[:-1] > SUPPORT_EPS
+    changed = (on != np.vstack((support, on[:-1]))).any(axis=1)
     # donor-cell fractions; a p_new = 0 cell receives nothing (the floor only avoids
     # 0/0), and a symmetric stagnation interface moves 0 exactly, so halves never mix
-    inv = 1.0 / np.maximum(p_new, np.finfo(float).tiny)
-    jumps = r[:, 1:] - r[:, :-1]
-    r_new = r.copy()
-    r_new[:, :-1] += (np.maximum(moved, 0.0) * inv[:-1]) * jumps
-    r_new[:, 1:] += (np.minimum(moved, 0.0) * inv[1:]) * jumps
-    # the clip bounds each fraction; _split_checks bounds their sum
-    return p_new, r_new.clip(0.0, 1.0)
+    inv = 1.0 / np.maximum(pressure[1:], np.finfo(float).tiny)
+    left = np.maximum(moved, 0.0) * inv[:, :-1]
+    right = np.minimum(moved, 0.0) * inv[:, 1:]
+    fractions = np.empty((len(pressure),) + r.shape)
+    fractions[0] = r
+    for k in range(len(moved)):
+        if changed[k]:
+            support, fill = on[k], _off_support_fill(on[k])
+        r = fractions[k][:, fill]
+        jumps = r[:, 1:] - r[:, :-1]
+        r_new = fractions[k + 1]
+        r_new[:] = r
+        r_new[:, :-1] += left[k] * jumps
+        r_new[:, 1:] += right[k] * jumps
+        r_new.clip(0.0, 1.0, out=r_new)  # bounds each fraction; _split_checks bounds their sum
+    return fractions, support, fill
 
 
 def step_splitting(pf: PressureFraction, dt: float) -> PressureFraction:
@@ -210,13 +238,15 @@ def step_splitting(pf: PressureFraction, dt: float) -> PressureFraction:
     support, so the convention r = 0 there adds no spurious variation.
     """
     p, h = pf.pressure.values, pf.grid.h
-    slope = np.diff(p) / h
-    dt_max = _stable_dt(p, slope, h)
-    if dt > dt_max:
-        raise CFLViolation(dt, dt_max)
-    p_new, r_new = _split(p, pf.fractions[:, _off_support_fill(p > SUPPORT_EPS)], dt, slope, h)
-    _raise_first(_split_checks(np.stack([p, p_new]), r_new[None], h), 1)
-    return PressureFraction(Density(pf.grid, p_new), r_new)
+    pressure, moved = np.empty((2, p.size)), np.empty((1, p.size - 1))
+    pressure[0] = p
+    taken = _pressure_step(p, pressure[1], moved[0], h, dt, 1.0)
+    if taken < dt:
+        raise CFLViolation(dt, taken)
+    support = p > SUPPORT_EPS
+    fractions, *_ = _fractions(pressure, moved, pf.fractions, support, _off_support_fill(support))
+    _raise_first(_split_checks(pressure, fractions[1:], h), 1)
+    return PressureFraction(Density(pf.grid, pressure[1]), fractions[1])
 
 
 def _transport(u: np.ndarray, plans) -> np.ndarray:
@@ -229,18 +259,19 @@ def _transport(u: np.ndarray, plans) -> np.ndarray:
     src, dst, seg = plans
     n_rows = len(src)
     n_species, n = u.shape
-    # mass each row sends from each cell, one bincount: row k fills bins k*n .. k*n + n - 1
-    rows = n * np.arange(n_rows)[:, None]
-    sent = np.bincount((src + rows).ravel(), seg.ravel(), minlength=n_rows * n).reshape(n_rows, n)
-    share = seg / np.take_along_axis(np.where(sent > 0.0, sent, np.inf), src, axis=1)  # a pad gets 0
-    # one bincount per push for all species: species i deposits into bins i*n .. i*n + n - 1
-    lanes = n * np.arange(n_species)[:, None]
+    # mass each row sends from each cell, one bincount over the flat cells src + n * row
+    flat = (src + n * np.arange(n_rows)[:, None]).ravel()
+    sent = np.bincount(flat, seg.ravel(), minlength=n_rows * n)
+    share = seg / np.where(sent > 0.0, sent, np.inf)[flat].reshape(seg.shape)  # a pad gets 0
+    # one bincount per push for all species: species i deposits into bins i*n .. i*n + n - 1,
+    # every push's bins built at once
+    bins = (dst[:, None] + n * np.arange(n_species)[:, None]).reshape(n_rows, -1)
     species = np.empty((n_rows + 1, n_species, n))
     species[0] = u
+    pushed = species.reshape(n_rows + 1, -1)
     for k in range(n_rows):
         carried = share[k] * species[k].take(src[k], axis=1)
-        bins = (dst[k] + lanes).ravel()
-        species[k + 1] = np.bincount(bins, carried.ravel(), minlength=n_species * n).reshape(n_species, n)
+        pushed[k + 1] = np.bincount(bins[k], carried.ravel(), minlength=n_species * n)
     return species
 
 
@@ -297,8 +328,9 @@ def run_hyperbolic(
     the transported species match within about 1e-11 in L1.  Their own
     u_i / (N p) is plan rounding where p is near 1e-12 (0.86 for a pure
     species at p = 1.6e-12), and its TV rose by 0.48 on a benchmark input.
-    The run advances in chunks of CHUNK_STEPS steps.  Per step it checks only
-    the pressure's sign; the other invariants of every step are checked per
+    The run advances in chunks of CHUNK_STEPS steps.  Per step it computes
+    only the pressure and checks only the pressure's sign; the fractions
+    follow per chunk, the other invariants of every step are checked per
     chunk (see the module docstring), and a step that fails one raises, once
     its chunk is computed, the error the check raises on a single step.
     """
@@ -326,29 +358,25 @@ def run_hyperbolic(
     trajectory = [state_u]
     pressures = [pf.pressure]
 
+    # a chunk's pressures, row 0 the last of the chunk before, and the masses its steps move
+    buf_p, buf_moved = np.empty((CHUNK_STEPS + 1, grid.n_cells)), np.empty((CHUNK_STEPS, grid.n_cells - 1))
+    buf_p[0] = p
     t = 0.0
     step = 0
     while t < t_final and step < MAX_STEPS:
-        # up to CHUNK_STEPS steps of the pressure and fractions under the sign guard ...
-        ps, rs = [p], [r]
-        while len(ps) <= CHUNK_STEPS and t < t_final and step < MAX_STEPS:
-            slope = (p[1:] - p[:-1]) / h  # np.diff(p) / h without its call overhead
-            dt_k = CFL_SAFETY * _stable_dt(p, slope, h)  # below the bound, so no CFL guard
-            if dt is not None:
-                dt_k = min(dt_k, dt)
-            dt_k = min(dt_k, t_final - t)
-            on = p > SUPPORT_EPS
-            if not np.array_equal(on, support):
-                support, fill = on, _off_support_fill(on)
-            p, r = _split(p, r[:, fill], dt_k, slope, h)
-            ps.append(p)
-            rs.append(r)
+        # up to CHUNK_STEPS steps of the pressure alone under the sign guard ...
+        k = 0
+        while k < CHUNK_STEPS and t < t_final and step < MAX_STEPS:
+            cap = t_final - t if dt is None else min(dt, t_final - t)
+            dt_k = _pressure_step(buf_p[k], buf_p[k + 1], buf_moved[k], h, cap, CFL_SAFETY)
             dts.append(dt_k)
             t += dt_k
             step += 1
-        # ... then the chunk's checks, plans, species, W2 increments and TV at once
-        first = step + 2 - len(ps)
-        pressure, fractions = np.stack(ps), np.stack(rs)
+            k += 1
+        # ... then the chunk's fractions, checks, plans, species, W2 increments and TV at once
+        first = step + 1 - k
+        pressure = buf_p[: k + 1]
+        fractions, support, fill = _fractions(pressure, buf_moved[:k], r, support, fill)
         checks = _split_checks(pressure, fractions[1:], h)
         if scheme == "splitting":
             species = _recover(pressure, fractions)
@@ -363,17 +391,19 @@ def run_hyperbolic(
         w2_u += np.sqrt(costs.reshape(-1, n_species).sum(axis=1)).tolist()
         w2_p += np.sqrt(_plans_cost(plans, x)).tolist()
         tvs.append(tv(np.concatenate([pressure[1:, None], fractions[1:]], axis=1)))
-        u = species[-1]
-        for k in range(1, len(ps)):
+        u, r = species[-1], fractions[-1]
+        for k in range(1, len(pressure)):
             if snapshot_every and (first - 1 + k) % snapshot_every == 0:
-                # copies: a view would keep the whole chunk's stack alive
+                # copies: the next chunk overwrites the pressures, and a species
+                # view would keep the whole chunk's stack alive
                 trajectory.append(DensityVector(grid, species[k].copy()))
                 pressures.append(Density(grid, pressure[k].copy()))
+        buf_p[0] = pressure[-1]
     if t < t_final:
         raise RuntimeError("hyperbolic run exceeded the step budget")
     if not snapshot_every or step % snapshot_every != 0:
         trajectory.append(DensityVector(grid, u))
-        pressures.append(Density(grid, p))
+        pressures.append(Density(grid, buf_p[0].copy()))
 
     tvs = np.vstack(tvs)
     record = RunRecord(

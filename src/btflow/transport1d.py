@@ -55,7 +55,7 @@ def _plans(a: np.ndarray, b: np.ndarray):
     The masses must be finite and nonnegative (-0.0 included); nothing here
     checks it, so callers pass Density values or clamped arrays.  The
     cumulative masses of both sides, the last of each set to the smaller
-    total, are merged in one sort whose keys carry their side.  The segment
+    total, are merged in one stable sort whose keys carry their side.  The segment
     (s[j-1], s[j]] between merged breakpoints goes to the cells whose
     cumulative intervals contain it, which are the counts of a and of b
     breakpoints before position j.  Returns (src, dst, seg) of shape (R, 2n),
@@ -70,7 +70,9 @@ def _plans(a: np.ndarray, b: np.ndarray):
     keys = c.reshape(len(a), 2 * n).view(np.uint64)
     keys <<= 1
     keys[:, n:] |= 1
-    keys.sort(axis=1)
+    # each row is two sorted runs, which a stable sort (timsort) merges in one
+    # pass; equal keys are equal bits, so the result is that of any sort
+    keys.sort(axis=1, kind="stable")
     s = np.minimum((keys >> 1).view(np.float64), total)
     seg = s.copy()
     seg[:, 1:] -= s[:, :-1]

@@ -10,10 +10,10 @@ from btflow.hyperbolic import (
     CFL_SAFETY,
     SUPPORT_EPS,
     PressureFraction,
+    _fractions,
     _off_support_fill,
+    _pressure_step,
     _recover,
-    _split,
-    _stable_dt,
     _transport,
     pressure_transport_step,
     recover_species,
@@ -421,43 +421,84 @@ def test_chunk_boundaries_match_public_steps(case, scheme, snapshot_every, chunk
         assert np.array_equal(p.values, states[k][1].values)
 
 
-def fault_at(real, step, fault):
-    """A wrapper of the kernel real that applies fault(out, k) to its output once it reaches step.
+def gapped_pair():
+    """The benchmark's hyperbolic input shape on 64 cells: two 17-cell blocks with a 9-cell empty gap."""
+    g = Grid1D(64, 0.0, 1.0)
+    cells = np.arange(64)
+    blocks = [(cells >= lo) & (cells < lo + 17) for lo in (10, 36)]
+    return DensityVector.from_species([normalize(block.astype(float), g) for block in blocks])
 
-    For _split the output is (p_new, r_new) of one step; for _transport it is
-    the stacked species, whose row k is the state after step ``step``.
+
+@pytest.mark.parametrize("chunk", [16, 5, 1])
+@pytest.mark.parametrize("scheme", ["splitting", "pressure_transport"])
+def test_gapped_pair_matches_public_steps(scheme, chunk, monkeypatch):
+    pair = gapped_pair()
+    states = []
+    _, _, times, _, w2_u, w2_p, tv_p, tv_r = step_by_hand(pair, scheme, 1e-3, states)
+    monkeypatch.setattr(hyperbolic, "CHUNK_STEPS", chunk)
+    run = run_hyperbolic(pair, scheme, t_final=1e-3)
+    rec = run.record
+    assert rec.meta["steps"] == len(states) - 1 > 2 * 16
+    assert np.array_equal(rec.times, times)
+    assert np.array_equal(rec.w2_increments, w2_u)
+    assert np.array_equal(rec.meta["pressure_increments"], w2_p)
+    assert np.array_equal(rec.tv["p"], tv_p)
+    assert np.array_equal(rec.tv["r_1"], tv_r)
+    assert np.array_equal(run.trajectory[-1].values, states[-1][0].values)
+    assert np.array_equal(run.pressures[-1].values, states[-1][1].values)
+    # the fronts enter new cells while the gap between the blocks is open, on steps that
+    # start inside a chunk of 16 and of 5; the fill maps each gap cell to its closer block
+    on = [p.values > SUPPORT_EPS for _, p in states]
+    inside = [k for k in range(1, len(on)) if k % 16 and k % 5 and not np.array_equal(on[k], on[k - 1])]
+    assert inside
+    idx = np.flatnonzero(on[inside[0]])
+    gap = np.setdiff1d(np.arange(idx[0], idx[-1]), idx)
+    assert gap.size > 0
+    left, right = gap[0] - 1, gap[-1] + 1
+    assert np.array_equal(_off_support_fill(on[inside[0]])[gap], np.where(gap - left <= right - gap, left, right))
+
+
+def fault_at(real, step, fault):
+    """A wrapper of the kernel real that applies fault(state) to the state after step once it reaches it.
+
+    _pressure_step makes one step and writes its pressure into its second
+    argument; _fractions and _transport return the stacked states of their
+    steps (the fractions first in a tuple), row 0 the state they start from.
     """
     done = [0]  # steps computed so far
 
     def wrapped(*args):
         out = real(*args)
-        n = 1 if isinstance(out, tuple) else len(out) - 1
-        if done[0] < step <= done[0] + n:
-            fault(out, step - done[0])
-        done[0] += n
+        if real is _pressure_step:
+            after = [args[1]]
+        else:
+            after = (out[0] if isinstance(out, tuple) else out)[1:]
+        if done[0] < step <= done[0] + len(after):
+            fault(after[step - done[0] - 1])
+        done[0] += len(after)
         return out
 
     return wrapped
 
 
-def add_pressure_mass(out, k):
-    out[0][30] += 1e-9
+def add_pressure_mass(p):
+    p[30] += 1e-9
 
 
-def push_fraction_sum_above_one(out, k):
-    out[1][0, 30] = 1.5
+def push_fraction_sum_above_one(r):
+    r[0, 30] = 1.5
 
 
-def shift_within_species(species, k):
+def shift_within_species(u):
     """Move mass within species 1 between two cells: masses stay, the average leaves the pressure."""
-    species[k, 0, 20] -= 0.5
-    species[k, 0, 40] += 0.5
+    u[0, 20] -= 0.5
+    u[0, 40] += 0.5
 
 
 # kernel, fault, error, and the step a run names: the average check reads the state a push leaves
 FAULTS = {
-    "pressure_mass": ("_split", add_pressure_mass, EstimateFailed, 7),
-    "fraction_sum": ("_split", push_fraction_sum_above_one, InvalidDensity, 7),
+    "pressure_mass": ("_pressure_step", add_pressure_mass, EstimateFailed, 7),
+    "fraction_sum": ("_fractions", push_fraction_sum_above_one, InvalidDensity, 7),
     "species_average": ("_transport", shift_within_species, InvalidDensity, 8),
 }
 
@@ -485,19 +526,20 @@ def test_chunk_checks_catch_a_bad_step(fault, scheme, chunk, monkeypatch):
 @pytest.mark.parametrize("chunk", [16, 5, 1])
 @pytest.mark.parametrize("scheme", ["splitting", "pressure_transport"])
 def test_nan_pressure_raises_on_its_own_step(scheme, chunk, monkeypatch):
-    real, calls = hyperbolic._split, []
+    t_final = chunk_boundary_t_final(40)  # before the patch: it steps through the public step functions
+    real, calls = hyperbolic._pressure_step, []
 
-    def split(p, *args):
+    def pressure_step(p, *args):
         calls.append(len(calls) + 1)
         if len(calls) == 7:
             p = p.copy()
             p[30] = np.nan
         return real(p, *args)
 
-    monkeypatch.setattr(hyperbolic, "_split", split)
+    monkeypatch.setattr(hyperbolic, "_pressure_step", pressure_step)
     monkeypatch.setattr(hyperbolic, "CHUNK_STEPS", chunk)
     with pytest.raises(InvalidDensity, match="pressure values must be nonnegative"):
-        run_hyperbolic(segregated_pair(64), scheme, t_final=chunk_boundary_t_final(40))
+        run_hyperbolic(segregated_pair(64), scheme, t_final=t_final)
     assert len(calls) == 7
 
 
@@ -515,12 +557,15 @@ def species_with_zero_runs(draw):
 
 
 def split_once(u):
-    """One splitting step of split_state(u) at CFL_SAFETY times the stable step."""
+    """One splitting step of split_state(u) at CFL_SAFETY times the stable step: p and (p_new, r_new)."""
     pf = split_state(u)
-    p, h = pf.pressure.values, u.grid.h
-    slope = np.diff(p) / h
-    r = pf.fractions[:, _off_support_fill(p > SUPPORT_EPS)]
-    return p, _split(p, r, CFL_SAFETY * _stable_dt(p, slope, h), slope, h)
+    p = pf.pressure.values
+    pressure, moved = np.empty((2, p.size)), np.empty((1, p.size - 1))
+    pressure[0] = p
+    _pressure_step(p, pressure[1], moved[0], u.grid.h, np.inf, CFL_SAFETY)
+    support = p > SUPPORT_EPS
+    fractions, *_ = _fractions(pressure, moved, pf.fractions, support, _off_support_fill(support))
+    return p, (pressure[1], fractions[1])
 
 
 class TestKernelProperties:
