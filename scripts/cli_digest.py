@@ -1,8 +1,9 @@
 """SHA-256 digests of the CLI's outputs, one per scenario config.
 
-Runs ``btflow run`` on one fixed tiny config per case (every scenario, and a
+Runs ``btflow run`` on one fixed tiny config per case (every scenario, a
 second case where a scenario has another solver, variant or preset worth
-covering) in a subprocess with ``PYTHONPATH`` set to a source tree, and
+covering, and one invalid config per block whose errors the CLI names) in a
+subprocess with ``PYTHONPATH`` set to a source tree, and
 prints one digest per case over the exit code, stdout, stderr and every
 output file, with the exit code beside it.  With ``--base REV`` it also runs
 the same configs on ``git archive REV src`` in a temporary directory and
@@ -39,7 +40,7 @@ _PAIR = {
 }
 _SEGREGATED = [{"preset": "segregated", "lo": 0.15, "hi": 0.42}, {"preset": "segregated", "lo": 0.58, "hi": 0.85}]
 _SKT = {"n1": 24, "n2": 24, "t_final": 0.05}
-CASES = {  # label: config; the label starts with the scenario name
+CASES = {  # label: config; the label starts with the scenario name, or "config" for a config that names none
     "parabolic_jko/lagrangian": _JKO | {"snapshots": [0.002]},
     "parabolic_jko/entropic": _PAIR
     | {"scenario": "parabolic_jko", "schedule": {"tau": 1e-3, "steps": 2}, "solver": {"name": "entropic", "eps": 1e-2}},
@@ -62,6 +63,16 @@ CASES = {  # label: config; the label starts with the scenario name
     "skt_decoupled/quadratic": _SKT | {"scenario": "skt_decoupled", "variant": "quadratic"},
     "skt_decoupled/entropy": _SKT | {"scenario": "skt_decoupled", "variant": "entropy"},
     "benchmark_closure": _PAIR | {"scenario": "benchmark_closure", "schedule": {"tau": 1e-3, "steps": 3}},
+    # invalid configs: each exits 1 with an error that names its key
+    "parabolic_jko/invalid_grid": _JKO | {"grid": {"n_cells": 1}},
+    "parabolic_jko/invalid_schedule": _JKO | {"schedule": {"tau": -1e-3, "steps": 3}},
+    "parabolic_jko/invalid_coupling": _JKO | {"coupling": [[2.0, 1.0]]},
+    "parabolic_jko/invalid_solver": _JKO | {"solver": {"name": "sinkhorn"}},
+    "parabolic_jko/invalid_initial_entry": _JKO | {"initial": {"preset": "gaussian", "var": "0.01"}},
+    "parabolic_jko/invalid_initial_preset": _JKO | {"initial": {"preset": "gaussian", "center": 100.0}},
+    "skt_joint/invalid_skt": _SKT | {"scenario": "skt_joint", "snapshots": [1.0]},
+    "skt_decoupled/invalid_variant": _SKT | {"scenario": "skt_decoupled", "variant": "cubic"},
+    "config/not_an_object": 7,
 }
 
 

@@ -11,7 +11,7 @@ Outputs are deterministic: identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import copy
+import contextlib
 import dataclasses
 import json
 import math
@@ -52,34 +52,36 @@ def _require(cfg: dict, key: str, kind, default=_ABSENT, low=None):
     return value
 
 
+@contextlib.contextmanager
+def _naming(key: str, errors=ValueError):
+    """Re-raise an error of the kinds errors from the block as ConfigInvalid naming key, the entry it builds."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigInvalid(key, str(exc)) from exc
+
+
 def _grid_from(cfg: dict) -> Grid1D:
     g = _require(cfg, "grid", dict)
-    try:
-        return Grid1D(
-            _require(g, "n_cells", int),
-            _require(g, "x_min", float, 0.0),
-            _require(g, "x_max", float, 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigInvalid("grid", str(exc)) from exc
+    with _naming("grid"):
+        return Grid1D(_require(g, "n_cells", int), _require(g, "x_min", float, 0.0), _require(g, "x_max", float, 1.0))
 
 
 def _schedule_from(cfg: dict) -> jko.JKOSchedule:
     sched = _require(cfg, "schedule", dict)
-    try:
+    with _naming("schedule"):
         if "taus" in sched:
             return jko.JKOSchedule(_require(sched, "taus", [float]))
         return jko.JKOSchedule.uniform(_require(sched, "tau", float), _require(sched, "steps", int, low=1))
-    except ValueError as exc:
-        raise ConfigInvalid("schedule", str(exc)) from exc
 
 
-def _coupling_from(cfg: dict) -> CouplingMatrix:
+def _system_from(cfg: dict) -> tuple[CouplingMatrix, DensityVector]:
+    """The coupling matrix and the initial densities, on the config's grid, of a coupled-system config."""
+    grid = _grid_from(cfg)
     entries = _require(cfg, "coupling", [[float]])
-    try:
-        return CouplingMatrix(entries)
-    except ValueError as exc:  # ragged rows or a non-square matrix
-        raise ConfigInvalid("coupling", str(exc)) from exc
+    with _naming("coupling"):  # ragged rows or a non-square matrix
+        a = CouplingMatrix(entries)
+    return a, _initial_from(cfg, grid, a.n_species)
 
 
 def _initial_from(cfg: dict, grid: Grid1D, n_species: int) -> DensityVector:
@@ -90,38 +92,39 @@ def _initial_from(cfg: dict, grid: Grid1D, n_species: int) -> DensityVector:
     species = []
     x = grid.centers()
     middle = 0.5 * (grid.x_min + grid.x_max)
-    for i, entry in enumerate(entries):
-        preset = _require(entry, "preset", str)
-        if preset == "barenblatt":
-            t = _require(entry, "t", float, fdref.barenblatt_peak_time(), low=0.0)
-            species.append(fdref.barenblatt(t, grid, center=_require(entry, "center", float, middle)))
-        elif preset == "gaussian":
-            center = _require(entry, "center", float, middle)
-            var = _require(entry, "var", float, 0.05, low=0.0)
-            species.append(normalize(np.exp(-0.5 * (x - center) ** 2 / var), grid))
-        elif preset == "double_bump":
-            c1 = _require(entry, "center1", float, grid.x_min + 0.3 * grid.length)
-            c2 = _require(entry, "center2", float, grid.x_min + 0.7 * grid.length)
-            var = _require(entry, "var", float, 0.01 * grid.length**2, low=0.0)
-            raw = np.exp(-0.5 * (x - c1) ** 2 / var) + np.exp(-0.5 * (x - c2) ** 2 / var)
-            species.append(normalize(raw, grid))
-        elif preset == "segregated":
-            lo = _require(entry, "lo", float, grid.x_min + (0.15 + 0.43 * i) * grid.length)
-            hi = _require(entry, "hi", float, lo + 0.27 * grid.length)
-            raw = np.where((x > lo) & (x < hi), 1.0, 0.0)
-            if not raw.any():
-                raise ConfigInvalid("initial", f"species {i}: empty segregated block")
-            species.append(normalize(raw, grid))
-        elif preset == "cosine":
-            amp = _require(entry, "amplitude", float, 0.25)
-            mode = _require(entry, "mode", int, 1)
-            sign = -1.0 if i % 2 else 1.0
-            xi = (x - grid.x_min) / grid.length
-            species.append(normalize(1.0 + sign * amp * np.cos(mode * np.pi * xi), grid))
-        else:
-            raise ConfigInvalid("initial", f"unknown preset {preset!r}")
-        if species[-1].clamped:
-            raise ConfigInvalid("initial", f"species {i}: the {preset} profile goes negative")
+    with _naming("initial"):  # also a preset that builds no density, such as one centred off the grid
+        for i, entry in enumerate(entries):
+            preset = _require(entry, "preset", str)
+            if preset == "barenblatt":
+                t = _require(entry, "t", float, fdref.barenblatt_peak_time(), low=0.0)
+                species.append(fdref.barenblatt(t, grid, center=_require(entry, "center", float, middle)))
+            elif preset == "gaussian":
+                center = _require(entry, "center", float, middle)
+                var = _require(entry, "var", float, 0.05, low=0.0)
+                species.append(normalize(np.exp(-0.5 * (x - center) ** 2 / var), grid))
+            elif preset == "double_bump":
+                c1 = _require(entry, "center1", float, grid.x_min + 0.3 * grid.length)
+                c2 = _require(entry, "center2", float, grid.x_min + 0.7 * grid.length)
+                var = _require(entry, "var", float, 0.01 * grid.length**2, low=0.0)
+                raw = np.exp(-0.5 * (x - c1) ** 2 / var) + np.exp(-0.5 * (x - c2) ** 2 / var)
+                species.append(normalize(raw, grid))
+            elif preset == "segregated":
+                lo = _require(entry, "lo", float, grid.x_min + (0.15 + 0.43 * i) * grid.length)
+                hi = _require(entry, "hi", float, lo + 0.27 * grid.length)
+                raw = np.where((x > lo) & (x < hi), 1.0, 0.0)
+                if not raw.any():
+                    raise ValueError(f"species {i}: empty segregated block")
+                species.append(normalize(raw, grid))
+            elif preset == "cosine":
+                amp = _require(entry, "amplitude", float, 0.25)
+                mode = _require(entry, "mode", int, 1)
+                sign = -1.0 if i % 2 else 1.0
+                xi = (x - grid.x_min) / grid.length
+                species.append(normalize(1.0 + sign * amp * np.cos(mode * np.pi * xi), grid))
+            else:
+                raise ValueError(f"unknown preset {preset!r}")
+            if species[-1].clamped:
+                raise ValueError(f"species {i}: the {preset} profile goes negative")
     return DensityVector.from_species(species)
 
 
@@ -161,20 +164,16 @@ def _write_density_csv(path: Path, u: DensityVector):
 
 
 def _run_parabolic(cfg: dict, out: Path) -> RunRecord:
-    grid = _grid_from(cfg)
-    a = _coupling_from(cfg)
-    u0 = _initial_from(cfg, grid, a.n_species)
+    a, u0 = _system_from(cfg)
     schedule = _schedule_from(cfg)
     solver = _require(cfg, "solver", dict, {})
     if "levels" in solver:  # a settable field once; a config that names it would now run at another value
         raise ConfigInvalid("solver", "levels is fixed at one quantile level per cell")
-    try:
+    with _naming("solver"):
         name = _require(solver, "name", str, "lagrangian")
         eps = _require(solver, "eps", float, 1e-3, low=0.0)
-    except ConfigInvalid as exc:
-        raise ConfigInvalid("solver", str(exc)) from exc
-    if name not in ("lagrangian", "entropic"):
-        raise ConfigInvalid("solver", f"unknown solver {name!r}")
+        if name not in ("lagrangian", "entropic"):
+            raise ValueError(f"unknown solver {name!r}")
     snapshots = _require(cfg, "snapshots", [float], [])
     traj, record = jko.run_jko(u0, a, schedule, solver=name, eps=eps, strict=False)
     ks = [int(np.argmin(np.abs(record.times - t))) for t in snapshots]
@@ -218,9 +217,7 @@ def _run_hyperbolic(cfg: dict, out: Path, scheme: str) -> RunRecord:
 
 
 def _run_fourth_order(cfg: dict, out: Path) -> RunRecord:
-    grid = _grid_from(cfg)
-    a = _coupling_from(cfg)
-    u0 = _initial_from(cfg, grid, a.n_species)
+    a, u0 = _system_from(cfg)
     n_steps = _require(cfg, "steps", int, 100, low=1)
     u_final, energies = fdref.run_bt4_fd(u0, a, n_steps)
     record = RunRecord(times=np.arange(n_steps + 1, dtype=float), energy=energies)
@@ -241,10 +238,8 @@ def _skt_config(cfg: dict) -> skt.SKTConfig:
             kind = [float] if isinstance(f.default, tuple) else type(f.default)
             value = _require(cfg, f.name, kind)
             kwargs[f.name] = tuple(value) if isinstance(value, list) else value
-    try:
+    with _naming("skt", (TypeError, ValueError)):
         return skt.SKTConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid("skt", str(exc)) from exc
 
 
 def _run_skt_joint(cfg: dict, out: Path) -> RunRecord:
@@ -273,10 +268,8 @@ def _run_skt_joint(cfg: dict, out: Path) -> RunRecord:
 def _run_skt_decoupled(cfg: dict, out: Path) -> RunRecord:
     config = _skt_config(cfg)
     variant = _require(cfg, "variant", str, "quadratic")
-    try:
+    with _naming("variant"):
         skt._is_quadratic(variant)
-    except ValueError as exc:
-        raise ConfigInvalid("variant", str(exc)) from exc
     report = skt.compare_correlated_vs_decoupled(config, variant=variant)
     _write_csv(out / "gap.csv", ["t", "l1_gap"], [report.times, report.l1_gaps])
     record = RunRecord(times=report.times)
@@ -285,9 +278,7 @@ def _run_skt_decoupled(cfg: dict, out: Path) -> RunRecord:
 
 
 def _run_benchmark_closure(cfg: dict, out: Path) -> RunRecord:
-    grid = _grid_from(cfg)
-    a = _coupling_from(cfg)
-    u0 = _initial_from(cfg, grid, a.n_species)
+    a, u0 = _system_from(cfg)
     schedule = _schedule_from(cfg)
     tolerance = _require(cfg, "closure_tol", float, 5e-2)
     traj, record = jko.run_jko(u0, a, schedule, strict=False)
@@ -355,7 +346,7 @@ def run(config_path: str, overrides=(), out_dir: str | None = None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
-        cfg = copy.deepcopy(cfg)
+        cfg = _require({"config": cfg}, "config", dict)  # a config is an object before any override
         for spec in overrides:
             _apply_override(cfg, spec)
         scenario = _require(cfg, "scenario", str)

@@ -615,7 +615,8 @@ def jko_step_entropic(
     skips the mix, so the kernel-side checks still name it.  The loop stops
     when a pass moves the second marginals by less than SINKHORN_INNER_TOL
     in L1; after SINKHORN_INNER_CAP passes the step returns with
-    ``converged=False``.
+    ``converged=False``.  The new state is not renormalised: like every 1D
+    density it must hold unit mass within MASS_TOL_1D.
     """
     _require_positive_definite(a)
     _require_positive("tau", tau)
@@ -688,12 +689,7 @@ def jko_step_entropic(
                 marginal = scaling * xi
                 dens = marginal / h
 
-    masses = h * dens.sum(axis=1)
-    drift = float(np.abs(masses - 1.0).max())
-    if drift > 1e-10:
-        raise EstimateFailed(f"entropic step mass drift {drift:g} exceeds 1e-10")
-    dens = dens / masses[:, None]
-    u_next = DensityVector(grid, dens)
+    u_next = DensityVector(grid, dens)  # the plans meet the first marginals, so the mass is one to rounding
     e_after = energy_quadratic(u_next, a)
     report = JKOStepReport(
         w2_increment=w2_product(u_prev, u_next),

@@ -298,18 +298,22 @@ class SKTConfig:
         return Grid2D(self.n1, self.n2, self.x_min, self.x_max, self.x_min, self.x_max)
 
 
-def _check_step_budget(config: SKTConfig, grid: Grid2D):
-    """Raise RuntimeError when the config alone shows that its run needs more than MAX_STEPS steps.
+def _joint_start(config: SKTConfig) -> tuple[Grid2D, MobilityField, _Stencil, np.ndarray]:
+    """The grid, the mobility field, its stencil and the product start values of a joint run.
 
-    Every mobility is at least c_floor and the largest cell value at least
-    1 / area, so no automatic step exceeds
+    Raises RuntimeError first when the config alone shows that the run needs
+    more than MAX_STEPS steps: every mobility is at least c_floor and the
+    largest cell value at least 1 / area, so no automatic step exceeds
     min(dt_cap, CFL_SAFETY min(h1, h2)^2 area / (4 c_floor)).
     """
+    grid = config.grid()
     area = (grid.x1_max - grid.x1_min) * (grid.x2_max - grid.x2_min)
     longest = min(config.dt_cap, CFL_SAFETY * min(grid.h1, grid.h2) ** 2 * area / (4.0 * config.c_floor))
     needed = config.t_final / longest
     if needed > MAX_STEPS:
         raise RuntimeError(f"skt run exceeded the step budget: it needs at least {needed:.3g} steps")
+    mob = build_mobility(grid, config.sigma, config.c_floor)
+    return grid, mob, _Stencil(mob), product_gaussian(grid, config.center, config.variance).values
 
 
 @dataclass
@@ -332,15 +336,10 @@ def run_skt_scenario(config: SKTConfig = SKTConfig(), strict: bool = True) -> SK
     after first diagonal contact.  A run that needs more than MAX_STEPS steps
     raises RuntimeError, before its first step when the config alone shows it.
     """
-    grid = config.grid()
-    _check_step_budget(config, grid)
-    mob = build_mobility(grid, config.sigma, config.c_floor)
-    p = product_gaussian(grid, config.center, config.variance)
+    grid, _, stencil, v = _joint_start(config)
     c1, c2 = grid.centers()
     band = np.abs(c1[:, None] - c2[None, :]) < 2.0 * config.sigma
     cell_area = grid.h1 * grid.h2
-    stencil = _Stencil(mob)
-    v = p.values
 
     entropies = [_relative_entropy(v, float(v.min()), grid, stencil.work)]
     masses = [cell_area * float(v.sum())]
@@ -489,14 +488,9 @@ def compare_correlated_vs_decoupled(
     and raises RuntimeError past MAX_STEPS steps, before the first step when
     the config alone shows it (as ``run_skt_scenario`` does).
     """
-    grid = config.grid()
-    _check_step_budget(config, grid)
-    mob = build_mobility(grid, config.sigma, config.c_floor)
+    grid, mob, stencil, v = _joint_start(config)
     pair = _Decoupled(mob, variant)
-    p = product_gaussian(grid, config.center, config.variance)
     compare_times = np.linspace(0.0, config.t_final, N_COMPARE)
-    stencil = _Stencil(mob)
-    v = p.values
     d1, d2 = _marginals(v, grid)
 
     gaps = []

@@ -383,6 +383,7 @@ class TestRun:
 
 
 SKT_BASE = {"scenario": "skt_joint", "n1": 32, "n2": 32, "t_final": 0.2, "dt_cap": 1e-2}
+UNIT_GRID = {"n_cells": 32, "x_min": 0.0, "x_max": 1.0}
 TWO_SPECIES = {"coupling": [[2.0, 1.0], [1.0, 2.0]], "initial": {"preset": "cosine"}}
 
 # id: (config entries over write_config's parabolic_jko run, overrides, key or block the error names)
@@ -409,6 +410,13 @@ WRONG_VALUES = {
     "clamped_cosine": ({"initial": {"preset": "cosine", "amplitude": 1.5}}, [], "initial"),
     "ragged_coupling": ({"coupling": [[2.0, 1.0], [1.0]]}, [], "coupling"),
     "non_square_coupling": ({"coupling": [[2.0, 1.0]]}, [], "coupling"),
+    "initial_wrong_length": ({"initial": [{"preset": "cosine"}] * 2}, [], "initial"),
+    "empty_segregated": ({"initial": {"preset": "segregated", "lo": 0.5, "hi": 0.5}}, [], "initial"),
+    "unknown_preset": ({"initial": {"preset": "tophat"}}, [], "initial"),
+    "off_grid_barenblatt": ({"grid": UNIT_GRID, "initial": {"preset": "barenblatt", "center": 100.0}}, [], "initial"),
+    "off_grid_gaussian": ({"grid": UNIT_GRID, "initial": {"preset": "gaussian", "center": 100.0}}, [], "initial"),
+    "override_without_equals": ({}, ["schedule.steps"], "override"),
+    "override_through_non_object": ({}, ["coupling.rows=1"], "coupling.rows"),
 }
 
 
@@ -420,6 +428,36 @@ def test_wrong_value_exits_naming_its_key(tmp_path, capsys, monkeypatch, entries
     assert run(str(cfg), overrides=overrides) == 1
     assert f"config key '{key}'" in capsys.readouterr().err
     assert not list(tmp_path.rglob("report.json"))
+
+
+def test_missing_required_key_exits_naming_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path)
+    entries = json.loads(cfg.read_text())
+    del entries["coupling"]
+    cfg.write_text(json.dumps(entries))
+    assert run(str(cfg)) == 1
+    assert "config key 'coupling': missing" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("report.json"))
+
+
+@pytest.mark.parametrize("overrides", [[], ["a=1"]], ids=["plain", "override"])
+@pytest.mark.parametrize("top", [7, None, [1, 2], "abc"], ids=["int", "null", "list", "string"])
+def test_non_object_config_exits_naming_it(tmp_path, capsys, monkeypatch, top, overrides):
+    # refused before any override is applied: 7 and null once raised TypeError, [1, 2] a missing scenario
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(top))
+    assert run(str(cfg), overrides=overrides) == 1
+    assert f"config key 'config': expected an object, got {top!r}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("report.json"))
+
+
+def test_unquoted_override_value_reads_as_a_string(tmp_path):
+    # entropic is no JSON value, so the override sets the string "entropic"
+    cfg = write_config(tmp_path, **PAIR, schedule={"tau": 1e-3, "steps": 2})
+    assert run(str(cfg), overrides=["solver.name=entropic"]) == 0
+    assert read_report(tmp_path / "out")["meta"]["solver"] == "entropic"
 
 
 def test_int_valued_floats_run_as_floats(tmp_path):

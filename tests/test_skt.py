@@ -6,7 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import btflow.skt as skt_module
-from btflow.errors import CFLViolation, DimensionMismatch, EstimateFailed, NonpositiveTime
+from btflow.errors import (
+    CFLViolation,
+    DimensionMismatch,
+    EstimateFailed,
+    InvalidDensity,
+    NegativityDetected,
+    NonpositiveTime,
+)
 from btflow.fdref import OracleProfile, l1_error
 from btflow.measures import Grid2D, JointDensity, normalize
 from btflow.skt import (
@@ -131,6 +138,41 @@ class TestStepJointFd:
         mob = constant_mobility(g, 1.0)
         with pytest.raises(CFLViolation):
             step_joint_fd(p, mob, 10.0 * joint_stable_dt(p, mob))
+
+    def test_sharp_mobility_jump_goes_negative_within_the_bound(self):
+        # joint_stable_dt takes M and p at one cell while the fluxes average M over
+        # faces, so half the bound (the runs' CFL_SAFETY) undershoots to -3.08 here;
+        # this pins that behaviour until the bound is taken over the face averages
+        g = Grid2D(4, 4, -1.0, 1.0, -1.0, 1.0)
+        v = np.zeros((4, 4))
+        v[3, 2] = 1.0 / (g.h1 * g.h2)
+        p = JointDensity(g, v)
+        mob = build_mobility(g, sigma=0.125, c_floor=0.125)
+        with pytest.raises(NegativityDetected, match=r"negative cell -3\.07568"):
+            step_joint_fd(p, mob, 0.5 * joint_stable_dt(p, mob))
+        assert step_joint_fd(p, mob, 0.25 * joint_stable_dt(p, mob)).values.min() >= 0.0
+
+    def test_lone_cell_drains_to_zero_at_twice_the_bound(self):
+        # on a constant mobility a lone interior cell loses exactly its value at
+        # 2 stable_dt, and the step clamps the rounding to 0; a step 1e-7 longer
+        # undershoots by 1e-7 of the cell, far below the clamp's -1e-13 max(1, max p)
+        for n in range(3, 12):
+            g = Grid2D(n, n, 0.0, 1.0, 0.0, 1.0)
+            stencil = _Stencil(constant_mobility(g))
+            for cell in {(1, 1), (n // 2, n // 2), (n - 2, 1)}:
+                v = np.zeros((n, n))
+                v[cell] = 1.0 / (g.h1 * g.h2)
+                new, low, _ = stencil.step(v, 2.0 * stencil.stable_dt(v))
+                assert low == 0.0 and new[cell] == 0.0 and new.min() == 0.0, (n, cell)
+                with pytest.raises(NegativityDetected):
+                    stencil.step(v, 2.0000001 * stencil.stable_dt(v))
+
+    def test_nan_cell_raises_invalid_density(self):
+        g = Grid2D(4, 4, 0.0, 1.0, 0.0, 1.0)
+        v = np.ones((4, 4))
+        v[1, 1] = np.nan
+        with pytest.raises(InvalidDensity, match="by nan"):
+            _Stencil(constant_mobility(g)).step(v, 1e-3)
 
 
 class TestMarginals:
@@ -542,6 +584,17 @@ class TestDecoupled:
             pair = step_decoupled_fd(pair, mob, 0.5 * decoupled_stable_dt(pair, mob, "quadratic"))
         assert gx.h * pair.u1.values.sum() == pytest.approx(1.0, abs=1e-12)
         assert gx.h * pair.u2.values.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("variant", ["quadratic", "entropy"])
+    def test_step_above_the_bound_raises_cfl_violation(self, variant):
+        g = square_grid(16)
+        gx = g.axis1()
+        pair = MarginalPair(normalize(np.exp(-0.5 * gx.centers() ** 2), gx), normalize(np.ones(16), gx))
+        mob = build_mobility(g, 0.4, 0.2)
+        bound = decoupled_stable_dt(pair, mob, variant)
+        step_decoupled_fd(pair, mob, bound, variant)
+        with pytest.raises(CFLViolation):
+            step_decoupled_fd(pair, mob, 1.0000001 * bound, variant)
 
     def test_unknown_variant(self):
         g = square_grid(16)
