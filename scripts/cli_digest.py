@@ -39,19 +39,20 @@ _PAIR = {
     "initial": [{"preset": "gaussian", "center": 0.4, "var": 0.01}, {"preset": "gaussian", "center": 0.6, "var": 0.01}],
 }
 _SEGREGATED = [{"preset": "segregated", "lo": 0.15, "hi": 0.42}, {"preset": "segregated", "lo": 0.58, "hi": 0.85}]
+_COSINE = {
+    "grid": {"n_cells": 48, "x_min": 0.0, "x_max": 1.0},
+    "n_species": 3,
+    "initial": {"preset": "cosine"},
+    "t_final": 0.004,
+}
 _SKT = {"n1": 24, "n2": 24, "t_final": 0.05}
 CASES = {  # label: config; the label starts with the scenario name, or "config" for a config that names none
     "parabolic_jko/lagrangian": _JKO | {"snapshots": [0.002]},
     "parabolic_jko/entropic": _PAIR
     | {"scenario": "parabolic_jko", "schedule": {"tau": 1e-3, "steps": 2}, "solver": {"name": "entropic", "eps": 1e-2}},
     "parabolic_jko/entropic_barenblatt": _JKO | {"solver": {"name": "entropic"}},  # exits 1: KernelUnderflow
-    "hyperbolic_split/cosine": {
-        "scenario": "hyperbolic_split",
-        "grid": {"n_cells": 48, "x_min": 0.0, "x_max": 1.0},
-        "n_species": 3,
-        "initial": {"preset": "cosine"},
-        "t_final": 0.004,
-    },
+    "hyperbolic_split/cosine": _COSINE | {"scenario": "hyperbolic_split"},
+    "hyperbolic_transport/cosine": _COSINE | {"scenario": "hyperbolic_transport"},  # 3 overlapping species
     "hyperbolic_transport/segregated": {
         "scenario": "hyperbolic_transport",
         "grid": {"n_cells": 48, "x_min": 0.0, "x_max": 1.0},

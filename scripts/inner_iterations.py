@@ -5,7 +5,11 @@ per case and solver, the inner iteration count of every step: descent
 iterations of ``jko_step_lagrangian`` and joint scaling passes of
 ``jko_step_entropic``.  The counts do not depend on the machine.  With
 ``--base REV`` it also prints the counts of ``git archive REV src``, run in
-a temporary directory, and the change of each mean.  It exits 0 either way.
+a temporary directory, the change of each mean, and whether the two trees'
+step outputs are bit-identical, or else the first step whose output
+differs: a count that changes on matching inputs is a change of the inner
+loop, and one that follows a changed input may not be.  It exits 0 either
+way.
 
     python scripts/inner_iterations.py
     python scripts/inner_iterations.py --base origin/main
@@ -14,6 +18,7 @@ a temporary directory, and the change of each mean.  It exits 0 either way.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -44,7 +49,7 @@ CASES = {
 
 
 def counts() -> dict:
-    """{label: {solver: [inner iterations of each step]}} of the btflow that imports."""
+    """{label: {solver: [[inner iterations, SHA-256 of the output] of each step]}} of the btflow that imports."""
     from btflow.energies import CouplingMatrix
     from btflow.jko import jko_step_entropic, jko_step_lagrangian
     from btflow.measures import DensityVector, Grid1D, normalize
@@ -60,7 +65,7 @@ def counts() -> dict:
             u, per_step = u0, []
             for _ in range(steps):
                 u, report = step(u)
-                per_step.append(report.inner_iterations)
+                per_step.append([report.inner_iterations, hashlib.sha256(u.values.tobytes()).hexdigest()])
             out[label][name] = per_step
     return out
 
@@ -86,10 +91,14 @@ def main(argv=None) -> int:
     current = trees[SOURCE]
     for tree, result in trees.items():
         for label, solvers in result.items():
-            for name, per_step in solvers.items():
+            for name, steps in solvers.items():
+                per_step, outputs = [count for count, _ in steps], [sha for _, sha in steps]
                 line = f"{tree:>12} {label:>9} {name:>10}: mean {fmean(per_step):8.1f}  per step {per_step}"
                 if tree != SOURCE:
-                    line += f"  ({SOURCE} / {tree}: {fmean(current[label][name]) / fmean(per_step):.3g})"
+                    mine = current[label][name]
+                    differ = [k + 1 for k, ((_, a), b) in enumerate(zip(mine, outputs)) if a != b]
+                    same = f"outputs differ from step {differ[0]}" if differ else "outputs bit-identical"
+                    line += f"  ({SOURCE} / {tree}: {fmean(c for c, _ in mine) / fmean(per_step):.3g}; {same})"
                 print(line)
     return 0
 

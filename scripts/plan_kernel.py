@@ -1,15 +1,19 @@
-"""Microseconds per call of the plan kernels and per step of a hyperbolic run.
+"""Microseconds and minor page faults per call of the plan kernels and per step of a hyperbolic run.
 
 Times ``transport1d._plans`` on fixed seeded cell masses at a few (rows,
 cells) shapes: the hyperbolic chunk's pressure and species batches, and
 one-row calls as ``w2_exact`` and ``monotone_plan`` make them.  Times
 ``hyperbolic._transport``, the plan-transport push, on a chunk of 16 plans
-of 2 species on 256 cells, and ``hyperbolic.run_hyperbolic`` (plan
-transport) per step on the benchmark's input shape at 256 cells: two
+of 2 species on 256 cells, and next to it ``hyperbolic._own_fractions``,
+the transport's fractions, on the 17 states that push returns (a tree
+without that kernel skips its row).  Times ``hyperbolic.run_hyperbolic``
+(plan transport) per step on the benchmark's input shape at 256 cells: two
 69-cell blocks with a 34-cell empty gap between them.  Prints the median
-time of each row.  With ``--base REV`` it also times ``git archive REV
-src``, run in a temporary directory, and prints the ratio of the medians.
-The times depend on the machine and its load; it exits 0 either way.
+time of each row and the minor page faults per call (per step for the run
+row), read with ``getrusage`` on the timing process over all its timed
+calls.  With ``--base REV`` it also times ``git archive REV src``, run in a
+temporary directory, and prints the ratio of the medians.  The times depend
+on the machine and its load; it exits 0 either way.
 
     python scripts/plan_kernel.py
     python scripts/plan_kernel.py --base origin/main
@@ -32,18 +36,23 @@ RUN_T_FINAL, RUN_REPEATS = 1e-3, 7  # about 540 steps per timed run
 
 
 def timings() -> dict:
-    """{row: median microseconds per call, or per run step} of the btflow that imports."""
+    """{row: [median microseconds, minor page faults] per call, or per run step} of the btflow that imports."""
+    import resource
     import timeit
     from statistics import median
 
     import numpy as np
 
+    from btflow import hyperbolic
     from btflow.hyperbolic import _transport, run_hyperbolic
     from btflow.measures import DensityVector, Grid1D, normalize
     from btflow.transport1d import _plans
 
-    def per_call(fn) -> float:
-        return median(timeit.repeat(fn, number=CALLS, repeat=REPEATS)) / CALLS * 1e6
+    def per_call(fn, number=CALLS, repeat=REPEATS) -> list:
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        seconds = median(timeit.repeat(fn, number=number, repeat=repeat)) / number
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        return [seconds * 1e6, faults / (number * repeat)]
 
     rng = np.random.default_rng(0)
 
@@ -58,6 +67,9 @@ def timings() -> dict:
         out[f"{rows}x{n}"] = per_call(lambda: _plans(a, b))
     u, plans = masses(2, 256)[0], _plans(*masses(16, 256))
     out["push 16x2x256"] = per_call(lambda: _transport(u, plans))
+    if hasattr(hyperbolic, "_own_fractions"):
+        species = _transport(u, plans)
+        out["own 17x2x256"] = per_call(lambda: hyperbolic._own_fractions(species))
     grid = Grid1D(256, 0.0, 1.0)
     cells = np.arange(256)
     u0 = DensityVector.from_species(
@@ -68,7 +80,7 @@ def timings() -> dict:
         return run_hyperbolic(u0, "pressure_transport", t_final=RUN_T_FINAL)
 
     steps = run().record.meta["steps"]
-    out["run step 256"] = median(timeit.repeat(run, number=1, repeat=RUN_REPEATS)) / steps * 1e6
+    out["run step 256"] = [x / steps for x in per_call(run, 1, RUN_REPEATS)]
     return out
 
 
@@ -92,10 +104,11 @@ def main(argv=None) -> int:
             trees[args.base] = tree_timings(archive_source(args.base, tmp))
     current = trees[SOURCE]
     for tree, result in trees.items():
-        for shape, us in result.items():
-            line = f"{tree:>12} {shape:>13}: {us:8.1f} us per {'step' if shape.startswith('run') else 'call'}"
-            if tree != SOURCE:
-                line += f"  ({SOURCE} / {tree}: {current[shape] / us:.3g})"
+        for shape, (us, faults) in result.items():
+            per = "step" if shape.startswith("run") else "call"
+            line = f"{tree:>12} {shape:>13}: {us:8.1f} us, {faults:7.2f} minor faults per {per}"
+            if tree != SOURCE and shape in current:
+                line += f"  ({SOURCE} / {tree}: {current[shape][0] / us:.3g})"
             print(line)
     return 0
 

@@ -22,6 +22,22 @@ Two schemes are provided:
   shares of the mass it sends along each, so the push conserves species
   mass to rounding.  On cell histograms the plan is exact, so the projection
   identity and the sqrt(N) metric-speed bound hold to machine precision.
+  Its fractions are its species' own, r_i = u_i / sum_j u_j, and TV(r_i)
+  cannot grow either.  A monotone push makes each destination cell's
+  fractions a convex combination of those of an interval of source cells,
+  and consecutive intervals share at most one cell.  Let C_j(c) be the
+  share of destination j's mass that comes from source cells up to c.
+  Summation by parts gives
+  r'(j+1) - r'(j) = -sum_c (C_{j+1}(c) - C_j(c)) (r(c+1) - r(c)), and
+  C_j(c) falls monotonically in j from 1 to 0, so the TV over the support
+  cannot grow.  Any positive weights give this, so the 1e-9 gap between the
+  species average and the pressure does not break it.  Empty cells are in
+  no plan, so the TV runs over the support in order, which the fill off the
+  support gives exactly.  The support is the cells whose species total is a
+  normal float (>= the smallest normal double).  A subnormal total is plan
+  rounding: counting it (s > 0) let the TV rise by up to 4.1e-4 on random
+  overlapping blocks.  A cut-off above it drops source cells of the convex
+  combinations: s > 1e-12 let the TV rise by up to 2.7e-3 there.
 
 The public step functions run the array kernels of ``run_hyperbolic`` on a
 chunk of one step and check it as a run checks a chunk.  A run validates
@@ -29,15 +45,18 @@ chunk of one step and check it as a run checks a chunk.  A run validates
 so only the pressure feeds the next step: per step a run computes only the
 pressure (``_pressure_step``) and keeps only the guard on its result, a
 pressure cell below -1e-13 or NaN raising InvalidDensity at once and cells in
-[-1e-13, 0) clamped at 0.  The fractions ride on the pressure's flux; once
-per chunk of CHUNK_STEPS steps ``_fractions`` computes them from the chunk's
-pressures and moved masses, with one support test for all its steps.  The
-other invariants of every step are checked once per chunk too, on its
-stacked states: pressure mass drift per step (1e-12, EstimateFailed),
-pressure unit mass, fractions summing to at most 1 + 1e-12, species unit mass
-(MASS_TOL_1D, as every 1D density) and, for the plan transport, the species
-average equal to the pressure within 1e-9 (InvalidDensity).  A failing step
-raises once its chunk is computed.  Density objects are built only for the
+[-1e-13, 0) clamped at 0.  The species and fractions follow once per chunk
+of CHUNK_STEPS steps, from the chunk's pressures: the splitting fractions
+ride on the pressure's flux (``_fractions``, from the moved masses), and the
+plan transport takes its species' own (``_own_fractions``).  Both fill their
+fractions off the support by one rule (``_fill``).  The other invariants of
+every step are checked once per chunk too, on its stacked states.  Both
+schemes check the pressure mass drift per step (1e-12, EstimateFailed) and
+the pressure unit mass.  The splitting scheme checks that its fractions sum
+to at most 1 + 1e-12; the plan transport checks the species average equal
+to the pressure within 1e-9.  Both check each species' unit mass
+(MASS_TOL_1D, as every 1D density; InvalidDensity).  A failing step raises
+once its chunk is computed.  Density objects are built only for the
 snapshots and the final state.
 """
 
@@ -114,21 +133,19 @@ def tv(field: np.ndarray) -> float | np.ndarray:
     return float(total) if total.ndim == 0 else total
 
 
-def _off_support_fill(support: np.ndarray):
-    """Cell map r[:, fill] that fills fractions on zero-pressure cells.
+def _fill(on: np.ndarray) -> np.ndarray:
+    """Cell maps, one per row of the stacked supports on (..., n), that fill fields off their support.
 
-    The flux gives a cell that first receives mass its donor's fraction, but
-    the TV series read every cell, so every p = 0 cell (including interior gaps
-    between support components) copies the closest supported cell, ties left.
+    Row k sends every cell to the closest cell of on[k], ties left, and a
+    cell of an empty row to itself.  A field indexed by its row's map is
+    constant off the support, so the TV series read every cell (including
+    interior gaps between support components) without a spurious jump.
     """
-    idx = np.nonzero(support)[0]
-    if idx.size == 0 or idx.size == support.size:
-        return slice(None)
-    cells = np.arange(support.size)
-    pos = np.searchsorted(idx, cells)
-    left = idx[np.clip(pos - 1, 0, idx.size - 1)]
-    right = idx[np.clip(pos, 0, idx.size - 1)]
-    return np.where(np.abs(cells - left) <= np.abs(right - cells), left, right)
+    n = on.shape[-1]
+    cells = np.arange(n)
+    left = np.maximum.accumulate(np.where(on, cells, -n), axis=-1)  # -n: no supported cell to the left
+    right = np.flip(np.minimum.accumulate(np.flip(np.where(on, cells, 2 * n), axis=-1), axis=-1), axis=-1)
+    return np.where(on.any(axis=-1, keepdims=True), np.where(cells - left <= right - cells, left, right), cells)
 
 
 def _stable_dt(p: np.ndarray, slope: np.ndarray, h: float) -> float:
@@ -149,15 +166,19 @@ def splitting_stable_dt(pf: PressureFraction) -> float:
     return _stable_dt(p, np.diff(p) / pf.grid.h, pf.grid.h)
 
 
-def _split_checks(pressure: np.ndarray, fractions: np.ndarray, h: float) -> list:
-    """Checks of the splitting steps between the (K+1, n) pressures, which give the (K, N-1, n) fractions."""
+def _pressure_checks(pressure: np.ndarray, h: float) -> list:
+    """Checks of the steps between the (K+1, n) pressures, which both schemes run."""
     mass = pressure.sum(axis=-1)
     drift = np.abs(h * mass[1:] - 1.0)
     return [
         (EstimateFailed, "pressure mass drifted beyond 1e-12 in one step", np.abs(np.diff(mass)) * h > 1e-12),
         (InvalidDensity, f"pressure mass deviates from 1 beyond {MASS_TOL_1D}", ~(drift <= MASS_TOL_1D)),
-        (InvalidDensity, "fractions sum beyond 1", ~(fractions.sum(axis=1).max(axis=-1) <= 1.0 + 1e-12)),
     ]
+
+
+def _fraction_sum_check(fractions: np.ndarray) -> tuple:
+    """Check of each step's splitting fractions in the stacked (K, N-1, n) fractions: they sum to at most 1."""
+    return InvalidDensity, "fractions sum beyond 1", ~(fractions.sum(axis=1).max(axis=-1) <= 1.0 + 1e-12)
 
 
 def _species_check(species: np.ndarray, h: float) -> tuple:
@@ -187,7 +208,7 @@ def _pressure_step(p: np.ndarray, out: np.ndarray, moved: np.ndarray, h: float, 
 
     The pressure moved leftward across each interface goes into moved, which
     _fractions reads.  The sign guard is the one check made here, as the next
-    step reads its result; _split_checks holds the other invariants.
+    step reads its result; _pressure_checks holds the other invariants.
     """
     slope = (p[1:] - p[:-1]) / h  # np.diff(p) / h without its call overhead
     dt = min(cap, safety * _stable_dt(p, slope, h))  # a NaN cap stays NaN and fails the sign guard
@@ -199,16 +220,14 @@ def _pressure_step(p: np.ndarray, out: np.ndarray, moved: np.ndarray, h: float, 
     return dt
 
 
-def _fractions(pressure: np.ndarray, moved: np.ndarray, r: np.ndarray, support: np.ndarray, fill):
+def _fractions(pressure: np.ndarray, moved: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The (K+1, N-1, n) fractions of the K _pressure_step steps between the (K+1, n) pressures.
 
     Row 0 is r.  The steps moved the (K, n-1) masses.  Each step first extends
-    its fractions constant off the support of the pressure it starts from with
-    _off_support_fill, given the support and fill of the step before it.
-    Returns the fractions and the support and fill of the last step.
+    its fractions constant off the support of the pressure it starts from
+    with _fill.
     """
-    on = pressure[:-1] > SUPPORT_EPS
-    changed = (on != np.vstack((support, on[:-1]))).any(axis=1)
+    fill = _fill(pressure[:-1] > SUPPORT_EPS)
     # donor-cell fractions; a p_new = 0 cell receives nothing (the floor only avoids
     # 0/0), and a symmetric stagnation interface moves 0 exactly, so halves never mix
     inv = 1.0 / np.maximum(pressure[1:], np.finfo(float).tiny)
@@ -217,16 +236,14 @@ def _fractions(pressure: np.ndarray, moved: np.ndarray, r: np.ndarray, support: 
     fractions = np.empty((len(pressure),) + r.shape)
     fractions[0] = r
     for k in range(len(moved)):
-        if changed[k]:
-            support, fill = on[k], _off_support_fill(on[k])
-        r = fractions[k][:, fill]
+        r = fractions[k][:, fill[k]]
         jumps = r[:, 1:] - r[:, :-1]
         r_new = fractions[k + 1]
         r_new[:] = r
         r_new[:, :-1] += left[k] * jumps
         r_new[:, 1:] += right[k] * jumps
-        r_new.clip(0.0, 1.0, out=r_new)  # bounds each fraction; _split_checks bounds their sum
-    return fractions, support, fill
+        r_new.clip(0.0, 1.0, out=r_new)  # bounds each fraction; _fraction_sum_check bounds their sum
+    return fractions
 
 
 def step_splitting(pf: PressureFraction, dt: float) -> PressureFraction:
@@ -243,9 +260,8 @@ def step_splitting(pf: PressureFraction, dt: float) -> PressureFraction:
     taken = _pressure_step(p, pressure[1], moved[0], h, dt, 1.0)
     if taken < dt:
         raise CFLViolation(dt, taken)
-    support = p > SUPPORT_EPS
-    fractions, *_ = _fractions(pressure, moved, pf.fractions, support, _off_support_fill(support))
-    _raise_first(_split_checks(pressure, fractions[1:], h), 1)
+    fractions = _fractions(pressure, moved, pf.fractions)
+    _raise_first(_pressure_checks(pressure, h) + [_fraction_sum_check(fractions[1:])], 1)
     return PressureFraction(Density(pf.grid, pressure[1]), fractions[1])
 
 
@@ -273,6 +289,18 @@ def _transport(u: np.ndarray, plans) -> np.ndarray:
         carried = share[k] * species[k].take(src[k], axis=1)
         pushed[k + 1] = np.bincount(bins[k], carried.ravel(), minlength=n_species * n)
     return species
+
+
+def _own_fractions(species: np.ndarray) -> np.ndarray:
+    """The (K, N-1, n) fractions u_i / sum_j u_j of the stacked (K, N, n) species, filled off their support.
+
+    The support is the cells whose species total is a normal float: a
+    subnormal total is plan rounding, and its quotient is no fraction.
+    """
+    total = species.sum(axis=-2)
+    on = total >= np.finfo(float).tiny
+    r = species[:, :-1] / np.where(on, total, 1.0)[:, None]
+    return np.take_along_axis(r, _fill(on)[:, None], axis=-1)
 
 
 def pressure_transport_step(
@@ -323,11 +351,14 @@ def run_hyperbolic(
     that bound is an identity, W2(u^k, u^{k+1}) = sqrt(N) W2(p_k, p_{k+1}) up
     to rounding: each species' push along the monotone pressure plan is
     monotone, so optimal, and the pushes' costs sum to N W2(p_k, p_{k+1})^2
-    as the species average equals p_k (see check_metric_speed).  The TV(r_i)
-    series of both schemes read the fractions of the splitting flux, which
-    the transported species match within about 1e-11 in L1.  Their own
-    u_i / (N p) is plan rounding where p is near 1e-12 (0.86 for a pure
-    species at p = 1.6e-12), and its TV rose by 0.48 on a benchmark input.
+    as the species average equals p_k (see check_metric_speed).  Each
+    scheme's TV(r_i) series reads its own state: the splitting scheme's
+    flux fractions, and the plan transport's species' own fractions
+    u_i / sum_j u_j on the cells whose species total is a normal float,
+    filled off them (the module docstring derives why neither can grow).
+    The metric-speed identity stays checked as the guard of a broken push: a
+    push that trades two species between two cells keeps every mass, cell
+    total and the species average, and fails both it and TV(r_1).
     The run advances in chunks of CHUNK_STEPS steps.  Per step it computes
     only the pressure and checks only the pressure's sign; the fractions
     follow per chunk, the other invariants of every step are checked per
@@ -345,10 +376,12 @@ def run_hyperbolic(
     h = grid.h
     x = grid.centers()
     pf = split_state(u0)
-    support = pf.pressure.values > SUPPORT_EPS
-    fill = _off_support_fill(support)
-    p, r = pf.pressure.values, pf.fractions[:, fill]  # the fill copies valid fractions
-    state_u = DensityVector(grid, _recover(p, r)) if scheme == "splitting" else u0
+    p = pf.pressure.values
+    if scheme == "splitting":
+        r = pf.fractions[:, _fill(p > SUPPORT_EPS)]  # the fill copies valid fractions
+        state_u = DensityVector(grid, _recover(p, r))
+    else:
+        state_u, r = u0, _own_fractions(u0.values[None])[0]
     u = state_u.values
 
     tvs = [tv(np.concatenate([p[None], r]))]  # per state: TV(p), then each TV(r_i)
@@ -373,19 +406,20 @@ def run_hyperbolic(
             t += dt_k
             step += 1
             k += 1
-        # ... then the chunk's fractions, checks, plans, species, W2 increments and TV at once
+        # ... then the chunk's checks, plans, species, fractions, W2 increments and TV at once
         first = step + 1 - k
         pressure = buf_p[: k + 1]
-        fractions, support, fill = _fractions(pressure, buf_moved[:k], r, support, fill)
-        checks = _split_checks(pressure, fractions[1:], h)
+        checks = _pressure_checks(pressure, h)
         if scheme == "splitting":
+            fractions = _fractions(pressure, buf_moved[:k], r)
             species = _recover(pressure, fractions)
-            checks.append(_species_check(species[1:], h))
+            checks += [_fraction_sum_check(fractions[1:]), _species_check(species[1:], h)]
         _raise_first(checks, first)
         plans = _plans(pressure[:-1] * h, pressure[1:] * h)
         if scheme == "pressure_transport":
             species = _transport(u, plans)
             _raise_first(_push_checks(species, pressure[:-1], h), first)
+            fractions = _own_fractions(species)
         rows = species.reshape(-1, grid.n_cells) * h  # step k's species are rows k*N .. k*N + N - 1
         costs = _plans_cost(_plans(rows[:-n_species], rows[n_species:]), x)
         w2_u += np.sqrt(costs.reshape(-1, n_species).sum(axis=1)).tolist()

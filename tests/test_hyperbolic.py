@@ -4,14 +4,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from btflow import hyperbolic
+from btflow.diagnostics import MONOTONE_TOL_REL
 from btflow.errors import CFLViolation, EstimateFailed, InvalidDensity, NonpositiveTime
 from btflow.fdref import barenblatt, barenblatt_peak_time, l1_error, run_bt_fd
 from btflow.hyperbolic import (
     CFL_SAFETY,
     SUPPORT_EPS,
     PressureFraction,
+    _fill,
     _fractions,
-    _off_support_fill,
     _pressure_step,
     _recover,
     _transport,
@@ -330,19 +331,39 @@ class TestRunHyperbolic:
             run_hyperbolic(segregated_pair(32), "splitting", t_final=0.01, snapshot_every=every)
 
 
+def closest_supported(on):
+    """Per cell of the boolean row on, the closest cell of on, ties left; every cell itself if on is empty."""
+    idx = np.flatnonzero(on)
+    return np.array([min(idx, key=lambda j: (abs(c - j), j)) if idx.size else c for c in range(on.size)])
+
+
+def own_fractions(values, on):
+    """u_i / sum_j u_j of the (N, n) species values for i < N on the cells on, constant off them."""
+    total = values.sum(axis=0)
+    return (values[:-1] / np.where(on, total, 1.0))[:, closest_supported(on)]
+
+
 def step_by_hand(u0, scheme, t_final, states=None):
     """run_hyperbolic spelled out with the public step functions.
 
-    If given, the list ``states`` collects (u, p) after every step, starting
-    with the initial state.
+    The splitting scheme's TV(r_1) reads the fractions of step_splitting;
+    the plan transport's reads its species' own fractions, on the cells
+    whose species total is a normal float.  If given, the list ``states``
+    collects (u, p) after every step, starting with the initial state.
     """
     pf = split_state(u0)
-    pf = PressureFraction(pf.pressure, pf.fractions[:, _off_support_fill(pf.pressure.values > SUPPORT_EPS)])
+    pf = PressureFraction(pf.pressure, pf.fractions[:, closest_supported(pf.pressure.values > SUPPORT_EPS)])
     u = recover_species(pf) if scheme == "splitting" else u0
+
+    def fraction(pf, u):
+        if scheme == "splitting":
+            return pf.fractions[0]
+        return own_fractions(u.values, u.values.sum(axis=0) >= np.finfo(float).tiny)[0]
+
     if states is not None:
         states.append((u, pf.pressure))
     t, times, dts, w2_u, w2_p = 0.0, [0.0], [], [], []
-    tv_p, tv_r = [tv(pf.pressure.values)], [tv(pf.fractions[0])]
+    tv_p, tv_r = [tv(pf.pressure.values)], [tv(fraction(pf, u))]
     while t < t_final:
         dt = min(CFL_SAFETY * splitting_stable_dt(pf), t_final - t)
         pf_new = step_splitting(pf, dt)
@@ -356,7 +377,7 @@ def step_by_hand(u0, scheme, t_final, states=None):
         times.append(t)
         dts.append(dt)
         tv_p.append(tv(pf_new.pressure.values))
-        tv_r.append(tv(pf_new.fractions[0]))
+        tv_r.append(tv(fraction(pf_new, u_new)))
         pf, u = pf_new, u_new
         if states is not None:
             states.append((u, pf.pressure))
@@ -455,7 +476,7 @@ def test_gapped_pair_matches_public_steps(scheme, chunk, monkeypatch):
     gap = np.setdiff1d(np.arange(idx[0], idx[-1]), idx)
     assert gap.size > 0
     left, right = gap[0] - 1, gap[-1] + 1
-    assert np.array_equal(_off_support_fill(on[inside[0]])[gap], np.where(gap - left <= right - gap, left, right))
+    assert np.array_equal(_fill(on[inside[0]])[gap], np.where(gap - left <= right - gap, left, right))
 
 
 def fault_at(real, step, fault):
@@ -463,16 +484,13 @@ def fault_at(real, step, fault):
 
     _pressure_step makes one step and writes its pressure into its second
     argument; _fractions and _transport return the stacked states of their
-    steps (the fractions first in a tuple), row 0 the state they start from.
+    steps, row 0 the state they start from.
     """
     done = [0]  # steps computed so far
 
     def wrapped(*args):
         out = real(*args)
-        if real is _pressure_step:
-            after = [args[1]]
-        else:
-            after = (out[0] if isinstance(out, tuple) else out)[1:]
+        after = [args[1]] if real is _pressure_step else out[1:]
         if done[0] < step <= done[0] + len(after):
             fault(after[step - done[0] - 1])
         done[0] += len(after)
@@ -495,21 +513,25 @@ def shift_within_species(u):
     u[0, 40] += 0.5
 
 
-# kernel, fault, error, and the step a run names: the average check reads the state a push leaves
+def trade_between_species(u):
+    """Species 1 and 2 trade mass both ways between two cells: every species mass and cell total stays."""
+    u[:, 20] += [-0.5, 0.5]
+    u[:, 40] += [0.5, -0.5]
+
+
+# kernel, fault, error, the step a run names, and the schemes that run the kernel:
+# the average check reads the state a push leaves
 FAULTS = {
-    "pressure_mass": ("_pressure_step", add_pressure_mass, EstimateFailed, 7),
-    "fraction_sum": ("_fractions", push_fraction_sum_above_one, InvalidDensity, 7),
-    "species_average": ("_transport", shift_within_species, InvalidDensity, 8),
+    "pressure_mass": ("_pressure_step", add_pressure_mass, EstimateFailed, 7, ("splitting", "pressure_transport")),
+    "fraction_sum": ("_fractions", push_fraction_sum_above_one, InvalidDensity, 7, ("splitting",)),
+    "species_average": ("_transport", shift_within_species, InvalidDensity, 8, ("pressure_transport",)),
 }
 
 
 @pytest.mark.parametrize("chunk", [16, 5, 1])
-@pytest.mark.parametrize(
-    "fault, scheme",
-    [(f, s) for f in FAULTS for s in ("splitting", "pressure_transport") if (f, s) != ("species_average", "splitting")],
-)
+@pytest.mark.parametrize("fault, scheme", [(f, s) for f, (*_, schemes) in FAULTS.items() for s in schemes])
 def test_chunk_checks_catch_a_bad_step(fault, scheme, chunk, monkeypatch):
-    kernel, apply, error, failing_step = FAULTS[fault]
+    kernel, apply, error, failing_step, _ = FAULTS[fault]
     real = getattr(hyperbolic, kernel)
     pair = segregated_pair(64)
     t_final = chunk_boundary_t_final(40)
@@ -521,6 +543,24 @@ def test_chunk_checks_catch_a_bad_step(fault, scheme, chunk, monkeypatch):
     monkeypatch.setattr(hyperbolic, "CHUNK_STEPS", chunk)
     with pytest.raises(error, match=rf"\(step {failing_step}\)$"):
         run_hyperbolic(pair, scheme, t_final=t_final)
+
+
+@pytest.mark.parametrize("chunk", [16, 5, 1])
+def test_transport_tv_reads_its_own_species(chunk, monkeypatch):
+    """A push that swaps species between cells keeps every mass, cell total and the average,
+    so no step check sees it; the TV of the run's own fractions and the metric speed do."""
+    pair = segregated_pair(64)
+    t_final = chunk_boundary_t_final(40)
+    monkeypatch.setattr(hyperbolic, "_transport", fault_at(_transport, 7, trade_between_species))
+    monkeypatch.setattr(hyperbolic, "CHUNK_STEPS", chunk)
+    run = run_hyperbolic(pair, "pressure_transport", t_final=t_final, strict=False)
+    failed = {c.name: c.margin for c in run.record.checks if not c.passed}
+    assert set(failed) == {"tv_monotone[r_1]", "metric_speed"}
+    assert failed["tv_monotone[r_1]"] < -0.5
+    assert np.argmax(np.diff(run.record.tv["r_1"])) == 6  # the rise into the state after step 7
+    monkeypatch.setattr(hyperbolic, "_transport", fault_at(_transport, 7, trade_between_species))
+    with pytest.raises(EstimateFailed, match=r"tv_monotone\[r_1\]"):
+        run_hyperbolic(pair, "pressure_transport", t_final=t_final)
 
 
 @pytest.mark.parametrize("chunk", [16, 5, 1])
@@ -543,6 +583,44 @@ def test_nan_pressure_raises_on_its_own_step(scheme, chunk, monkeypatch):
     assert len(calls) == 7
 
 
+def overlapping_blocks(case):
+    """Input ``case`` of a seeded sequence: 2-3 species on 32-96 cells, each one block of constant height."""
+    rng = np.random.default_rng(0)
+    for _ in range(case + 1):
+        n, n_species = rng.integers(32, 97), rng.integers(2, 4)
+        g = Grid1D(int(n), 0.0, 1.0)
+        rows = []
+        for _ in range(n_species):
+            lo, w = rng.integers(2, n // 2), rng.integers(4, n // 2)
+            row = np.zeros(n)
+            row[lo : min(lo + w, n - 2)] = rng.uniform(0.5, 2.0)
+            rows.append(normalize(row, g))
+    return DensityVector.from_species(rows)
+
+
+# input of overlapping_blocks, and a cut-off on the species total whose support would let
+# the own-fraction TV rise beyond the check's tolerance (case 10 is the closest call for tiny)
+SUPPORT_CUTOFFS = {11: 0.0, 20: 1e-12, 10: None}
+
+
+@pytest.mark.parametrize("case", SUPPORT_CUTOFFS)
+def test_transport_tv_support_is_the_normal_totals(case):
+    run = run_hyperbolic(overlapping_blocks(case), "pressure_transport", t_final=0.003, snapshot_every=1)
+    assert run.record.all_passed()  # and the strict run raised nothing
+    values = [u.values for u in run.trajectory]
+
+    def series(on):
+        return np.array([[tv(r) for r in own_fractions(v, on(v.sum(axis=0)))] for v in values])
+
+    tv_r = series(lambda total: total >= np.finfo(float).tiny)
+    for i in range(1, len(values[0])):
+        assert np.array_equal(run.record.tv[f"r_{i}"], tv_r[:, i - 1])
+    cutoff = SUPPORT_CUTOFFS[case]
+    if cutoff is not None:
+        cut = series(lambda total: total > cutoff)
+        assert (np.diff(cut, axis=0).max(axis=0) > MONOTONE_TOL_REL * cut[0]).any()
+
+
 @st.composite
 def species_with_zero_runs(draw):
     """2-3 unit-mass species on 8-64 cells, empty on one shared run of cells."""
@@ -563,12 +641,17 @@ def split_once(u):
     pressure, moved = np.empty((2, p.size)), np.empty((1, p.size - 1))
     pressure[0] = p
     _pressure_step(p, pressure[1], moved[0], u.grid.h, np.inf, CFL_SAFETY)
-    support = p > SUPPORT_EPS
-    fractions, *_ = _fractions(pressure, moved, pf.fractions, support, _off_support_fill(support))
-    return p, (pressure[1], fractions[1])
+    return p, (pressure[1], _fractions(pressure, moved, pf.fractions)[1])
 
 
 class TestKernelProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 40).flatmap(lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=6)))
+    def test_fill_is_the_closest_supported_cell(self, rows):
+        n = len(rows[0]) if rows else 1
+        on = np.array(rows + [[False] * n, [True] * n])
+        assert np.array_equal(_fill(on), [closest_supported(row) for row in on])
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(species_with_zero_runs())
     def test_split_keeps_pressure_mass_sign_and_fractions(self, u):
