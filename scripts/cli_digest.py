@@ -71,6 +71,10 @@ CASES = {  # label: config; the label starts with the scenario name, or "config"
     "parabolic_jko/invalid_solver": _JKO | {"solver": {"name": "sinkhorn"}},
     "parabolic_jko/invalid_initial_entry": _JKO | {"initial": {"preset": "gaussian", "var": "0.01"}},
     "parabolic_jko/invalid_initial_preset": _JKO | {"initial": {"preset": "gaussian", "center": 100.0}},
+    "hyperbolic_split/invalid_initial_amplitude": _COSINE
+    | {"scenario": "hyperbolic_split", "initial": {"preset": "cosine", "amplitude": 1.5}},  # a negative profile
+    "benchmark_closure/invalid_closure_tol": _PAIR
+    | {"scenario": "benchmark_closure", "schedule": {"tau": 1e-3, "steps": 3}, "closure_tol": 0.5},
     "skt_joint/invalid_skt": _SKT | {"scenario": "skt_joint", "snapshots": [1.0]},
     "skt_decoupled/invalid_variant": _SKT | {"scenario": "skt_decoupled", "variant": "cubic"},
     "config/not_an_object": 7,

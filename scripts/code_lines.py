@@ -5,10 +5,11 @@ docstring, so blank lines, comments and docstring edits do not move the
 count.  A settable value is a defaulted parameter of a public function or
 method, or a defaulted field of a public dataclass (``init=False`` fields
 excluded); public means a module-level name, or a method name, without a
-leading underscore.  Prints one line per module, the total code lines and
-the settable-value count; with ``--base REV`` also both totals at git
-revision REV, the changes against them, and the settable values added or
-removed.
+leading underscore.  A CLI config key is one that ``cli.py`` reads through
+``_require`` with a literal key.  Prints one line per module, the total code
+lines, the settable-value count and the CLI config keys; with ``--base REV``
+also the totals at git revision REV, the changes against them, and the
+settable values and CLI config keys added or removed.
 
     python scripts/code_lines.py
     python scripts/code_lines.py --base origin/main
@@ -24,6 +25,7 @@ import tokenize
 from pathlib import Path
 
 PACKAGE = "src/btflow"
+CLI = "cli.py"
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
@@ -85,6 +87,28 @@ def settable_values(source: str, module: str) -> list[str]:
     return found
 
 
+def config_keys(source: str) -> list[str]:
+    """The sorted literal keys that ``_require`` calls in source read."""
+    return sorted(
+        {
+            node.args[1].value
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_require"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        }
+    )
+
+
+def _changes(label: str, base: list[str], now: list[str]):
+    """Print the entries of now that base lacks, and those of base that now lacks, under label."""
+    for name in sorted(set(base) - set(now)):
+        print(f"  - {label}{name}")
+    for name in sorted(set(now) - set(base)):
+        print(f"  + {label}{name}")
+
+
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], check=True, capture_output=True, text=True).stdout
 
@@ -102,6 +126,8 @@ def main(argv=None) -> int:
         print(f"{count:6d} {path}")
     print(f"{total:6d} code lines in {PACKAGE}")
     print(f"{len(knobs):6d} public settable values in {PACKAGE}")
+    keys = config_keys(Path(PACKAGE, CLI).read_text())
+    print(f"{len(keys):6d} CLI config keys: {', '.join(keys)}")
     if args.base:
         paths = [p for p in _git("ls-tree", "--name-only", f"{args.base}:{PACKAGE}").split() if p.endswith(".py")]
         sources = {p: _git("show", f"{args.base}:{PACKAGE}/{p}") for p in paths}
@@ -109,10 +135,10 @@ def main(argv=None) -> int:
         base_knobs = [k for p, source in sources.items() for k in settable_values(source, p[: -len(".py")])]
         print(f"{base:6d} code lines at {args.base}; change {total - base:+d}")
         print(f"{len(base_knobs):6d} public settable values at {args.base}; change {len(knobs) - len(base_knobs):+d}")
-        for name in sorted(set(base_knobs) - set(knobs)):
-            print(f"  - {name}")
-        for name in sorted(set(knobs) - set(base_knobs)):
-            print(f"  + {name}")
+        _changes("", base_knobs, knobs)
+        base_keys = config_keys(sources[CLI])
+        print(f"{len(base_keys):6d} CLI config keys at {args.base}; change {len(keys) - len(base_keys):+d}")
+        _changes("config key ", base_keys, keys)
     return 0
 
 

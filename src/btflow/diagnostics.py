@@ -133,11 +133,12 @@ def check_hoelder(record: RunRecord, pairwise_w2) -> CheckResult:
 
     m = record.times.size
     n_anchor = max(2, int(np.sqrt(2 * HOELDER_MAX_PAIRS)) + 1)
-    anchors = np.unique(np.linspace(0, m - 1, n_anchor).astype(int))
+    # sorted and without repeats; np.unique would import numpy.ma on its first call, about 8 ms
+    anchors = sorted(set(np.linspace(0, m - 1, n_anchor).astype(int).tolist()))
     pairs = [(i, j) for ai, i in enumerate(anchors) for j in anchors[ai + 1 :]]
     pairs = pairs[:HOELDER_MAX_PAIRS]
 
-    lhs = np.array([pairwise_w2(int(i), int(j)) for i, j in pairs], dtype=float)
+    lhs = np.array([pairwise_w2(i, j) for i, j in pairs], dtype=float)
     gaps = np.array([record.times[j] - record.times[i] for i, j in pairs], dtype=float)
     excess = np.max(lhs - np.sqrt(2.0 * max(e0, 0.0)) * np.sqrt(gaps), initial=-np.inf)
     return record.check("hoelder_half", excess, tolerance=tol)

@@ -41,41 +41,32 @@ def l1_error_vector(a: DensityVector, b: DensityVector) -> float:
 
 # Barenblatt for du/dt = (1/2)(u^2)_xx: the standard m=2 profile run at t/2.
 # Writing s = t/2, u(t, x) = s^(-1/3) (C - x^2 / (12 s^(2/3)))_+ with the
-# mass normalization  int u dx = (8/sqrt(3)) C^(3/2),  so C = (sqrt(3) M / 8)^(2/3).
+# unit-mass normalization  int u dx = (8/sqrt(3)) C^(3/2) = 1,  so C = (sqrt(3) / 8)^(2/3).
+_BARENBLATT_C = (np.sqrt(3.0) / 8.0) ** (2.0 / 3.0)
 
 
-def _barenblatt_c(mass: float) -> float:
-    return (np.sqrt(3.0) * mass / 8.0) ** (2.0 / 3.0)
-
-
-def barenblatt_peak_time(mass: float = 1.0) -> float:
+def barenblatt_peak_time() -> float:
     """Time at which the profile's maximum equals 1 (max u = C s^(-1/3))."""
-    return 2.0 * _barenblatt_c(mass) ** 3
+    return 2.0 * _BARENBLATT_C**3
 
 
-def barenblatt_support_halfwidth(t: float, mass: float = 1.0) -> float:
-    return float(np.sqrt(12.0 * _barenblatt_c(mass)) * (0.5 * t) ** (1.0 / 3.0))
+def barenblatt_support_halfwidth(t: float) -> float:
+    return float(np.sqrt(12.0 * _BARENBLATT_C) * (0.5 * t) ** (1.0 / 3.0))
 
 
-def _require_mass_center(mass: float, center: float):
-    """ValueError unless mass is finite and positive and center is finite, naming the value."""
-    _require_positive("mass", mass, ValueError)
-    if not np.isfinite(center):
-        raise ValueError(f"center must be finite, got {center!r}")
-
-
-def barenblatt(t: float, grid: Grid1D, mass: float = 1.0, center: float = 0.0) -> Density:
-    """Cell-averaged Barenblatt profile at time t, normalized to ``mass``.
+def barenblatt(t: float, grid: Grid1D, center: float = 0.0) -> Density:
+    """Cell-averaged unit-mass Barenblatt profile at time t.
 
     Cell averages are computed from the exact antiderivative of the parabola,
     so the discrete profile is second-order accurate and its mass is exact up
     to the support clipping at the domain boundary.
     """
     _require_positive("t", t)
-    _require_mass_center(mass, center)
+    if not np.isfinite(center):
+        raise ValueError(f"center must be finite, got {center!r}")
     s = 0.5 * t
-    height = _barenblatt_c(mass) * s ** (-1.0 / 3.0)
-    halfwidth = barenblatt_support_halfwidth(t, mass)
+    height = _BARENBLATT_C * s ** (-1.0 / 3.0)
+    halfwidth = barenblatt_support_halfwidth(t)
 
     def antiderivative(x):
         # integral of (height - x^2/(12 s)) dx on the support, clipped outside
@@ -88,30 +79,29 @@ def barenblatt(t: float, grid: Grid1D, mass: float = 1.0, center: float = 0.0) -
     if total <= 0.0:
         raise ValueError("profile support does not meet the grid")
     vals = np.maximum(cell_int, 0.0) / grid.h
-    vals *= mass / (grid.h * vals.sum())
+    vals *= 1.0 / (grid.h * vals.sum())
     return Density(grid, vals)
 
 
 @dataclass(frozen=True)
 class OracleProfile:
-    """Closed-form reference trajectory: 'barenblatt' or 'heat_kernel'."""
+    """Closed-form unit-mass reference trajectory centred at 0: 'barenblatt' or 'heat_kernel'.
+
+    The heat kernel solves du/dt = u_xx: its variance at t is variance0 + 2 t.
+    """
 
     kind: str
-    mass: float = 1.0
-    center: float = 0.0
-    diffusivity: float = 1.0  # heat kernel only
     variance0: float = 0.0  # heat kernel initial variance
 
     def evaluate(self, t: float, grid: Grid1D) -> Density:
         if self.kind == "barenblatt":
-            return barenblatt(t, grid, self.mass, self.center)
+            return barenblatt(t, grid)
         if self.kind == "heat_kernel":
-            var = self.variance0 + 2.0 * self.diffusivity * t
+            var = self.variance0 + 2.0 * t
             _require_positive("heat kernel variance", var)
-            _require_mass_center(self.mass, self.center)
-            x = grid.centers() - self.center
+            x = grid.centers()
             vals = np.exp(-0.5 * x * x / var) / np.sqrt(2.0 * np.pi * var)
-            vals *= self.mass / (grid.h * vals.sum())
+            vals *= 1.0 / (grid.h * vals.sum())
             return Density(grid, vals)
         raise ValueError(f"unknown oracle kind {self.kind!r}")
 

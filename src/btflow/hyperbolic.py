@@ -14,7 +14,9 @@ Two schemes are provided:
   to rounding.  The receiving cell's r gains (dt/h) |F| (r_donor - r) / p_new:
   in Harten's incremental form each interface has one nonzero coefficient,
   <= 1 as p_new is the received mass plus a kept part, >= 0 under
-  h^2/(2 max p).  Fractions stay in [0, 1] and TV(r) does not grow.
+  h^2/(2 max p).  Fractions stay in [0, 1] and TV(r) does not grow.  That
+  one bound is the stated CFL bound: as p >= 0, no jump of p exceeds max p,
+  so the transport CFL h/max|p_x| is at least h^2/max p and never binds.
 
 * ``pressure_transport_step``: the constructive route -- every species is
   pushed by the same monotone optimal plan that transports p_k to p_{k+1}.
@@ -148,22 +150,19 @@ def _fill(on: np.ndarray) -> np.ndarray:
     return np.where(on.any(axis=-1, keepdims=True), np.where(cells - left <= right - cells, left, right), cells)
 
 
-def _stable_dt(p: np.ndarray, slope: np.ndarray, h: float) -> float:
-    """splitting_stable_dt of p, given its interface slopes diff(p) / h."""
-    bound = np.inf
+def _stable_dt(p: np.ndarray, h: float) -> float:
+    """splitting_stable_dt of the pressure values p."""
     pmax = float(p.max())
-    if pmax > 0.0:
-        bound = 0.5 * h**2 / pmax
-    vmax = float(np.abs(slope).max())
-    if vmax > 0.0:
-        bound = min(bound, h / vmax)
-    return bound
+    return 0.5 * h**2 / pmax if pmax > 0.0 else np.inf
 
 
 def splitting_stable_dt(pf: PressureFraction) -> float:
-    """min of the diffusion bound h^2/(2 max p) and the transport CFL h/max|p_x|."""
-    p = pf.pressure.values
-    return _stable_dt(p, np.diff(p) / pf.grid.h, pf.grid.h)
+    """The diffusion bound h^2/(2 max p).
+
+    It also bounds the transport CFL h/max|p_x|: for p >= 0 every jump
+    |p(c+1) - p(c)| is at most max p, so h/max|p_x| >= h^2/max p.
+    """
+    return _stable_dt(pf.pressure.values, pf.grid.h)
 
 
 def _pressure_checks(pressure: np.ndarray, h: float) -> list:
@@ -211,7 +210,7 @@ def _pressure_step(p: np.ndarray, out: np.ndarray, moved: np.ndarray, h: float, 
     step reads its result; _pressure_checks holds the other invariants.
     """
     slope = (p[1:] - p[:-1]) / h  # np.diff(p) / h without its call overhead
-    dt = min(cap, safety * _stable_dt(p, slope, h))  # a NaN cap stays NaN and fails the sign guard
+    dt = min(cap, safety * _stable_dt(p, h))  # a NaN cap stays NaN and fails the sign guard
     np.multiply(dt / h, 0.5 * (p[1:] + p[:-1]) * slope, out=moved)
     out[:] = p
     out[:-1] += moved

@@ -771,8 +771,9 @@ def run_jko(
     """
     _require_positive_definite(a)
     grid = u0.grid
-    e0 = energy_quadratic(u0, a)
-    h0 = entropy_boltzmann(u0)
+    with np.errstate(over="ignore", invalid="ignore"):  # InfiniteInitialEntropy is the one signal of an overflow
+        e0 = energy_quadratic(u0, a)
+        h0 = entropy_boltzmann(u0)
     if not (np.isfinite(e0) and np.isfinite(h0)):
         raise InfiniteInitialEntropy("initial energy or entropy is not finite")
 

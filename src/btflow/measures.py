@@ -15,7 +15,7 @@ with), live here side by side.  Both take the end half-levels from one rule,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,7 +129,6 @@ class Density:
 
     grid: Grid1D
     values: np.ndarray
-    clamped: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -223,20 +222,21 @@ def second_moment(density: Density) -> float:
 
 
 def normalize(raw: np.ndarray, grid: Grid1D) -> Density:
-    """Clamp negative entries to zero, then rescale to unit mass.
+    """Rescale nonnegative entries to unit mass; rejects negative entries.
 
-    The returned density carries ``clamped=True`` when any entry was below
-    zero, so downstream consumers can see that the input was repaired.
+    A negative or NaN entry raises InvalidDensity naming the least entry, and
+    input without a positive entry raises AllZero.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.shape != (grid.n_cells,):
         raise DimensionMismatch(f"expected {grid.n_cells} entries, got {raw.shape}")
-    clamped = bool(np.any(raw < 0.0))
-    vals = np.maximum(raw, 0.0)
-    total = grid.h * float(vals.sum())
+    low = raw.min()
+    if not low >= 0.0:  # also rejects NaN
+        raise InvalidDensity(f"entries to normalize must be nonnegative, found {float(low)!r}")
+    total = grid.h * float(raw.sum())
     if total <= 0.0:
         raise AllZero("no positive entry to normalize")
-    return Density(grid, vals / total, clamped=clamped)
+    return Density(grid, raw / total)
 
 
 def _cdf_at_edges(density: Density) -> np.ndarray:

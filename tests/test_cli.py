@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import btflow.cli as cli
 from btflow.cli import CSV_BLOCK_ROWS, SCENARIOS, _initial_from, _write_csv, list_scenarios, main, run
 from btflow.measures import Grid1D, normalize
 
@@ -131,7 +132,8 @@ class TestRun:
         series = (tmp_path / "o" / "series.csv").read_text().splitlines()
         assert len(series) == 1 + 3  # header + 3 states
 
-    def test_check_failure_exit_code(self, tmp_path):
+    def test_check_failure_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CLOSURE_TOL", 1e-12)  # unattainable on purpose
         cfg = write_config(
             tmp_path,
             scenario="benchmark_closure",
@@ -139,7 +141,6 @@ class TestRun:
             coupling=[[2.0, 1.0], [1.0, 2.0]],
             initial=[{"preset": "cosine"}, {"preset": "cosine"}],
             schedule={"tau": 1e-3, "steps": 3},
-            closure_tol=1e-12,  # unattainable on purpose
         )
         assert run(str(cfg), out_dir=str(tmp_path / "fail")) == 2
         report = read_report(tmp_path / "fail")
@@ -395,6 +396,7 @@ WRONG_VALUES = {
     "bool_coupling": ({"coupling": [[2, True], [True, 2]], "initial": {"preset": "cosine"}}, [], "coupling"),
     "bool_snapshot": ({"snapshots": [True]}, [], "snapshots"),
     "bool_closure_tol": ({"scenario": "benchmark_closure", "closure_tol": True} | TWO_SPECIES, [], "closure_tol"),
+    "loose_closure_tol": ({"scenario": "benchmark_closure", "closure_tol": 0.5} | TWO_SPECIES, [], "closure_tol"),
     "float_mode": (TWO_SPECIES | {"initial": {"preset": "cosine", "mode": 1.7}}, [], "mode"),
     "skt_bool_sigma": (SKT_BASE | {"sigma": True}, [], "sigma"),
     "skt_bool_center": (SKT_BASE | {"center": [True, 2.0]}, [], "center"),

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,14 @@ from hypothesis import strategies as st
 
 import btflow.jko as jko_module
 from btflow.energies import CouplingMatrix
-from btflow.errors import EstimateFailed, KernelUnderflow, NonpositiveTime, NotPositiveDefinite, ScalingOverflow
+from btflow.errors import (
+    EstimateFailed,
+    InfiniteInitialEntropy,
+    KernelUnderflow,
+    NonpositiveTime,
+    NotPositiveDefinite,
+    ScalingOverflow,
+)
 from btflow.fdref import barenblatt, barenblatt_peak_time, l1_error, l1_error_vector
 from btflow.jko import (
     STEP_FLOOR,
@@ -360,6 +371,34 @@ class TestRunJKO:
         )
         assert np.array_equal(record.residuals, [r.optimality_residual for r in reports])
         assert len(calls) == 3  # once per step
+
+    @pytest.mark.parametrize("solver", ["lagrangian", "entropic"])
+    def test_overflowing_initial_energy_raises_typed(self, solver):
+        # the energy overflowed with a bare RuntimeWarning under -W error::RuntimeWarning
+        g = Grid1D(16, 0.0, 1.0)
+        u0 = DensityVector.from_species([normalize(1.0 + 0.25 * np.cos(np.pi * g.centers()), g)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InfiniteInitialEntropy):
+                run_jko(u0, CouplingMatrix([[1e308]]), JKOSchedule.uniform(1e-3, 2), solver=solver)
+
+    def test_runs_leave_numpy_ma_unimported(self):
+        # numpy.ma costs about 8 ms to import; np.unique in the Hoelder check imported it
+        script = """
+import sys
+import numpy as np
+from btflow.energies import CouplingMatrix
+from btflow.jko import JKOSchedule, run_jko
+from btflow.measures import DensityVector, Grid1D, normalize
+g = Grid1D(32, 0.0, 1.0)
+u0 = DensityVector.from_species([normalize(1.0 + s * 0.25 * np.cos(np.pi * g.centers()), g) for s in (1.0, -1.0)])
+for solver in ("lagrangian", "entropic"):
+    run_jko(u0, CouplingMatrix([[2.0, 1.0], [1.0, 2.0]]), JKOSchedule.uniform(1e-3, 3), solver=solver, strict=False)
+assert "numpy.ma" not in sys.modules
+"""
+        env = os.environ | {"PYTHONPATH": str(Path(jko_module.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_mass_and_positivity_along_run(self, pd_matrix):
         u0 = smooth_pair(64)

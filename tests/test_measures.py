@@ -65,23 +65,24 @@ class TestNormalize:
         g = Grid1D(10, 0.0, 1.0)
         d = normalize(np.ones(10), g)
         np.testing.assert_allclose(d.values, 1.0)
-        assert not d.clamped
 
     def test_constant_two_scales(self):
         g = Grid1D(10, 0.0, 1.0)
         d = normalize(2.0 * np.ones(10), g)
         np.testing.assert_allclose(d.values, 1.0)
 
-    def test_clamp_then_scale(self):
-        g = Grid1D(2, 0.0, 1.0)
-        d = normalize(np.array([-1.0, 3.0]), g)
-        np.testing.assert_allclose(d.values, [0.0, 2.0])
-        assert d.clamped
+    @pytest.mark.parametrize(
+        "raw, low", [([-1.0, 3.0, -2.0], "-2.0"), ([1.0, np.nan, 3.0], "nan"), ([1.0, -1e-300, 2.0], "-1e-300")]
+    )
+    def test_negative_entry_raises_naming_the_least(self, raw, low):
+        # negative entries were clamped to zero, and the density flagged as repaired
+        with pytest.raises(InvalidDensity, match=f"nonnegative, found {low}$"):
+            normalize(np.array(raw), Grid1D(3, 0.0, 1.0))
 
     def test_all_zero_raises(self):
         g = Grid1D(4, 0.0, 1.0)
         with pytest.raises(AllZero):
-            normalize(np.array([-1.0, 0.0, -2.0, 0.0]), g)
+            normalize(np.zeros(4), g)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
