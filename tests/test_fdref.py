@@ -90,10 +90,11 @@ class TestBarenblatt:
         with pytest.raises(NonpositiveTime, match=value):
             evaluate(Grid1D(32, -1.0, 1.0))
 
-    def test_center_names_its_cause(self):
+    @pytest.mark.parametrize("center, value", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+    def test_center_names_its_cause(self, center, value):
         # NaN raised InvalidDensity for a negative density
-        with pytest.raises(ValueError, match="center .*nan"):
-            barenblatt(T0, Grid1D(32, -1.0, 1.0), center=math.nan)
+        with pytest.raises(ValueError, match=f"center .*{value}$"):
+            barenblatt(T0, Grid1D(32, -1.0, 1.0), center=center)
 
     def test_oracle_profile_dispatch(self):
         g = Grid1D(128, -3.0, 3.0)

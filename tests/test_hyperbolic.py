@@ -682,6 +682,14 @@ class TestKernelProperties:
         assert h * np.abs(u_split - u_plan).sum() <= 1e-12
         assert np.abs(h * u_split.sum(axis=1) - h * u.values.sum(axis=1)).max() <= 1e-13
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(species_with_zero_runs())
+    def test_stable_dt_bounds_the_transport_cfl(self, u):
+        # the transport CFL h / max|p_x| never binds, so the stable step leaves it out
+        pf = split_state(u)
+        p, h = pf.pressure.values, u.grid.h
+        assert splitting_stable_dt(pf) <= h / np.abs(np.diff(p) / h).max()
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(species_with_zero_runs())
     def test_short_splitting_run_passes_every_check(self, u):
