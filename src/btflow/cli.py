@@ -132,11 +132,13 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
 
     Rows go out in blocks of CSV_BLOCK_ROWS, each formatted by one ``%`` on a
     row template repeated per row; only one block is held as text at a time.
-    The shortest column sets the row count.
+    The shortest column sets the row count.  The output directory is made
+    here, at a run's first write, so a config error leaves none behind.
     """
     columns = [np.asarray(c) for c in columns]
     n_rows = min((len(c) for c in columns), default=0)
     row = ",".join(["%.17g"] * len(columns)) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
@@ -354,9 +356,9 @@ def run(config_path: str, overrides=(), out_dir: str | None = None) -> int:
             raise ConfigInvalid("scenario", f"unknown scenario {scenario!r}")
         cfg_out = _require(cfg, "out_dir", str, "out")
         out = Path(out_dir or cfg_out)
-        out.mkdir(parents=True, exist_ok=True)
         record = SCENARIOS[scenario][1](cfg, out)
         report = record.to_json(scenario=scenario, params={k: v for k, v in cfg.items() if k != "out_dir"})
+        out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(report + "\n")
     except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,9 @@ independent inner solvers:
   (pool-adjacent-violators projection), scaled by a per-step metric: the
   per-species tridiagonal part of the energy Hessian at the step's start,
   read from finite-difference gradient probes, plus the prox curvature.
-  Where that model fails, the step restarts once in the Euclidean metric.
+  One rule decides the fallback: when the metric descent ends unconverged
+  within METRIC_ITERATIONS, whatever stopped it, the step restarts once
+  from its start in the Euclidean metric with the rest of MAX_ITERATIONS.
   Its accepted iterates never raise the objective, so the per-step energy
   inequality holds, and it reports convergence only
   when the Euclidean projected-gradient mapping falls to TOL_STATIONARITY
@@ -63,7 +65,6 @@ from .energies import (
     pressure,
 )
 from .errors import (
-    DegenerateSupport,
     EstimateFailed,
     InfiniteInitialEntropy,
     KernelUnderflow,
@@ -77,7 +78,6 @@ from .transport1d import kantorovich_potential_1d, w2_product
 STEP_FLOOR = 2.0**-60  # the descent gives up when its step falls below this * tau * L
 STEP_GROWTH = 1.1  # descent step factor after an accepted iterate
 HESSIAN_PROBE = 1e-6  # metric probe move, relative to the smallest positive level gap
-METRIC_MIN_STEP = 0.25  # an accepted Hessian-metric step below this fails the metric
 METRIC_ITERATIONS = 100  # Hessian-metric iterations before the Euclidean restart
 QUADRATURE_REFINE = 4.0  # inner quadrature cells per smallest level gap
 QUADRATURE_CAP = 32768
@@ -358,19 +358,20 @@ def _lagrangian_minimize(
     the step's Hessian metric, which brings the Laplacian-like conditioning of
     f in quantile variables down to a few units.
 
-    When that model fails (an accepted step below METRIC_MIN_STEP, a stall,
-    or no convergence in METRIC_ITERATIONS), the descent restarts once from
-    x_prev in the Euclidean metric M = I / (tau L), with what is left of
-    MAX_ITERATIONS; the reported iterations include the metric's.
+    One rule decides the fallback: the metric descent gets
+    min(METRIC_ITERATIONS, MAX_ITERATIONS) iterations, and when it ends
+    unconverged with MAX_ITERATIONS not yet spent (out of its budget, a
+    stall, or no step length that satisfies the line search), the descent
+    restarts once from x_prev in the Euclidean metric M = I / (tau L) with
+    the rest of MAX_ITERATIONS; the reported iterations include the metric's.
     """
     base = quad.densities(x_prev)
     grad_e = quad.gradient(x_prev, base)
-    budget = MAX_ITERATIONS
     metric = _HessianMetric(x_prev, grad_e, tau, quad)
-    result, failed = _descend(x_prev, tau, quad, budget, base, grad_e, metric)
-    if not failed:
+    result = _descend(x_prev, tau, quad, min(METRIC_ITERATIONS, MAX_ITERATIONS), base, grad_e, metric)
+    if result.converged or result.iterations >= MAX_ITERATIONS:
         return result
-    fallback, _ = _descend(x_prev, tau, quad, budget - result.iterations, base, grad_e)
+    fallback = _descend(x_prev, tau, quad, MAX_ITERATIONS - result.iterations, base, grad_e)
     fallback.iterations += result.iterations
     return fallback
 
@@ -383,7 +384,7 @@ def _descend(
     base: tuple,
     grad_e: np.ndarray,
     metric: _HessianMetric | None = None,
-) -> tuple[_LagrangianResult, bool]:
+) -> _LagrangianResult:
     """Monotone FISTA on f in the metric M (Euclidean when ``metric`` is None),
     from x_prev evaluated as ``base`` with energy gradient ``grad_e``.
 
@@ -406,18 +407,17 @@ def _descend(
     shrinks.  The test runs when the gradient at x is at hand anyway (a
     restart) or when the step from y was already that short.  A step below
     STEP_FLOOR, an accepted step that leaves x unchanged, or running out of
-    ``max_iterations`` returns ``converged=False``.  The returned flag says
-    that the Hessian metric's model failed.
+    ``max_iterations`` returns ``converged=False``, and the caller decides
+    what follows.
     """
     levels = x_prev.shape[1]
     prox_weight = 1.0 / (tau * levels)
     lo, hi = quad.grid.x_min, quad.grid.x_max
     max_step = tau * levels  # the step is held in Euclidean units, s * tau * L
     if metric is None:
-        solve, norm_sq, budget = (lambda g: g), (lambda d: _dot(d, d)), max_iterations
+        solve, norm_sq = (lambda g: g), (lambda d: _dot(d, d))
     else:
         solve, norm_sq = metric.solve, metric.norm_sq
-        budget = min(max_iterations, METRIC_ITERATIONS)
 
     def objective(x):
         d = x - x_prev
@@ -431,9 +431,9 @@ def _descend(
     target = TOL_STATIONARITY * np.sqrt(_dot(grad, grad))  # |grad E(x_prev)|
     y, obj_y, grad_y = x, obj, grad
     t, step, test_step = 1.0, max_step, 0.0
-    converged = failed = False
+    converged = False
     iterations = 0
-    while iterations < budget:
+    while iterations < max_iterations:
         iterations += 1
         direction = solve(grad_y)
         while step >= STEP_FLOOR * max_step:
@@ -453,13 +453,7 @@ def _descend(
                 grad = gradient(x, state_x)
             y, obj_y, grad_y, t = x, obj, grad, 1.0
             continue
-        if metric is None:
-            test_step = max(test_step, step)
-        elif step < METRIC_MIN_STEP * max_step:
-            failed = True
-            break
-        else:
-            test_step = metric.test_step
+        test_step = max(test_step, step) if metric is None else metric.test_step
         stalled = np.array_equal(z, x)
         if _dot(y - z, z - x) > 0.0:
             t = 1.0
@@ -474,7 +468,6 @@ def _descend(
                 converged = True
                 break
             if stalled:
-                failed = metric is not None
                 break  # the accepted step no longer moves x
         step = min(step * STEP_GROWTH, max_step)
         if momentum == 0.0:
@@ -483,9 +476,7 @@ def _descend(
             y = _project_monotone(x + momentum * (x - x_old), lo, hi)
             obj_y, state_y = objective(y)
             grad_y = gradient(y, state_y)
-    else:
-        failed = metric is not None and budget < max_iterations
-    return _LagrangianResult(x, iterations, converged, quad.energy(state_x), test_step), failed
+    return _LagrangianResult(x, iterations, converged, quad.energy(state_x), test_step)
 
 
 def _quantile_state(u: DensityVector) -> np.ndarray:
@@ -720,9 +711,7 @@ def optimality_residual(
     threshold = SUPPORT_THRESHOLD_SCALE / grid.h
     values = np.empty(u_next.n_species)
     for i in range(u_next.n_species):
-        support = u_next.values[i] > threshold
-        if not np.any(support):
-            raise DegenerateSupport(f"species {i} has empty support")
+        support = u_next.values[i] > threshold  # not empty: unit mass on fewer than 1e8 cells
         phi = kantorovich_potential_1d(u_next.species(i), u_prev.species(i))
         field_vals = phi.values / tau + p[i]
         on = field_vals[support]

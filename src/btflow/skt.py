@@ -20,7 +20,8 @@ JointDensity and MarginalPair objects are built only for snapshots.  The
 decoupled pair steps through one kernel, ``_Decoupled``, built once per
 mobility field and variant: it checks the variant and the square grid, and
 per step gives the two frozen nonlocal coefficients with their step bound
-(``rates``) and the explicit flux step of each species (``advance``).
+(``rates``) and the explicit flux step of each species (``advance``),
+which meets the joint step's undershoot rule.
 ``decoupled_stable_dt``, ``step_decoupled_fd`` and the comparison loop call
 it; the loop steps both systems on arrays and checks each species' unit mass
 per step.
@@ -155,6 +156,19 @@ def joint_stable_dt(p: JointDensity, mob: MobilityField) -> float:
     return _stable_dt(p.values, mob.values, p.grid)
 
 
+def _clamp_undershoot(new: np.ndarray, v: np.ndarray) -> float:
+    """Clamp the undershoot of an explicit step from v to new at 0, in place,
+    and return the least cell of new; a cell below -1e-13 max(1, max v)
+    raises NegativityDetected instead."""
+    low = float(new.min())
+    if low < 0.0:
+        if low < -1e-13 * max(1.0, float(v.max())):
+            raise NegativityDetected(f"negative cell {low:g} after a CFL-compliant step")
+        np.maximum(new, 0.0, out=new)
+        low = 0.0
+    return low
+
+
 class _Stencil:
     """Work arrays of the explicit joint step for one mobility field.
 
@@ -207,12 +221,7 @@ class _Stencil:
                 np.add(v, self.work, out=new)
             else:
                 new += self.work
-        low = float(new.min())
-        if low < 0.0:
-            if low < -1e-13 * max(1.0, float(v.max())):
-                raise NegativityDetected(f"negative cell {low:g} after a CFL-compliant step")
-            np.maximum(new, 0.0, out=new)
-            low = 0.0
+        low = _clamp_undershoot(new, v)
         total = float(new.sum())
         drift = abs(self.grid.h1 * self.grid.h2 * total - 1.0)
         if not drift <= MASS_TOL_2D:  # also rejects NaN
@@ -432,7 +441,7 @@ class _Decoupled:
         return a1, a2, np.inf if coef <= 0.0 else 0.25 * h * h / coef
 
     def advance(self, v: np.ndarray, coef: np.ndarray, h: float, dt: float) -> np.ndarray:
-        """One explicit flux step of one species, clamped at zero."""
+        """One explicit flux step of one species, under the joint step's undershoot rule."""
         cbar = 0.5 * (coef[1:] + coef[:-1])
         if self.quadratic:
             cbar = cbar * 0.5 * (v[1:] + v[:-1])
@@ -440,7 +449,8 @@ class _Decoupled:
         new = v.copy()
         new[:-1] += (dt / h) * flux
         new[1:] -= (dt / h) * flux
-        return np.maximum(new, 0.0)
+        _clamp_undershoot(new, v)
+        return new
 
 
 def decoupled_stable_dt(u: MarginalPair, mob: MobilityField, variant: str) -> float:

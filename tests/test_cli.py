@@ -200,7 +200,7 @@ class TestRun:
             cfg = write_config(tmp_path, **(base | {"snapshots": [0.1, 0.1000001]}))
             assert run(str(cfg)) == 1
             assert "config key 'snapshots'" in capsys.readouterr().err
-            assert not any((tmp_path / "out").iterdir())  # checked before any file is written
+            assert not (tmp_path / "out").exists()  # checked before any file or directory is written
         cfg = write_config(tmp_path, **(jko_cfg | {"snapshots": [0.1, 0.1]}))
         assert run(str(cfg), out_dir=str(tmp_path / "same")) == 0
         assert (tmp_path / "same" / "density_t0.1.csv").exists()
@@ -430,6 +430,7 @@ def test_wrong_value_exits_naming_its_key(tmp_path, capsys, monkeypatch, entries
     assert run(str(cfg), overrides=overrides) == 1
     assert f"config key '{key}'" in capsys.readouterr().err
     assert not list(tmp_path.rglob("report.json"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_required_key_exits_naming_it(tmp_path, capsys, monkeypatch):
@@ -441,6 +442,7 @@ def test_missing_required_key_exits_naming_it(tmp_path, capsys, monkeypatch):
     assert run(str(cfg)) == 1
     assert "config key 'coupling': missing" in capsys.readouterr().err
     assert not list(tmp_path.rglob("report.json"))
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("overrides", [[], ["a=1"]], ids=["plain", "override"])

@@ -13,7 +13,7 @@ from btflow.diagnostics import (
     check_metric_speed,
     check_tv_monotone,
 )
-from btflow.errors import EstimateFailed, UnknownField
+from btflow.errors import DimensionMismatch, EstimateFailed, UnknownField
 
 
 def simple_record(**overrides):
@@ -81,6 +81,11 @@ class TestHoelder:
         result = check_hoelder(rec, pairwise_w2=lambda i, j: 10.0)
         assert not result.passed
 
+    def test_latest_anchor_pair_is_checked(self):
+        # 11 states: anchors 0-8 and 10, all 45 of their pairs, so (8, 10) is among them
+        rec = simple_record()
+        assert not check_hoelder(rec, pairwise_w2=lambda i, j: 10.0 if (i, j) == (8, 10) else 0.0).passed
+
     def test_nan_distance_fails(self):
         rec = simple_record()
         assert not check_hoelder(rec, pairwise_w2=lambda i, j: np.nan if j == 10 else 0.0).passed
@@ -135,6 +140,10 @@ class TestMetricSpeed:
     def test_violation_fails(self):
         rec = simple_record(w2_increments=np.full(10, 1.0))
         assert not check_metric_speed(rec, np.full(10, 0.01), n_species=2).passed
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(DimensionMismatch, match="series lengths differ"):
+            check_metric_speed(simple_record(), np.full(9, 0.01), n_species=2)
 
 
 class TestRecord:

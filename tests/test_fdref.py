@@ -272,6 +272,21 @@ class TestErrors:
         with pytest.raises(DimensionMismatch):
             l1_error(u, v)
 
+    @pytest.mark.parametrize(
+        "error, u, v",
+        [
+            (linf_error, Density(Grid1D(8, 0.0, 1.0), np.ones(8)), Density(Grid1D(16, 0.0, 1.0), np.ones(16))),
+            (l1_error_vector, DensityVector(Grid1D(8, 0.0, 1.0), np.ones((1, 8))),
+             DensityVector(Grid1D(16, 0.0, 1.0), np.ones((1, 16)))),
+            (l1_error_vector, DensityVector(Grid1D(8, 0.0, 1.0), np.ones((1, 8))),
+             DensityVector(Grid1D(8, 0.0, 1.0), np.ones((2, 8)))),
+        ],
+        ids=["linf_grids", "vector_grids", "vector_species"],
+    )
+    def test_mismatch_raises(self, error, u, v):
+        with pytest.raises(DimensionMismatch):
+            error(u, v)
+
     def test_vector_error(self):
         g = Grid1D(8, 0.0, 1.0)
         u = DensityVector(g, np.ones((2, 8)))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from btflow import hyperbolic
 from btflow.diagnostics import MONOTONE_TOL_REL
-from btflow.errors import CFLViolation, EstimateFailed, InvalidDensity, NonpositiveTime
+from btflow.errors import CFLViolation, DimensionMismatch, EstimateFailed, InvalidDensity, NonpositiveTime
 from btflow.fdref import barenblatt, barenblatt_peak_time, l1_error, run_bt_fd
 from btflow.hyperbolic import (
     CFL_SAFETY,
@@ -156,6 +156,19 @@ class TestStepSplitting:
         with pytest.raises(InvalidDensity, match=rf"fractions must be finite, found \[{bad}\]"):
             PressureFraction(normalize(np.ones(8), g), r)
 
+    @pytest.mark.parametrize(
+        "r, error",
+        [
+            (np.full((2, 8), 0.25) - np.eye(2, 8), InvalidDensity),  # a negative fraction
+            (np.full((2, 8), 0.6), InvalidDensity),  # fractions summing past 1
+            (np.full((2, 7), 0.25), DimensionMismatch),  # one cell short of the pressure grid
+        ],
+        ids=["negative", "sum_above_one", "short"],
+    )
+    def test_bad_fractions_rejected(self, r, error):
+        with pytest.raises(error):
+            PressureFraction(normalize(np.ones(8), Grid1D(8, 0.0, 1.0)), r)
+
 
 class TestPressureTransport:
     def test_identity_transport(self):
@@ -163,6 +176,13 @@ class TestPressureTransport:
         p = split_state(pair).pressure
         out = pressure_transport_step(pair, p, p)
         np.testing.assert_allclose(out.values, pair.values, atol=1e-13)
+
+    def test_grid_mismatch(self):
+        pair = segregated_pair(64)
+        p = split_state(pair).pressure
+        other = Density(Grid1D(64, 0.0, 2.0), 0.5 * p.values)
+        with pytest.raises(DimensionMismatch):
+            pressure_transport_step(pair, p, other)
 
     def test_translation_is_equality_case(self):
         g = Grid1D(64, 0.0, 2.0)
@@ -322,6 +342,12 @@ class TestRunHyperbolic:
         name = next(iter(times))
         with pytest.raises(NonpositiveTime, match=name):
             run_hyperbolic(pair, "pressure_transport", **({"t_final": 0.01} | times))
+
+    @pytest.mark.parametrize("scheme", ["splitting", "pressure_transport"])
+    def test_step_budget_exceeded_raises(self, scheme, monkeypatch):
+        monkeypatch.setattr(hyperbolic, "MAX_STEPS", 3)
+        with pytest.raises(RuntimeError, match="exceeded the step budget"):
+            run_hyperbolic(segregated_pair(32), scheme, t_final=0.01)
 
     @pytest.mark.parametrize("every", [-1, True, 2.5, "2"])
     def test_snapshot_every_must_be_a_count(self, every, monkeypatch):

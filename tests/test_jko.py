@@ -134,6 +134,19 @@ class TestLagrangianStep:
         out, _ = jko_step_lagrangian(u0, CouplingMatrix.identity(2), 1e-3)
         np.testing.assert_array_equal(out.values[0], out.values[1])
 
+    def test_energy_increase_raises(self, pd_matrix, monkeypatch):
+        # the guard behind the descent's monotone iterates: a result above the start fails the step
+        minimize = jko_module._lagrangian_minimize
+
+        def raised(*args):
+            result = minimize(*args)
+            result.energy += 1.0
+            return result
+
+        monkeypatch.setattr(jko_module, "_lagrangian_minimize", raised)
+        with pytest.raises(EstimateFailed, match="energy increased"):
+            jko_step_lagrangian(smooth_pair(32), pd_matrix, 1e-3)
+
     def test_rank_deficient_matrix_rejected(self):
         u0 = smooth_pair(32)
         with pytest.raises(NotPositiveDefinite):
@@ -888,7 +901,8 @@ class TestDescent:
 
     def test_stalled_line_search_is_not_convergence(self, pd_matrix, monkeypatch):
         # every candidate costs more than the model allows, so no step length
-        # passes the upper bound: the descent must report failure, not success
+        # passes the upper bound: the descent must report failure, not success,
+        # after one iteration in the Hessian metric and one in the Euclidean
         energy = _Quadrature.energy
 
         def no_descent(self, state, base=None):
@@ -899,7 +913,7 @@ class TestDescent:
         u0 = smooth_pair(32)
         out, report = jko_step_lagrangian(u0, pd_matrix, 1e-3)
         assert report.converged is False
-        assert report.inner_iterations == 1
+        assert report.inner_iterations == 2
         _, record = run_jko(u0, pd_matrix, JKOSchedule.uniform(1e-3, 1), strict=False)
         assert record.meta["inner_converged"] is False
         with pytest.raises(EstimateFailed, match="inner_solver_converged"):
@@ -930,9 +944,7 @@ class TestMetricDescent:
         h = quad.grid.h
         assert h * np.abs(quad.deposit(result.positions) - quad.deposit(reference.positions)).sum() <= 1e-6
 
-    @pytest.mark.parametrize(
-        "name, value", [("METRIC_ITERATIONS", 3), ("METRIC_MIN_STEP", 2.0)]
-    )  # out of metric iterations; every accepted step too short
+    @pytest.mark.parametrize("name, value", [("METRIC_ITERATIONS", 3)])  # out of metric iterations
     def test_restart_is_the_reference_descent(self, pd_matrix, monkeypatch, name, value):
         x_prev, quad = descent_setup(smooth_pair(64), pd_matrix)
         reference = _fista_reference(x_prev, 1e-3, quad)
@@ -940,9 +952,9 @@ class TestMetricDescent:
         descend = jko_module._descend
 
         def tapped(*args):
-            result, failed = descend(*args)
+            result = descend(*args)
             spent.append(result.iterations)
-            return result, failed
+            return result
 
         monkeypatch.setattr(jko_module, name, value)
         monkeypatch.setattr(jko_module, "_descend", tapped)

@@ -280,6 +280,25 @@ class TestTypes:
         with pytest.raises(DimensionMismatch):
             DensityVector(g, np.ones((0, 8)))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda g: Density(g, np.ones(7)),
+            lambda g: DensityVector.from_species([normalize(np.ones(8), g), normalize(np.ones(4), Grid1D(4))]),
+            lambda g: JointDensity(Grid2D(4, 4, 0.0, 1.0, 0.0, 1.0), np.ones((4, 3))),
+            lambda g: pushforward_1d(normalize(np.ones(8), g), np.zeros(7)),
+        ],
+        ids=["density", "species_grids", "joint_density", "pushforward"],
+    )
+    def test_shape_mismatch_raises(self, build):
+        with pytest.raises(DimensionMismatch):
+            build(Grid1D(8, 0.0, 1.0))
+
+    @pytest.mark.parametrize("positions", [np.array([]), np.zeros((2, 2))], ids=["empty", "2d"])
+    def test_quantile_map_needs_a_nonempty_row(self, positions):
+        with pytest.raises(ValueError, match="nonempty 1D"):
+            QuantileMap(positions, 0.0, 1.0)
+
     def test_joint_density_validation(self):
         g = Grid2D(4, 4, 0.0, 1.0, 0.0, 1.0)
         JointDensity(g, np.ones((4, 4)))

@@ -72,6 +72,8 @@ class TestMobility:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_mobility(square_grid(8), sigma=-1.0, c_floor=0.1)
+        with pytest.raises(DimensionMismatch):
+            MobilityField(square_grid(8), np.ones((8, 7)))
 
     @pytest.mark.parametrize(
         "build, value",
@@ -228,6 +230,15 @@ class TestRelativeEntropy:
             values.append(relative_entropy(JointDensity(g, mix)))
         assert values[0] <= 1e-12
         assert values[0] < values[1] < values[2]
+
+    def test_negative_value_raises(self, monkeypatch):
+        # twice a product density, let past the marginals' mass check: the separated
+        # sum gives -2 log 2, which no unit-mass density can reach
+        monkeypatch.setattr(skt_module, "MASS_TOL_1D", 2.0)
+        g = square_grid(12)
+        p = product_gaussian(g, (-1.0, 1.0), 0.5)
+        with pytest.raises(EstimateFailed, match="fell below -1e-12"):
+            _relative_entropy(2.0 * p.values, float(p.values.min()), g)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -509,6 +520,16 @@ class TestDecoupled:
         for u, h in ((out.u1.values, g.h1), (out.u2.values, g.h2)):
             assert u.min() >= 0.0
             assert abs(h * u.sum() - 1.0) <= 1e-12
+
+    def test_advance_far_above_its_bound_raises(self):
+        # the joint step's undershoot rule: a negative cell beyond rounding is not clamped away
+        g = square_grid(32)
+        gx = g.axis1()
+        u = normalize(np.exp(-0.5 * gx.centers() ** 2 / 0.3), gx)
+        pair = _Decoupled(constant_mobility(g, 1.0), "entropy")
+        a1, _, bound = pair.rates(u.values, u.values)
+        with pytest.raises(NegativityDetected):
+            pair.advance(u.values, a1, g.h1, 100.0 * bound)
 
     def test_swap_symmetry_exact(self):
         g = square_grid(32)

@@ -231,6 +231,21 @@ class TestW2Product:
         with pytest.raises(DimensionMismatch):
             w2_product(DensityVector(g, np.ones((1, 8))), DensityVector(g, np.ones((2, 8))))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda u, v: w2_product(DensityVector.from_species([u]), DensityVector.from_species([v])),
+            monotone_plan,
+            optimal_map_1d,
+        ],
+        ids=["w2_product", "monotone_plan", "optimal_map_1d"],
+    )
+    def test_grid_mismatch(self, call):
+        u = normalize(np.ones(8), Grid1D(8, 0.0, 1.0))
+        v = normalize(np.ones(8), Grid1D(8, 0.0, 2.0))
+        with pytest.raises(DimensionMismatch):
+            call(u, v)
+
 
 class TestMonotonePlan:
     def test_plan_cost_equals_w2(self):
