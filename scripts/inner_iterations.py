@@ -7,8 +7,10 @@ iterations of ``jko_step_lagrangian`` and joint scaling passes of
 the STRESS_CASES cases of a fixed random stress set (1-3 species on 16-200
 cells, four profile kinds, a random SPD coupling, tau in [1e-4, 1e-1]) and
 prints the number of converged cases, the number of fallbacks (steps whose
-``jko._descend`` ran twice) and the total descent iterations.  The counts
-do not depend on the machine.  With ``--base REV`` it also prints the
+``jko._descend`` ran twice), the total descent iterations, and the number of
+unconverged cases with the sum of their step objectives
+``energy_after + w2_increment^2 / (2 tau)``, read from the step reports.
+The counts do not depend on the machine.  With ``--base REV`` it also prints the
 counts of ``git archive REV src``, run in a temporary directory, the change
 of each mean, whether the two trees' step outputs are bit-identical, or
 else the first step whose output differs, and the stress cases whose
@@ -97,8 +99,9 @@ def counts() -> dict:
 
 
 def stress() -> dict:
-    """{"converged": [per case], "fallbacks": steps whose descent ran twice, "iterations": total}
-    of one jko_step_lagrangian per stress case, in the btflow that imports."""
+    """{"converged": [per case], "fallbacks": steps whose descent ran twice, "iterations": total,
+    "objective": the summed step objective of the unconverged cases} of one jko_step_lagrangian
+    per stress case, in the btflow that imports."""
     import btflow.jko as jko
     from btflow.energies import CouplingMatrix
     from btflow.measures import DensityVector, Grid1D, normalize
@@ -111,7 +114,7 @@ def stress() -> dict:
 
     jko._descend = tapped
     rng = np.random.default_rng(STRESS_SEED)
-    converged, iterations = [], 0
+    converged, iterations, objective = [], 0, 0.0
     for k in range(STRESS_CASES):
         kind, case = STRESS_KINDS[k % len(STRESS_KINDS)], np.random.default_rng(rng.integers(0, 2**32 - 1))
         n_species = int(case.integers(1, 4))
@@ -124,8 +127,10 @@ def stress() -> dict:
         _, report = jko.jko_step_lagrangian(u0, a, tau)
         converged.append(report.converged)
         iterations += report.inner_iterations
+        if not report.converged:
+            objective += report.energy_after + report.w2_increment**2 / (2.0 * tau)
     jko._descend = descend
-    return {"converged": converged, "fallbacks": sum(c > 1 for c in calls), "iterations": iterations}
+    return {"converged": converged, "fallbacks": sum(c > 1 for c in calls), "iterations": iterations, "objective": objective}
 
 
 def tree_counts(source: Path) -> dict:
@@ -162,6 +167,7 @@ def main(argv=None) -> int:
     for tree, result in trees.items():
         run = result["stress"]
         line = f"{tree:>12} stress set: {sum(run['converged'])} of {STRESS_CASES} converged, {run['fallbacks']} fallbacks, {run['iterations']} iterations"
+        line += f", {STRESS_CASES - sum(run['converged'])} unconverged with objective sum {run['objective']:.10g}"
         if tree != SOURCE:
             differ = [k for k, (a, b) in enumerate(zip(mine, run["converged"])) if a != b]
             line += f"  (convergence differs on cases {differ})" if differ else "  (the same cases converge)"

@@ -35,11 +35,18 @@ Two schemes are provided:
   cannot grow.  Any positive weights give this, so the 1e-9 gap between the
   species average and the pressure does not break it.  Empty cells are in
   no plan, so the TV runs over the support in order, which the fill off the
-  support gives exactly.  The support is the cells whose species total is a
-  normal float (>= the smallest normal double).  A subnormal total is plan
-  rounding: counting it (s > 0) let the TV rise by up to 4.1e-4 on random
-  overlapping blocks.  A cut-off above it drops source cells of the convex
-  combinations: s > 1e-12 let the TV rise by up to 2.7e-3 there.
+  support gives exactly.
+
+Both schemes decide the support by one rule (``_supported``): the cells
+whose species total is a normal float (>= the smallest normal double), the
+splitting scheme's total being N p.  A subnormal total is plan rounding:
+counting it (s > 0) let the plan transport's TV rise by up to 4.1e-4 on
+random overlapping blocks.  A cut-off above it drops source cells of the
+convex combinations: s > 1e-12 let that TV rise by up to 2.7e-3 there, and
+it would zero the recovered species of a valid input's tail below 1e-12,
+which would then miss unit mass.  ``split_state`` returns the species' own
+fractions, filled off the support like every fraction here, so both
+schemes start from the same fractions.
 
 The public step functions run the array kernels of ``run_hyperbolic`` on a
 chunk of one step and check it as a run checks a chunk.  A run validates
@@ -51,8 +58,9 @@ pressure cell below -1e-13 or NaN raising InvalidDensity at once and cells in
 of CHUNK_STEPS steps, from the chunk's pressures: the splitting fractions
 ride on the pressure's flux (``_fractions``, from the moved masses), and the
 plan transport takes its species' own (``_own_fractions``).  Both fill their
-fractions off the support by one rule (``_fill``).  The other invariants of
-every step are checked once per chunk too, on its stacked states.  Both
+fractions off the support (``_supported``) by one rule (``_fill``).  The
+other invariants of every step are checked once per chunk too, on its
+stacked states.  Both
 schemes check the pressure mass drift per step (1e-12, EstimateFailed) and
 the pressure unit mass.  The splitting scheme checks that its fractions sum
 to at most 1 + 1e-12; the plan transport checks the species average equal
@@ -73,7 +81,6 @@ from .errors import CFLViolation, DimensionMismatch, EstimateFailed, InvalidDens
 from .measures import MASS_TOL_1D, Density, DensityVector, Grid1D, _clamped_sign, _require_count, _require_positive
 from .transport1d import _plans, _plans_cost
 
-SUPPORT_EPS = 1e-12
 CFL_SAFETY = 0.45  # automatic steps take this fraction of splitting_stable_dt
 MAX_STEPS = 10_000_000  # a run that needs more steps raises RuntimeError
 CHUNK_STEPS = 16  # steps between the batched plan, W2 and TV passes of a run
@@ -102,12 +109,23 @@ class PressureFraction:
 
 
 def split_state(u: DensityVector) -> PressureFraction:
-    """Change of unknowns u -> (p, r); r = 0 where the pressure vanishes."""
-    total = u.values.sum(axis=0)
-    p = total / u.n_species
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(total > SUPPORT_EPS, u.values[:-1] / total, 0.0)
-    return PressureFraction(Density(u.grid, p), np.clip(r, 0.0, 1.0))
+    """Change of unknowns u -> (p, r): p the species average, r the species' own fractions.
+
+    r_i = u_i / sum_j u_j on the support (``_supported``), filled off it from
+    the closest supported cell (``_own_fractions``).
+    """
+    p = u.values.sum(axis=0) / u.n_species
+    return PressureFraction(Density(u.grid, p), _own_fractions(u.values[None])[0])
+
+
+def _supported(total: np.ndarray) -> np.ndarray:
+    """Which cells of the species totals ``total`` are supported: those whose total is a normal float.
+
+    This one rule decides the support for both schemes; the splitting
+    scheme's total is N p.  A subnormal total is rounding, and its quotient
+    is no fraction (the module docstring gives why no larger cut-off works).
+    """
+    return total >= np.finfo(float).tiny
 
 
 def _recover(p: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -115,7 +133,7 @@ def _recover(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     total = (r.shape[-2] + 1) * p[..., None, :]
     r_last = np.clip(1.0 - r.sum(axis=-2, keepdims=True), 0.0, 1.0)
     vals = np.concatenate([r * total, r_last * total], axis=-2)
-    return np.where(total > SUPPORT_EPS, vals, 0.0)
+    return np.where(_supported(total), vals, 0.0)
 
 
 def recover_species(pf: PressureFraction) -> DensityVector:
@@ -226,7 +244,7 @@ def _fractions(pressure: np.ndarray, moved: np.ndarray, r: np.ndarray) -> np.nda
     its fractions constant off the support of the pressure it starts from
     with _fill.
     """
-    fill = _fill(pressure[:-1] > SUPPORT_EPS)
+    fill = _fill(_supported((r.shape[0] + 1) * pressure[:-1]))
     # donor-cell fractions; a p_new = 0 cell receives nothing (the floor only avoids
     # 0/0), and a symmetric stagnation interface moves 0 exactly, so halves never mix
     inv = 1.0 / np.maximum(pressure[1:], np.finfo(float).tiny)
@@ -251,7 +269,7 @@ def step_splitting(pf: PressureFraction, dt: float) -> PressureFraction:
     The pressure flux p_bar p_x with no-flux ends conserves mass exactly and
     is TVD under the stated bound; it carries each species at its donor
     cell's fraction.  Fractions are extended constant off the (old) pressure
-    support, so the convention r = 0 there adds no spurious variation.
+    support, so whatever fractions pf holds there add no spurious variation.
     """
     p, h = pf.pressure.values, pf.grid.h
     pressure, moved = np.empty((2, p.size)), np.empty((1, p.size - 1))
@@ -291,13 +309,9 @@ def _transport(u: np.ndarray, plans) -> np.ndarray:
 
 
 def _own_fractions(species: np.ndarray) -> np.ndarray:
-    """The (K, N-1, n) fractions u_i / sum_j u_j of the stacked (K, N, n) species, filled off their support.
-
-    The support is the cells whose species total is a normal float: a
-    subnormal total is plan rounding, and its quotient is no fraction.
-    """
+    """The (K, N-1, n) fractions u_i / sum_j u_j of the stacked (K, N, n) species, filled off their support."""
     total = species.sum(axis=-2)
-    on = total >= np.finfo(float).tiny
+    on = _supported(total)
     r = species[:, :-1] / np.where(on, total, 1.0)[:, None]
     return np.take_along_axis(r, _fill(on)[:, None], axis=-1)
 
@@ -375,12 +389,8 @@ def run_hyperbolic(
     h = grid.h
     x = grid.centers()
     pf = split_state(u0)
-    p = pf.pressure.values
-    if scheme == "splitting":
-        r = pf.fractions[:, _fill(p > SUPPORT_EPS)]  # the fill copies valid fractions
-        state_u = DensityVector(grid, _recover(p, r))
-    else:
-        state_u, r = u0, _own_fractions(u0.values[None])[0]
+    p, r = pf.pressure.values, pf.fractions
+    state_u = DensityVector(grid, _recover(p, r)) if scheme == "splitting" else u0
     u = state_u.values
 
     tvs = [tv(np.concatenate([p[None], r]))]  # per state: TV(p), then each TV(r_i)

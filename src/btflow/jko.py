@@ -14,12 +14,13 @@ independent inner solvers:
   read from finite-difference gradient probes, plus the prox curvature.
   One rule decides the fallback: when the metric descent ends unconverged
   within METRIC_ITERATIONS, whatever stopped it, the step restarts once
-  from its start in the Euclidean metric with the rest of MAX_ITERATIONS.
-  Its accepted iterates never raise the objective, so the per-step energy
-  inequality holds, and it reports convergence only
-  when the Euclidean projected-gradient mapping falls to TOL_STATIONARITY
-  times the energy gradient at the step's start, within MAX_ITERATIONS
-  iterations.  Both are module constants, read at each call.  Grid edges
+  from its start in the Euclidean metric with the rest of MAX_ITERATIONS;
+  when the restart ends unconverged too, the step keeps whichever descent
+  reached the lower objective.  The descent's accepted iterates never
+  raise the objective, so the per-step energy inequality holds, and it
+  reports convergence only when the Euclidean projected-gradient mapping
+  falls to TOL_STATIONARITY times the energy gradient at the step's start,
+  within MAX_ITERATIONS iterations.  Both are module constants, read at each call.  Grid edges
   and the split of the coupling matrix are computed once per run; the
   ``run_jko`` keyword ``dirichlet`` adds the gradient term to the energy.
 
@@ -187,7 +188,6 @@ class _LagrangianResult:
     iterations: int
     converged: bool
     energy: float
-    step: float  # the step of the stop test: the longest one accepted
 
 
 def _quadrature_grid(positions: np.ndarray, grid: Grid1D) -> Grid1D:
@@ -364,6 +364,9 @@ def _lagrangian_minimize(
     stall, or no step length that satisfies the line search), the descent
     restarts once from x_prev in the Euclidean metric M = I / (tau L) with
     the rest of MAX_ITERATIONS; the reported iterations include the metric's.
+    When the restart ends unconverged too, the step keeps whichever of the
+    two descents reached the lower f; a converged restart is kept even above
+    the metric's f, as only it certifies stationarity.
     """
     base = quad.densities(x_prev)
     grad_e = quad.gradient(x_prev, base)
@@ -373,7 +376,15 @@ def _lagrangian_minimize(
         return result
     fallback = _descend(x_prev, tau, quad, MAX_ITERATIONS - result.iterations, base, grad_e)
     fallback.iterations += result.iterations
-    return fallback
+
+    def objective(found):
+        d = found.positions - x_prev
+        return found.energy + 0.5 * _dot(d, d) / (tau * x_prev.shape[1])
+
+    if fallback.converged or objective(fallback) <= objective(result):
+        return fallback
+    result.iterations = fallback.iterations
+    return result
 
 
 def _descend(
@@ -476,7 +487,7 @@ def _descend(
             y = _project_monotone(x + momentum * (x - x_old), lo, hi)
             obj_y, state_y = objective(y)
             grad_y = gradient(y, state_y)
-    return _LagrangianResult(x, iterations, converged, quad.energy(state_x), test_step)
+    return _LagrangianResult(x, iterations, converged, quad.energy(state_x))
 
 
 def _quantile_state(u: DensityVector) -> np.ndarray:

@@ -54,38 +54,39 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Uniform rectangle grid, n1 x n2 cells."""
+    """Uniform grid of n1 x n2 cells on the square [x_min, x_max]^2.
+
+    The two axes are the positions of a pair, which share one domain, so
+    they differ only in their cell counts.
+    """
 
     n1: int
     n2: int
-    x1_min: float = 0.0
-    x1_max: float = 1.0
-    x2_min: float = 0.0
-    x2_max: float = 1.0
+    x_min: float = 0.0
+    x_max: float = 1.0
 
     def __post_init__(self):
         _require_count("n1", self.n1, 2)
         _require_count("n2", self.n2, 2)
-        _require_positive("x1_max - x1_min", self.x1_max - self.x1_min, ValueError)
-        _require_positive("x2_max - x2_min", self.x2_max - self.x2_min, ValueError)
+        _require_positive("x_max - x_min", self.x_max - self.x_min, ValueError)
 
     @property
     def h1(self) -> float:
-        return (self.x1_max - self.x1_min) / self.n1
+        return (self.x_max - self.x_min) / self.n1
 
     @property
     def h2(self) -> float:
-        return (self.x2_max - self.x2_min) / self.n2
+        return (self.x_max - self.x_min) / self.n2
 
     def axis1(self) -> Grid1D:
-        return Grid1D(self.n1, self.x1_min, self.x1_max)
+        return Grid1D(self.n1, self.x_min, self.x_max)
 
     def axis2(self) -> Grid1D:
-        return Grid1D(self.n2, self.x2_min, self.x2_max)
+        return Grid1D(self.n2, self.x_min, self.x_max)
 
     def centers(self) -> tuple[np.ndarray, np.ndarray]:
-        c1 = self.x1_min + (np.arange(self.n1) + 0.5) * self.h1
-        c2 = self.x2_min + (np.arange(self.n2) + 0.5) * self.h2
+        c1 = self.x_min + (np.arange(self.n1) + 0.5) * self.h1
+        c2 = self.x_min + (np.arange(self.n2) + 0.5) * self.h2
         return c1, c2
 
 

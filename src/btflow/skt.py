@@ -125,6 +125,12 @@ def _relative_entropy(v: np.ndarray, low: float, grid: Grid2D, work=None) -> flo
     separates into h1 h2 sum v log v - h1 sum u1 log u1 - h2 sum u2 log u2, and
     no outer product of the marginals is formed.  ``work`` is an optional
     scratch array shaped like v; its contents on entry do not matter.
+
+    The -1e-12 floor is the rounding bound that the marginal mass check
+    implies.  For nonnegative v of mass c the separated sum is c times a
+    discrete relative entropy, which is >= 0, minus c log c, so it is at
+    least -c log c, about -(c - 1); the marginal check holds |c - 1| to
+    MASS_TOL_1D (1e-12).  A value below the floor raises EstimateFailed.
     """
     u1, u2 = _marginals(v, grid)
     out = grid.h1 * grid.h2 * _xlogx_sum(v, work, positive=low > 0.0)
@@ -304,7 +310,7 @@ class SKTConfig:
                 raise ValueError(f"snapshot time {ts!r} lies outside [0, t_final={self.t_final}]")
 
     def grid(self) -> Grid2D:
-        return Grid2D(self.n1, self.n2, self.x_min, self.x_max, self.x_min, self.x_max)
+        return Grid2D(self.n1, self.n2, self.x_min, self.x_max)
 
 
 def _joint_start(config: SKTConfig) -> tuple[Grid2D, MobilityField, _Stencil, np.ndarray]:
@@ -316,7 +322,7 @@ def _joint_start(config: SKTConfig) -> tuple[Grid2D, MobilityField, _Stencil, np
     min(dt_cap, CFL_SAFETY min(h1, h2)^2 area / (4 c_floor)).
     """
     grid = config.grid()
-    area = (grid.x1_max - grid.x1_min) * (grid.x2_max - grid.x2_min)
+    area = (grid.x_max - grid.x_min) * (grid.x_max - grid.x_min)
     longest = min(config.dt_cap, CFL_SAFETY * min(grid.h1, grid.h2) ** 2 * area / (4.0 * config.c_floor))
     needed = config.t_final / longest
     if needed > MAX_STEPS:

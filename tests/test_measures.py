@@ -44,8 +44,7 @@ class TestGrids:
             (Grid1D, (4, 0.0, math.nan), "x_max - x_min", "nan"),
             (Grid2D, (4.5, 4), "n1", "4.5"),
             (Grid2D, (4, 4.5), "n2", "4.5"),
-            (Grid2D, (4, 4, 0.0, math.inf), "x1_max - x1_min", "inf"),
-            (Grid2D, (4, 4, 0.0, 1.0, math.nan, 1.0), "x2_max - x2_min", "nan"),
+            (Grid2D, (4, 4, 0.0, math.inf), "x_max - x_min", "inf"),
         ],
     )
     def test_counts_and_lengths_rejected_naming_the_value(self, build, args, name, value):
@@ -54,10 +53,11 @@ class TestGrids:
             build(*args)
 
     def test_grid2d_axes(self):
-        g = Grid2D(4, 8, 0.0, 1.0, -1.0, 1.0)
-        assert g.h1 == pytest.approx(0.25)
+        g = Grid2D(4, 8, -1.0, 1.0)
+        assert g.h1 == pytest.approx(0.5)
         assert g.h2 == pytest.approx(0.25)
-        assert g.axis2().n_cells == 8
+        assert g.axis1() == Grid1D(4, -1.0, 1.0)
+        assert g.axis2() == Grid1D(8, -1.0, 1.0)
 
 
 class TestNormalize:
@@ -285,7 +285,7 @@ class TestTypes:
         [
             lambda g: Density(g, np.ones(7)),
             lambda g: DensityVector.from_species([normalize(np.ones(8), g), normalize(np.ones(4), Grid1D(4))]),
-            lambda g: JointDensity(Grid2D(4, 4, 0.0, 1.0, 0.0, 1.0), np.ones((4, 3))),
+            lambda g: JointDensity(Grid2D(4, 4, 0.0, 1.0), np.ones((4, 3))),
             lambda g: pushforward_1d(normalize(np.ones(8), g), np.zeros(7)),
         ],
         ids=["density", "species_grids", "joint_density", "pushforward"],
@@ -300,7 +300,7 @@ class TestTypes:
             QuantileMap(positions, 0.0, 1.0)
 
     def test_joint_density_validation(self):
-        g = Grid2D(4, 4, 0.0, 1.0, 0.0, 1.0)
+        g = Grid2D(4, 4, 0.0, 1.0)
         JointDensity(g, np.ones((4, 4)))
         nan_cell = np.ones((4, 4))
         nan_cell[1, 2] = np.nan

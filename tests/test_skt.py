@@ -39,7 +39,7 @@ from btflow.skt import (
 
 
 def square_grid(n=32, lo=-5.0, hi=5.0):
-    return Grid2D(n, n, lo, hi, lo, hi)
+    return Grid2D(n, n, lo, hi)
 
 
 class TestMobility:
@@ -93,7 +93,7 @@ class TestMobility:
 
 class TestStepJointFd:
     def test_constant_density_fixed(self):
-        g = Grid2D(16, 16, 0.0, 1.0, 0.0, 1.0)
+        g = Grid2D(16, 16, 0.0, 1.0)
         p = JointDensity(g, np.ones((16, 16)))
         mob = constant_mobility(g, 1.0)
         out = step_joint_fd(p, mob, 0.5 * joint_stable_dt(p, mob))
@@ -112,7 +112,7 @@ class TestStepJointFd:
         # with M constant the dynamics is the 2D porous-medium flow; a
         # quarter-turn symmetric state stays symmetric (the sequential axis
         # sweeps add in a fixed order, so drift is a few ulp per step)
-        g = Grid2D(32, 32, -1.0, 1.0, -1.0, 1.0)
+        g = Grid2D(32, 32, -1.0, 1.0)
         p = product_gaussian(g, (0.0, 0.0), 0.05)
         mob = constant_mobility(g, 1.0)
         state = p
@@ -145,7 +145,7 @@ class TestStepJointFd:
         # joint_stable_dt takes M and p at one cell while the fluxes average M over
         # faces, so half the bound (the runs' CFL_SAFETY) undershoots to -3.08 here;
         # this pins that behaviour until the bound is taken over the face averages
-        g = Grid2D(4, 4, -1.0, 1.0, -1.0, 1.0)
+        g = Grid2D(4, 4, -1.0, 1.0)
         v = np.zeros((4, 4))
         v[3, 2] = 1.0 / (g.h1 * g.h2)
         p = JointDensity(g, v)
@@ -159,7 +159,7 @@ class TestStepJointFd:
         # 2 stable_dt, and the step clamps the rounding to 0; a step 1e-7 longer
         # undershoots by 1e-7 of the cell, far below the clamp's -1e-13 max(1, max p)
         for n in range(3, 12):
-            g = Grid2D(n, n, 0.0, 1.0, 0.0, 1.0)
+            g = Grid2D(n, n, 0.0, 1.0)
             stencil = _Stencil(constant_mobility(g))
             for cell in {(1, 1), (n // 2, n // 2), (n - 2, 1)}:
                 v = np.zeros((n, n))
@@ -170,11 +170,31 @@ class TestStepJointFd:
                     stencil.step(v, 2.0000001 * stencil.stable_dt(v))
 
     def test_nan_cell_raises_invalid_density(self):
-        g = Grid2D(4, 4, 0.0, 1.0, 0.0, 1.0)
+        g = Grid2D(4, 4, 0.0, 1.0)
         v = np.ones((4, 4))
         v[1, 1] = np.nan
         with pytest.raises(InvalidDensity, match="by nan"):
             _Stencil(constant_mobility(g)).step(v, 1e-3)
+
+    def test_axis_swap_symmetry_on_unequal_counts(self):
+        # the axes share one domain but not a cell count, so h1 != h2: axis 1
+        # steps with h1 and axis 2 with h2, and transposing the grid and the
+        # state transposes the mobility, the step bound and the step, and
+        # swaps the marginals
+        g, g_t = Grid2D(24, 32, -2.0, 2.0), Grid2D(32, 24, -2.0, 2.0)
+        mob, mob_t = build_mobility(g, 0.4, 0.2), build_mobility(g_t, 0.4, 0.2)
+        np.testing.assert_array_equal(mob_t.values, mob.values.T)
+        p = product_gaussian(g, (0.3, -0.5), 0.4)
+        p_t = JointDensity(g_t, p.values.T.copy())
+        dt = joint_stable_dt(p, mob)
+        assert joint_stable_dt(p_t, mob_t) == dt
+        q, q_t = step_joint_fd(p, mob, 0.5 * dt), step_joint_fd(p_t, mob_t, 0.5 * dt)
+        np.testing.assert_allclose(q_t.values, q.values.T, rtol=1e-13, atol=0.0)
+        m, m_t = marginals(q), marginals(q_t)
+        np.testing.assert_allclose(m_t.u1.values, m.u2.values, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(m_t.u2.values, m.u1.values, rtol=1e-13, atol=0.0)
+        assert relative_entropy(q) > 0.0
+        assert relative_entropy(q_t) == pytest.approx(relative_entropy(q), rel=1e-10)
 
 
 class TestMarginals:
@@ -214,14 +234,14 @@ class TestRelativeEntropy:
         # p uniform on the n diagonal cells of an n x n grid has marginals
         # uniform over rows/columns, so H = log n exactly
         n = 4
-        g = Grid2D(n, n, 0.0, 1.0, 0.0, 1.0)
+        g = Grid2D(n, n, 0.0, 1.0)
         vals = np.diag(np.full(n, (1.0 / n) / (g.h1 * g.h2)))  # mass 1/n per diagonal cell
         p = JointDensity(g, vals)
         assert relative_entropy(p) == pytest.approx(np.log(n), abs=1e-12)
 
     def test_mixture_monotone_in_correlation(self):
         n = 16
-        g = Grid2D(n, n, 0.0, 1.0, 0.0, 1.0)
+        g = Grid2D(n, n, 0.0, 1.0)
         product = np.ones((n, n))
         diagonal = np.diag(np.full(n, n))
         values = []
@@ -395,7 +415,7 @@ def joint_states(draw, square=False):
     cell = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
     vals = np.array(draw(st.lists(cell, min_size=n1 * n2, max_size=n1 * n2))).reshape(n1, n2)
     assume(vals.any())
-    g = Grid2D(n1, n2, -1.0, 1.0, -1.0, 1.0)
+    g = Grid2D(n1, n2, -1.0, 1.0)
     return g, vals / (g.h1 * g.h2 * vals.sum())
 
 
@@ -462,7 +482,7 @@ class TestStepperProperties:
         np.testing.assert_array_equal(new, former_joint_step(mob.values, g.h1, g.h2, vals, dt))
 
     def test_relative_entropy_ignores_stale_work_on_zero_cells(self):
-        g = Grid2D(6, 5, -1.0, 1.0, -1.0, 1.0)
+        g = Grid2D(6, 5, -1.0, 1.0)
         vals = np.arange(30.0).reshape(6, 5) % 7  # zero cells, none in a full row or column
         vals /= g.h1 * g.h2 * vals.sum()
         h = _relative_entropy(vals, 0.0, g, np.full(vals.shape, np.nan))
@@ -496,7 +516,7 @@ class TestStepperProperties:
 def marginal_pairs(draw):
     """Two unit-mass marginals on a square grid of 4-32 cells, each with a run of zero cells."""
     n = draw(st.integers(4, 32))
-    g = Grid2D(n, n, -1.0, 1.0, -1.0, 1.0)
+    g = Grid2D(n, n, -1.0, 1.0)
     species = []
     for axis in (g.axis1(), g.axis2()):
         vals = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
@@ -545,29 +565,10 @@ class TestDecoupled:
         np.testing.assert_array_equal(out.u1.values, out_swapped.u2.values)
         np.testing.assert_array_equal(out.u2.values, out_swapped.u1.values)
 
-    def test_axis_swap_symmetry_on_unequal_extents(self):
-        # species 2's coefficient sums over x1, so it takes h1: transposing a
-        # grid whose axes share a cell count but not an extent, and swapping
-        # the species, must swap the step's outputs exactly
-        g = Grid2D(24, 24, -2.0, 2.0, -3.0, 3.0)
-        g_t = Grid2D(24, 24, -3.0, 3.0, -2.0, 2.0)
-        u1 = normalize(np.exp(-0.5 * (g.axis1().centers() + 0.5) ** 2 / 0.3), g.axis1())
-        u2 = normalize(np.exp(-0.5 * (g.axis2().centers() - 0.5) ** 2 / 0.5), g.axis2())
-        mob, mob_t = build_mobility(g, 0.4, 0.2), build_mobility(g_t, 0.4, 0.2)
-        np.testing.assert_array_equal(mob_t.values, mob.values.T)
-        pair, swapped = MarginalPair(u1, u2), MarginalPair(u2, u1)
-        for variant in ("quadratic", "entropy"):
-            dt = decoupled_stable_dt(pair, mob, variant)
-            assert decoupled_stable_dt(swapped, mob_t, variant) == dt
-            out = step_decoupled_fd(pair, mob, 0.5 * dt, variant)
-            out_t = step_decoupled_fd(swapped, mob_t, 0.5 * dt, variant)
-            np.testing.assert_array_equal(out.u1.values, out_t.u2.values)
-            np.testing.assert_array_equal(out.u2.values, out_t.u1.values)
-
     def test_entropy_variant_heat_equation(self):
         # with M = 1 the entropy variant is the unit heat equation for each
         # species: compare against the exact kernel on a large domain
-        g = Grid2D(256, 256, -8.0, 8.0, -8.0, 8.0)
+        g = Grid2D(256, 256, -8.0, 8.0)
         gx = g.axis1()
         var0 = 0.25
         u0 = OracleProfile("heat_kernel", variance0=var0).evaluate(0.0, gx)
@@ -628,7 +629,7 @@ class TestDecoupled:
 
 
     def test_non_square_grid_rejected(self, monkeypatch):
-        g = Grid2D(16, 24, -5.0, 5.0, -5.0, 5.0)
+        g = Grid2D(16, 24, -5.0, 5.0)
         pair = MarginalPair(normalize(np.ones(16), g.axis1()), normalize(np.ones(24), g.axis2()))
         for variant in ("quadratic", "entropy"):
             with pytest.raises(DimensionMismatch, match="square grid"):
