@@ -1,4 +1,4 @@
-"""Microseconds and minor page faults per call of the plan kernels and per step of a hyperbolic run.
+"""Microseconds and minor page faults per call of the plan kernels and per step of a hyperbolic run and of the SKT stencil.
 
 Times ``transport1d._plans`` on fixed seeded cell masses at a few (rows,
 cells) shapes: the hyperbolic chunk's pressure and species batches, and
@@ -8,10 +8,13 @@ of 2 species on 256 cells, and next to it ``hyperbolic._own_fractions``,
 the transport's fractions, on the 17 states that push returns (a tree
 without that kernel skips its row).  Times ``hyperbolic.run_hyperbolic``
 (plan transport) per step on the benchmark's input shape at 256 cells: two
-69-cell blocks with a 34-cell empty gap between them.  Prints the median
-time of each row and the minor page faults per call (per step for the run
-row), read with ``getrusage`` on the timing process over all its timed
-calls.  With ``--base REV`` it also times ``git archive REV src``, run in a
+69-cell blocks with a 34-cell empty gap between them.  Times
+``skt._Stencil.step``, the explicit joint step, on a start state like the
+benchmark's ``skt_joint`` one (the product Gaussian of the default
+``SKTConfig`` at 256x256 cells) with half its CFL step.  Prints the median time of
+each row and the minor page faults per call (per step for the step rows),
+read with ``getrusage`` on the timing process over all its timed calls.
+With ``--base REV`` it also times ``git archive REV src``, run in a
 temporary directory, and prints the ratio of the medians.  The times depend
 on the machine and its load; it exits 0 either way.
 
@@ -46,6 +49,7 @@ def timings() -> dict:
     from btflow import hyperbolic
     from btflow.hyperbolic import _transport, run_hyperbolic
     from btflow.measures import DensityVector, Grid1D, normalize
+    from btflow.skt import SKTConfig, _joint_start
     from btflow.transport1d import _plans
 
     def per_call(fn, number=CALLS, repeat=REPEATS) -> list:
@@ -81,6 +85,9 @@ def timings() -> dict:
 
     steps = run().record.meta["steps"]
     out["run step 256"] = [x / steps for x in per_call(run, 1, RUN_REPEATS)]
+    _, _, stencil, v = _joint_start(SKTConfig(n1=256, n2=256))
+    dt = 0.5 * stencil.stable_dt(v)
+    out["skt step 256x256"] = per_call(lambda: stencil.step(v, dt))
     return out
 
 
@@ -105,8 +112,8 @@ def main(argv=None) -> int:
     current = trees[SOURCE]
     for tree, result in trees.items():
         for shape, (us, faults) in result.items():
-            per = "step" if shape.startswith("run") else "call"
-            line = f"{tree:>12} {shape:>13}: {us:8.1f} us, {faults:7.2f} minor faults per {per}"
+            per = "step" if "step" in shape else "call"
+            line = f"{tree:>12} {shape:>16}: {us:8.1f} us, {faults:7.2f} minor faults per {per}"
             if tree != SOURCE and shape in current:
                 line += f"  ({SOURCE} / {tree}: {current[shape][0] / us:.3g})"
             print(line)
